@@ -17,11 +17,13 @@
 //! 3x floor — plus the `.champsimz` store of their converted records.
 //! Results land in `BENCH_io.json` (`--out` to redirect).
 //!
-//! `--check <baseline>` compares against a committed `BENCH_io.json`:
-//! the run fails (exit 1) if any family's encode or decode MB/s
-//! regresses more than `--tolerance` percent (default 25) below the
-//! baseline, or its compression ratio drops below the baseline by the
-//! same margin — the CI perf-smoke gate for the I/O layer. `--metrics`
+//! `--check <baseline>` gates the run against a committed
+//! `BENCH_io.json` with [`experiments::bench::gate`] — the CI
+//! perf-smoke gate for the I/O layer. Each family's per-stream
+//! `encode_mbps`, `decode_mbps` and compression `ratio` must reach the
+//! baseline value less `--tolerance` percent (default 25); a
+//! regression, or a gated field the baseline lacks, fails the run
+//! (exit 1) and names the field. `--metrics`
 //! writes the aggregate `store.*` volume counters of the benched
 //! encodes as one telemetry document.
 
@@ -32,7 +34,7 @@ use champsim_trace::{ChampsimRecord, RECORD_BYTES};
 use converter::{Converter, ImprovementSet};
 use cvp_trace::CvpInstruction;
 use etrace::{EtraceReader, EtraceWriter, Program, TraceItem};
-use experiments::bench::measure;
+use experiments::bench::{check_baseline, measure};
 use experiments::runner::ExperimentScale;
 use telemetry::catalog;
 use trace_store::{
@@ -169,9 +171,8 @@ fn main() {
         }
     }
     if let Some(path) = &baseline_path {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("could not read baseline {path}: {e}")));
-        check_against_baseline(&baseline, &results, tolerance_pct);
+        let fields = ["encode_mbps", "decode_mbps", "ratio"];
+        check_baseline("convert_bench", path, &json, &fields, tolerance_pct);
     }
 }
 
@@ -315,71 +316,6 @@ fn to_json(scale: &str, results: &[FamilyResult]) -> String {
     }
     out.push_str("]}\n");
     out
-}
-
-/// Compares this run against a committed `BENCH_io.json`, exiting
-/// non-zero on any regression beyond `tolerance_pct` percent.
-fn check_against_baseline(baseline: &str, results: &[FamilyResult], tolerance_pct: f64) {
-    let floor = 1.0 - tolerance_pct / 100.0;
-    let mut failures = Vec::new();
-    for r in results {
-        let Some(entry) = family_entry(baseline, &r.family) else {
-            eprintln!("[convert_bench] baseline has no entry for {} — skipping", r.family);
-            continue;
-        };
-        for (kind, stream) in r.streams.iter().map(|(k, s)| (*k, s)) {
-            let Some(base) = stream_entry(entry, kind) else { continue };
-            for (field, value) in [
-                ("encode_mbps", stream.encode_mbps),
-                ("decode_mbps", stream.decode_mbps),
-                ("ratio", stream.ratio),
-            ] {
-                let Some(base_value) = json_f64_field(base, &format!("\"{field}\":")) else {
-                    continue;
-                };
-                if value < base_value * floor {
-                    failures.push(format!(
-                        "{}/{kind} {field}: {value:.2} vs baseline {base_value:.2} ({:+.1}%)",
-                        r.family,
-                        (value / base_value - 1.0) * 100.0
-                    ));
-                }
-            }
-        }
-    }
-    if failures.is_empty() {
-        eprintln!("[convert_bench] I/O throughput within {tolerance_pct}% of baseline");
-    } else {
-        eprintln!("error: store I/O regression beyond {tolerance_pct}% tolerance:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Slices one family's object out of a `BENCH_io.json` document (the
-/// fixed format `to_json` writes — not a general parser).
-fn family_entry<'a>(doc: &'a str, family: &str) -> Option<&'a str> {
-    let marker = format!("\"family\":\"{family}\"");
-    let entry = &doc[doc.find(&marker)? + marker.len()..];
-    // Ends at the family-object close: the second `}}` closes champsimz
-    // and the family entry together.
-    Some(&entry[..entry.find("}}")? + 2])
-}
-
-/// Slices one stream kind's object out of a family entry.
-fn stream_entry<'a>(entry: &'a str, kind: &str) -> Option<&'a str> {
-    let marker = format!("\"{kind}\":{{");
-    let body = &entry[entry.find(&marker)? + marker.len()..];
-    Some(&body[..body.find('}')?])
-}
-
-/// Reads the number following `key` in `doc`.
-fn json_f64_field(doc: &str, key: &str) -> Option<f64> {
-    let rest = &doc[doc.find(key)? + key.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 fn fail(message: &str) -> ! {

@@ -15,10 +15,12 @@
 //! simulate phases. Results land in `BENCH_sim.json` (`--out` to
 //! redirect).
 //!
-//! `--check <baseline>` compares against a committed `BENCH_sim.json`
-//! instead of only reporting: the run fails (exit 1) if any family's
-//! MIPS, or the overall aggregate, regresses more than `--tolerance`
-//! percent (default 20) below the baseline — the CI perf-smoke gate.
+//! `--check <baseline>` gates the run against a committed
+//! `BENCH_sim.json` with [`experiments::bench::gate`] — the CI
+//! perf-smoke gate. Each family's `mips` and the overall
+//! `aggregate_mips` must reach the baseline value less `--tolerance`
+//! percent (default 20); a regression, or a gated field the baseline
+//! lacks, fails the run (exit 1) and names the field.
 //! One-off phase timings (generate/convert/simulate CPU seconds) go to
 //! the `--metrics` telemetry document as `experiments.phase_seconds.*`;
 //! they are host measurements and never appear in the deterministic
@@ -27,7 +29,7 @@
 use std::time::Instant;
 
 use converter::{Converter, ImprovementSet};
-use experiments::bench::measure;
+use experiments::bench::{check_baseline, measure};
 use experiments::runner::ExperimentScale;
 use sim::{CoreConfig, RunOptions, Simulator};
 use telemetry::catalog;
@@ -170,9 +172,7 @@ fn main() {
         }
     }
     if let Some(path) = &baseline_path {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("could not read baseline {path}: {e}")));
-        check_against_baseline(&baseline, &results, aggregate, tolerance_pct);
+        check_baseline("sim_bench", path, &json, &["mips", "aggregate_mips"], tolerance_pct);
     }
 }
 
@@ -199,66 +199,6 @@ fn to_json(scale: &str, results: &[FamilyResult], aggregate: f64) -> String {
     }
     out.push_str(&format!("],\"aggregate_mips\":{aggregate:.3}}}\n"));
     out
-}
-
-/// Compares this run against a committed `BENCH_sim.json`, exiting
-/// non-zero on any regression beyond `tolerance_pct` percent.
-fn check_against_baseline(
-    baseline: &str,
-    results: &[FamilyResult],
-    aggregate: f64,
-    tolerance_pct: f64,
-) {
-    let floor = 1.0 - tolerance_pct / 100.0;
-    let mut failures = Vec::new();
-    for r in results {
-        let Some(base) = json_mips_for(baseline, &r.family) else {
-            eprintln!("[sim_bench] baseline has no entry for {} — skipping", r.family);
-            continue;
-        };
-        if r.mips < base * floor {
-            failures.push(format!(
-                "{}: {:.2} MIPS vs baseline {:.2} ({:+.1}%)",
-                r.family,
-                r.mips,
-                base,
-                (r.mips / base - 1.0) * 100.0
-            ));
-        }
-    }
-    if let Some(base) = json_f64_field(baseline, "\"aggregate_mips\":") {
-        if aggregate < base * floor {
-            failures.push(format!(
-                "aggregate: {aggregate:.2} MIPS vs baseline {base:.2} ({:+.1}%)",
-                (aggregate / base - 1.0) * 100.0
-            ));
-        }
-    }
-    if failures.is_empty() {
-        eprintln!("[sim_bench] throughput within {tolerance_pct}% of baseline");
-    } else {
-        eprintln!("error: MIPS regression beyond {tolerance_pct}% tolerance:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Extracts the `mips` value of one family entry from a `BENCH_sim.json`
-/// document (the fixed format `to_json` writes — not a general parser).
-fn json_mips_for(doc: &str, family: &str) -> Option<f64> {
-    let marker = format!("\"family\":\"{family}\"");
-    let entry = &doc[doc.find(&marker)? + marker.len()..];
-    let entry = &entry[..entry.find('}')?];
-    json_f64_field(entry, "\"mips\":")
-}
-
-/// Reads the number following `key` in `doc`.
-fn json_f64_field(doc: &str, key: &str) -> Option<f64> {
-    let rest = &doc[doc.find(key)? + key.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 fn fail(message: &str) -> ! {

@@ -40,12 +40,14 @@
 //! configurations. Hard-fails below 1.7x at 2 shards.
 //!
 //! Results land in `BENCH_server.json` (`--out` to redirect).
-//! `--check <baseline>` compares against a committed `BENCH_server.json`
-//! and fails (exit 1) when `jobs_per_sec`, `fanout_jobs_per_sec`, or
-//! `router_jobs_per_sec` regresses more than `--tolerance` percent
-//! (default 30) below the baseline — the CI perf-smoke gate. Latency
-//! tails are reported but not gated; they are too host-sensitive for
-//! CI.
+//! `--check <baseline>` gates the run against a committed
+//! `BENCH_server.json` with [`experiments::bench::gate`] — the CI
+//! perf-smoke gate. `jobs_per_sec`, `fanout_jobs_per_sec` and
+//! `router_jobs_per_sec` must reach the baseline value less
+//! `--tolerance` percent (default 30); a regression, or a gated field
+//! the baseline lacks, fails the run (exit 1) and names the field.
+//! Latency tails are reported but not gated; they are too
+//! host-sensitive for CI.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -54,6 +56,8 @@ use std::time::{Duration, Instant};
 
 use champsim_trace::ChampsimRecord;
 use converter::{Converter, ImprovementSet};
+use experiments::bench::check_baseline;
+use sim_server::json::Value;
 use sim_server::ring::DEFAULT_VNODES;
 use sim_server::{Connection, HashRing, JobSpec, Router, RouterConfig, Server, ServerConfig};
 use trace_store::ChampsimzWriter;
@@ -223,12 +227,8 @@ fn main() {
     }
 
     if let Some(path) = &baseline_path {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("could not read baseline {path}: {e}")));
-        check_floor(&baseline, "jobs_per_sec", jobs_per_sec, tolerance_pct, path);
-        check_floor(&baseline, "fanout_jobs_per_sec", fanout_jobs_per_sec, tolerance_pct, path);
-        check_floor(&baseline, "router_jobs_per_sec", router_jobs_per_sec, tolerance_pct, path);
-        eprintln!("[server_bench] throughput within {tolerance_pct}% of baseline");
+        let fields = ["jobs_per_sec", "fanout_jobs_per_sec", "router_jobs_per_sec"];
+        check_baseline("server_bench", path, &json, &fields, tolerance_pct);
     }
 }
 
@@ -447,7 +447,7 @@ fn fanout_phase(scale: &Scale) -> (f64, f64, u64) {
         }
     }
     // Total passes minus the decoy's own pass.
-    let stream_passes = metric_u64(&metrics, "server.batch.passes").saturating_sub(1);
+    let stream_passes = metric_count(&metrics, "server.batch.passes").saturating_sub(1);
     let sequential_jps = sequential_docs.len() as f64 / sequential_elapsed;
     let batched_jps = batched_docs.len() as f64 / batched_elapsed;
     eprintln!(
@@ -506,8 +506,8 @@ fn duplicate_phase(scale: &Scale) -> (f64, u64, u64) {
         conn.send("GET", "/metrics", "").unwrap_or_else(|e| fail(&format!("metrics: {e}"))).text();
     server.join();
 
-    let coalesced = metric_u64(&metrics, "server.jobs.coalesced");
-    let cache_hits = metric_u64(&metrics, "server.result_cache.hits");
+    let coalesced = metric_count(&metrics, "server.jobs.coalesced");
+    let cache_hits = metric_count(&metrics, "server.result_cache.hits");
     let jobs_per_sec = docs.len() as f64 / elapsed;
     eprintln!(
         "[server_bench] duplicates: {} identical jobs + 1 rerun in {elapsed:.2}s \
@@ -707,41 +707,12 @@ fn to_json(scale: &Scale, r: &Results) -> String {
     )
 }
 
-/// Fails when `current` for `key` regresses more than `tolerance_pct`
-/// below the baseline document's value.
-fn check_floor(baseline: &str, key: &str, current: f64, tolerance_pct: f64, path: &str) {
-    let field = format!("\"{key}\":");
-    let Some(base) = json_f64_field(baseline, &field) else {
-        fail(&format!("baseline {path} has no {key}"));
-    };
-    let floor = base * (1.0 - tolerance_pct / 100.0);
-    if current < floor {
-        eprintln!(
-            "error: {key} regression beyond {tolerance_pct}% tolerance: \
-             {current:.2} vs baseline {base:.2} ({:+.1}%)",
-            (current / base - 1.0) * 100.0
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Reads the number following `key` in `doc`.
-fn json_f64_field(doc: &str, key: &str) -> Option<f64> {
-    let rest = &doc[doc.find(key)? + key.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 /// Reads a counter value out of a `/metrics` registry document.
-fn metric_u64(doc: &str, name: &str) -> u64 {
-    let needle = format!("\"name\":\"{name}\"");
-    let Some(at) = doc.find(&needle) else {
-        fail(&format!("/metrics document has no {name}"));
-    };
-    let rest = &doc[at + needle.len()..];
-    json_f64_field(rest, "\"value\":").map(|v| v as u64).unwrap_or_else(|| {
-        fail(&format!("/metrics entry for {name} has no value"));
-    })
+fn metric_count(doc: &str, name: &str) -> u64 {
+    let doc = Value::parse(doc).unwrap_or_else(|e| fail(&format!("/metrics document: {e}")));
+    let value =
+        doc.metric(name).unwrap_or_else(|| fail(&format!("/metrics document has no {name}")));
+    value.as_u64().unwrap_or_else(|| fail(&format!("/metrics entry for {name} is not a count")))
 }
 
 fn fail(msg: &str) -> ! {

@@ -5,7 +5,19 @@
 //! encoding, no TLS, no compression. Limits are enforced while reading
 //! (oversized inputs fail fast instead of buffering unboundedly).
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
+
+use telemetry::json;
+
+/// How often an idle server-side connection (and an accept loop)
+/// wakes to check for shutdown.
+pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(100);
+/// Time a client has to send the rest of a request once its first
+/// byte has arrived.
+pub(crate) const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Maximum accepted request-line or header-line length in bytes.
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
@@ -62,6 +74,103 @@ pub fn read_request(stream: &mut impl BufRead) -> io::Result<Option<Request>> {
     Ok(Some(Request { method, path, headers, body }))
 }
 
+/// The server side of one keep-alive connection.
+///
+/// Idle waits and request reads run under different clocks: the wait
+/// for a request's first byte wakes every [`POLL_INTERVAL`] to check
+/// for shutdown, while the rest of the request must arrive within
+/// [`REQUEST_DEADLINE`] and is read in one pass, so a client that
+/// pauses mid-request keeps its partial request.
+pub(crate) struct ServerConnection {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl ServerConnection {
+    /// Wraps an accepted stream.
+    pub(crate) fn new(stream: TcpStream) -> io::Result<ServerConnection> {
+        stream.set_read_timeout(Some(POLL_INTERVAL))?;
+        stream.set_nodelay(true)?;
+        let writer = stream.try_clone()?;
+        Ok(ServerConnection { reader: BufReader::new(stream), writer })
+    }
+
+    /// Reads the next request. `None` means close the connection: the
+    /// peer hung up, `stop` was set while the connection sat idle, the
+    /// request deadline passed, I/O failed, or the request was
+    /// malformed (answered with a `400` first).
+    pub(crate) fn next_request(&mut self, stop: &AtomicBool) -> Option<Request> {
+        loop {
+            match self.reader.fill_buf() {
+                Ok([]) => return None,
+                Ok(_) => break,
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+                        && !stop.load(Ordering::SeqCst) => {}
+                Err(_) => return None,
+            }
+        }
+        let mut rest = Deadline {
+            reader: &mut self.reader,
+            deadline: Instant::now() + REQUEST_DEADLINE,
+            armed: false,
+        };
+        let result = read_request(&mut rest);
+        if rest.armed && self.reader.get_ref().set_read_timeout(Some(POLL_INTERVAL)).is_err() {
+            return None;
+        }
+        match result {
+            Ok(request) => request,
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                let _ = self.respond(&Response::error(400, &e.to_string()), true);
+                None
+            }
+            Err(_) => None,
+        }
+    }
+
+    /// Writes `response`, announcing `close` in its framing.
+    pub(crate) fn respond(&mut self, response: &Response, close: bool) -> io::Result<()> {
+        response.write(&mut self.writer, close)
+    }
+}
+
+/// A started request's remaining bytes: each socket read waits only
+/// for the time left until `deadline`.
+struct Deadline<'a> {
+    reader: &'a mut BufReader<TcpStream>,
+    deadline: Instant,
+    /// Whether the socket's read timeout was changed from
+    /// [`POLL_INTERVAL`].
+    armed: bool,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.fill_buf()?.read(buf)?;
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for Deadline<'_> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        if self.reader.buffer().is_empty() {
+            let left = self.deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            self.reader.get_ref().set_read_timeout(Some(left))?;
+            self.armed = true;
+        }
+        self.reader.fill_buf()
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.reader.consume(n);
+    }
+}
+
 /// A response about to be written: status, extra headers, body.
 #[derive(Debug)]
 pub struct Response {
@@ -82,6 +191,14 @@ impl Response {
             headers: vec![("content-type".to_owned(), "application/json".to_owned())],
             body: body.into().into_bytes(),
         }
+    }
+
+    /// A JSON error response: `{"error":"<message>"}`.
+    pub fn error(status: u16, message: &str) -> Response {
+        let mut body = String::from("{\"error\":");
+        json::write_string(&mut body, message);
+        body.push('}');
+        Response::json(status, body)
     }
 
     /// Adds a header field.

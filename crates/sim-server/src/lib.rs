@@ -2,8 +2,9 @@
 //!
 //! Turns the library pipeline (trace → convert → simulate → metrics)
 //! into a network service without adding a single external crate:
-//! hand-rolled HTTP/1.1 framing, a strict little JSON parser, a bounded
-//! queue with `429` backpressure, a fixed worker pool over the shared
+//! hand-rolled HTTP/1.1 framing, JSON read and written through
+//! [`telemetry::json`] (re-exported here as [`json`]), a bounded queue
+//! with `429` backpressure, a fixed worker pool over the shared
 //! artifact cache, cooperative per-job deadlines, and two-grade
 //! shutdown (drain vs abort).
 //!
@@ -45,7 +46,6 @@
 pub mod client;
 pub mod http;
 pub mod jobspec;
-pub mod json;
 pub mod metrics;
 pub mod queue;
 pub mod result_cache;
@@ -60,3 +60,4 @@ pub use result_cache::{ResultCache, ResultCacheStats};
 pub use ring::HashRing;
 pub use router::{Router, RouterConfig, RouterHandle};
 pub use server::{JobStatus, Server, ServerConfig, ShutdownHandle};
+pub use telemetry::json;

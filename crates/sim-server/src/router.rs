@@ -45,13 +45,12 @@ use std::time::Duration;
 
 use telemetry::{catalog, Registry};
 
-use crate::http::{read_request, read_response, ClientResponse, Request, Response};
+use crate::http::{
+    read_response, ClientResponse, Request, Response, ServerConnection, POLL_INTERVAL,
+};
 use crate::jobspec::JobSpec;
 use crate::json;
 use crate::ring::{HashRing, DEFAULT_VNODES};
-
-/// How often blocked reads and the accept loop re-check shutdown flags.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Read/write deadline on a proxied backend exchange. Generous: every
 /// backend endpoint answers without waiting on job execution.
@@ -164,6 +163,19 @@ pub struct FleetTotals {
     pub queue_depth: u64,
 }
 
+impl FleetTotals {
+    /// Adds one backend's `/metrics` registry document. A metric the
+    /// document lacks reads as `0` (a shard running an older build
+    /// simply contributes nothing).
+    fn add(&mut self, doc: &json::Value) {
+        let value = |name| doc.metric(name).and_then(json::Value::as_f64).map_or(0, |v| v as u64);
+        self.jobs_accepted += value("server.jobs.accepted");
+        self.jobs_completed += value("server.jobs.completed");
+        self.jobs_rejected += value("server.jobs.rejected");
+        self.queue_depth += value("server.queue.depth");
+    }
+}
+
 struct Shared {
     config: RouterConfig,
     ring: HashRing,
@@ -193,11 +205,9 @@ impl Shared {
             if response.status != 200 {
                 continue;
             }
-            let doc = response.text();
-            fleet.jobs_accepted += metric_value(&doc, "server.jobs.accepted");
-            fleet.jobs_completed += metric_value(&doc, "server.jobs.completed");
-            fleet.jobs_rejected += metric_value(&doc, "server.jobs.rejected");
-            fleet.queue_depth += metric_value(&doc, "server.queue.depth");
+            if let Ok(doc) = json::Value::parse(&response.text()) {
+                fleet.add(&doc);
+            }
         }
         self.metrics.export(self.healthy_count(), &fleet).to_json()
     }
@@ -401,38 +411,14 @@ fn probe(addr: &str, timeout: Duration) -> bool {
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.terminate.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let body = format!("{{\"error\":{}}}", json::escape(&e.to_string()));
-                let _ = Response::json(400, body).write(&mut writer, true);
-                return;
-            }
-            Err(_) => return,
-        };
+    let Ok(mut conn) = ServerConnection::new(stream) else { return };
+    while let Some(request) = conn.next_request(&shared.terminate) {
         let close = request.wants_close() || shared.terminate.load(Ordering::SeqCst);
         // The in-flight window covers routing AND writing the reply, so
         // a drain never cuts a proxied response mid-stream.
         shared.inflight.fetch_add(1, Ordering::SeqCst);
         let response = route(&request, shared);
-        let wrote = response.write(&mut writer, close);
+        let wrote = conn.respond(&response, close);
         shared.inflight.fetch_sub(1, Ordering::SeqCst);
         if wrote.is_err() || close {
             return;
@@ -452,10 +438,10 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Response {
         }
         ("GET", _) if path.starts_with("/jobs/") => proxy_job_get(path, shared),
         (_, "/jobs" | "/healthz" | "/metrics" | "/shutdown") => {
-            error_response(405, "method not allowed")
+            Response::error(405, "method not allowed")
         }
-        (_, _) if path.starts_with("/jobs/") => error_response(405, "method not allowed"),
-        _ => error_response(404, "no such endpoint"),
+        (_, _) if path.starts_with("/jobs/") => Response::error(405, "method not allowed"),
+        _ => Response::error(404, "no such endpoint"),
     }
 }
 
@@ -466,15 +452,15 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Response {
 /// pace it with capped exponential backoff.
 fn forward_submit(request: &Request, shared: &Arc<Shared>) -> Response {
     if shared.shutting_down.load(Ordering::SeqCst) {
-        return error_response(503, "router is draining").with_header("retry-after", "1");
+        return Response::error(503, "router is draining").with_header("retry-after", "1");
     }
     let body = match std::str::from_utf8(&request.body) {
         Ok(body) => body,
-        Err(_) => return error_response(400, "body is not UTF-8"),
+        Err(_) => return Response::error(400, "body is not UTF-8"),
     };
     let spec = match JobSpec::parse(body) {
         Ok(spec) => spec,
-        Err(message) => return error_response(400, &message),
+        Err(message) => return Response::error(400, &message),
     };
     let preference = shared.ring.preference(&spec.source_key());
     // Prefer live shards in ring order; when the health checker has
@@ -523,12 +509,12 @@ fn forward_submit(request: &Request, shared: &Arc<Shared>) -> Response {
     match retry_after {
         Some(seconds) => {
             shared.metrics.note_rejected();
-            error_response(429, "every shard refused the job")
+            Response::error(429, "every shard refused the job")
                 .with_header("retry-after", &seconds.to_string())
         }
         None => {
             shared.metrics.note_unroutable();
-            error_response(503, "no shard is reachable").with_header("retry-after", "1")
+            Response::error(503, "no shard is reachable").with_header("retry-after", "1")
         }
     }
 }
@@ -543,10 +529,10 @@ fn proxy_job_get(path: &str, shared: &Arc<Shared>) -> Response {
         None => (rest, false),
     };
     let Some((shard, raw_id)) = parse_shard_id(id_text) else {
-        return error_response(404, "malformed job id (router job ids look like \"s0-17\")");
+        return Response::error(404, "malformed job id (router job ids look like \"s0-17\")");
     };
     if shard >= shared.backends.len() {
-        return error_response(
+        return Response::error(
             404,
             &format!("no shard s{shard} (this router fronts {} shards)", shared.backends.len()),
         );
@@ -572,7 +558,7 @@ fn proxy_job_get(path: &str, shared: &Arc<Shared>) -> Response {
                 None => relay(response),
             }
         }
-        Err(_) => error_response(
+        Err(_) => Response::error(
             503,
             &format!(
                 "shard s{shard} ({}) is unreachable; if it died, the job's state died \
@@ -591,11 +577,9 @@ fn healthz(shared: &Arc<Shared>) -> Response {
         if index > 0 {
             shards.push(',');
         }
-        shards.push_str(&format!(
-            "{{\"shard\":\"s{index}\",\"addr\":{},\"healthy\":{}}}",
-            json::escape(&backend.addr),
-            backend.healthy.load(Ordering::SeqCst)
-        ));
+        shards.push_str(&format!("{{\"shard\":\"s{index}\",\"addr\":"));
+        json::write_string(&mut shards, &backend.addr);
+        shards.push_str(&format!(",\"healthy\":{}}}", backend.healthy.load(Ordering::SeqCst)));
     }
     shards.push(']');
     Response::json(
@@ -691,23 +675,6 @@ fn relay(response: ClientResponse) -> Response {
     Response { status: response.status, headers, body: response.body }
 }
 
-fn error_response(status: u16, message: &str) -> Response {
-    Response::json(status, format!("{{\"error\":{}}}", json::escape(message)))
-}
-
-/// Reads one counter/gauge value out of a `/metrics` registry
-/// document; `0` when absent (a shard running an older build simply
-/// contributes nothing).
-fn metric_value(doc: &str, name: &str) -> u64 {
-    let needle = format!("\"name\":\"{name}\"");
-    let Some(at) = doc.find(&needle) else { return 0 };
-    let rest = &doc[at + needle.len()..];
-    let Some(vat) = rest.find("\"value\":") else { return 0 };
-    let rest = &rest[vat + "\"value\":".len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse::<f64>().map(|v| v as u64).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,9 +715,12 @@ mod tests {
     fn metric_values_parse_out_of_registry_documents() {
         let doc = "{\"metrics\":[{\"name\":\"server.jobs.accepted\",\"kind\":\"counter\",\
                    \"value\":7},{\"name\":\"server.queue.depth\",\"value\":2.0}]}";
-        assert_eq!(metric_value(doc, "server.jobs.accepted"), 7);
-        assert_eq!(metric_value(doc, "server.queue.depth"), 2);
-        assert_eq!(metric_value(doc, "server.jobs.rejected"), 0, "absent reads as zero");
+        let mut fleet = FleetTotals::default();
+        fleet.add(&json::Value::parse(doc).unwrap());
+        fleet.add(&json::Value::parse(doc).unwrap());
+        assert_eq!(fleet.jobs_accepted, 14);
+        assert_eq!(fleet.queue_depth, 4);
+        assert_eq!(fleet.jobs_rejected, 0, "absent reads as zero");
     }
 
     #[test]

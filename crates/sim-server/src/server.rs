@@ -37,7 +37,7 @@
 //! have exited.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -47,15 +47,12 @@ use std::time::{Duration, Instant};
 use experiments::ArtifactCache;
 use sim::CancelToken;
 
-use crate::http::{read_request, Request, Response};
+use crate::http::{Request, Response, ServerConnection, POLL_INTERVAL};
 use crate::jobspec::{JobError, JobSpec};
 use crate::json;
 use crate::metrics::ServerMetrics;
 use crate::queue::BoundedQueue;
 use crate::result_cache::ResultCache;
-
-/// How often blocked reads and the accept loop re-check shutdown flags.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -358,35 +355,11 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.terminate.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let body = format!("{{\"error\":{}}}", json::escape(&e.to_string()));
-                let _ = Response::json(400, body).write(&mut writer, true);
-                return;
-            }
-            Err(_) => return,
-        };
+    let Ok(mut conn) = ServerConnection::new(stream) else { return };
+    while let Some(request) = conn.next_request(&shared.terminate) {
         let close = request.wants_close() || shared.terminate.load(Ordering::SeqCst);
         let response = route(&request, shared);
-        if response.write(&mut writer, close).is_err() || close {
+        if conn.respond(&response, close).is_err() || close {
             return;
         }
     }
@@ -401,24 +374,24 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Response {
         ("POST", "/shutdown") => shutdown_endpoint(request, shared),
         ("GET", _) if path.starts_with("/jobs/") => job_endpoint(path, shared),
         (_, "/jobs" | "/healthz" | "/metrics" | "/shutdown") => {
-            error_response(405, "method not allowed")
+            Response::error(405, "method not allowed")
         }
-        (_, _) if path.starts_with("/jobs/") => error_response(405, "method not allowed"),
-        _ => error_response(404, "no such endpoint"),
+        (_, _) if path.starts_with("/jobs/") => Response::error(405, "method not allowed"),
+        _ => Response::error(404, "no such endpoint"),
     }
 }
 
 fn submit(request: &Request, shared: &Arc<Shared>) -> Response {
     if shared.shutting_down.load(Ordering::SeqCst) {
-        return error_response(503, "server is shutting down");
+        return Response::error(503, "server is shutting down");
     }
     let body = match std::str::from_utf8(&request.body) {
         Ok(body) => body,
-        Err(_) => return error_response(400, "body is not UTF-8"),
+        Err(_) => return Response::error(400, "body is not UTF-8"),
     };
     let spec = match JobSpec::parse(body) {
         Ok(spec) => spec,
-        Err(message) => return error_response(400, &message),
+        Err(message) => return Response::error(400, &message),
     };
     let canonical_key = spec.canonical_key();
     let source_key = spec.source_key();
@@ -493,7 +466,7 @@ fn submit(request: &Request, shared: &Arc<Shared>) -> Response {
         let followers = remove_inflight_entry(shared, &canonical_key, id);
         promote_followers(shared, followers);
         shared.metrics.note_rejected();
-        return error_response(429, "queue full").with_header("retry-after", "1");
+        return Response::error(429, "queue full").with_header("retry-after", "1");
     }
     shared.metrics.note_accepted();
     Response::json(202, format!("{{\"id\":{id},\"status\":\"queued\"}}"))
@@ -541,10 +514,10 @@ fn job_endpoint(path: &str, shared: &Arc<Shared>) -> Response {
         None => (rest, false),
     };
     let Ok(id) = id_text.parse::<u64>() else {
-        return error_response(404, "malformed job id");
+        return Response::error(404, "malformed job id");
     };
     let Some(job) = shared.job(id) else {
-        return error_response(404, "no such job");
+        return Response::error(404, "no such job");
     };
     if want_result {
         job_result(id, &job)
@@ -558,14 +531,10 @@ fn job_result(id: u64, job: &Job) -> Response {
     match state.status {
         JobStatus::Done => Response::json(200, state.result.clone().unwrap_or_default()),
         JobStatus::Failed => {
-            let message = state.error.clone().unwrap_or_else(|| "job failed".to_owned());
-            Response::json(
-                409,
-                format!(
-                    "{{\"id\":{id},\"status\":\"failed\",\"error\":{}}}",
-                    json::escape(&message)
-                ),
-            )
+            let mut body = format!("{{\"id\":{id},\"status\":\"failed\",\"error\":");
+            json::write_string(&mut body, state.error.as_deref().unwrap_or("job failed"));
+            body.push('}');
+            Response::json(409, body)
         }
         JobStatus::Cancelled => Response::json(
             409,
@@ -593,14 +562,11 @@ fn job_status_json(id: u64, job: &Job) -> String {
         }
     }
     if let Some(error) = &state.error {
-        body.push_str(&format!(",\"error\":{}", json::escape(error)));
+        body.push_str(",\"error\":");
+        json::write_string(&mut body, error);
     }
     body.push('}');
     body
-}
-
-fn error_response(status: u16, message: &str) -> Response {
-    Response::json(status, format!("{{\"error\":{}}}", json::escape(message)))
 }
 
 fn worker_loop(shared: &Arc<Shared>) {

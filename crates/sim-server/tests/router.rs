@@ -3,7 +3,8 @@
 //! extra hop, backend-down failure paths, fleet-wide backpressure, and
 //! consistent-hash stability.
 
-use std::net::TcpListener;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use sim_server::ring::DEFAULT_VNODES;
@@ -96,6 +97,31 @@ fn routed_jobs_round_trip_and_results_stay_byte_identical() {
         backend.begin_shutdown(false);
         backend.join();
     }
+}
+
+/// A client that pauses mid-request for longer than the connection's
+/// shutdown poll still gets its answer from both the server and the
+/// router: the partial request is kept, not reparsed as a new one.
+#[test]
+fn slow_clients_keep_their_partial_request() {
+    let backend = start_backend(4, 1);
+    let router = start_router(vec![backend.local_addr().to_string()]);
+    for addr in [backend.local_addr(), router.local_addr()] {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        for chunk in
+            ["GET /healthz HTTP/1.1\r\n", "Ho", "st: slow\r\n", "Connection: close\r\n\r\n"]
+        {
+            stream.write_all(chunk.as_bytes()).unwrap();
+            std::thread::sleep(Duration::from_millis(250));
+        }
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{addr}: {response}");
+    }
+    router.join();
+    backend.begin_shutdown(false);
+    backend.join();
 }
 
 /// A backend that is down when the router starts begins life ejected:

@@ -10,6 +10,7 @@ use std::time::Duration;
 use champsim_trace::{ChampsimRecord, ChampsimWriter};
 use converter::{Converter, ImprovementSet};
 use sim::{CoreConfig, RunOptions, Simulator};
+use sim_server::json::Value;
 use sim_server::{Connection, Server, ServerConfig};
 use trace_store::{ChampsimTraceReader, ChampsimzWriter};
 use workloads::{TraceSpec, WorkloadKind};
@@ -57,14 +58,9 @@ fn start_server(queue_depth: usize, workers: usize, job_timeout: Duration) -> Se
 }
 
 /// Reads a counter value out of a `/metrics` registry document.
-fn metric_u64(doc: &str, name: &str) -> u64 {
-    let needle = format!("\"name\":\"{name}\"");
-    let at = doc.find(&needle).unwrap_or_else(|| panic!("no {name} in {doc}"));
-    let rest = &doc[at + needle.len()..];
-    let at = rest.find("\"value\":").unwrap_or_else(|| panic!("no value for {name}")) + 8;
-    let rest = &rest[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse::<f64>().unwrap_or_else(|_| panic!("bad value for {name}")) as u64
+fn metric_count(doc: &str, name: &str) -> u64 {
+    let doc = Value::parse(doc).unwrap();
+    doc.metric(name).and_then(Value::as_u64).unwrap_or_else(|| panic!("no count {name}"))
 }
 
 /// The correctness anchor: a trace job fetched over HTTP is
@@ -338,7 +334,7 @@ fn fused_batch_results_match_local_runs_bytewise() {
     }
     let metrics = conn.send("GET", "/metrics", "").unwrap().text();
     assert!(
-        metric_u64(&metrics, "server.batch.fused_jobs") >= bodies.len() as u64,
+        metric_count(&metrics, "server.batch.fused_jobs") >= bodies.len() as u64,
         "the trace configs must have run in one fused pass: {metrics}"
     );
     server.join();
@@ -366,10 +362,10 @@ fn duplicate_submissions_coalesce_onto_one_execution() {
     assert_eq!(docs[0], docs[2]);
     let metrics = conn.send("GET", "/metrics", "").unwrap().text();
     assert!(
-        metric_u64(&metrics, "server.jobs.coalesced") >= 2,
+        metric_count(&metrics, "server.jobs.coalesced") >= 2,
         "both duplicates must coalesce: {metrics}"
     );
-    assert_eq!(metric_u64(&metrics, "server.jobs.completed"), 3, "everyone still completes");
+    assert_eq!(metric_count(&metrics, "server.jobs.completed"), 3, "everyone still completes");
     server.join();
 }
 
@@ -391,7 +387,7 @@ fn resubmitted_spec_is_answered_from_the_result_cache() {
     );
     assert_eq!(conn.fetch(&id).unwrap(), first, "cached document differs from the original");
     let metrics = conn.send("GET", "/metrics", "").unwrap().text();
-    assert!(metric_u64(&metrics, "server.result_cache.hits") >= 1, "{metrics}");
+    assert!(metric_count(&metrics, "server.result_cache.hits") >= 1, "{metrics}");
     server.join();
 }
 

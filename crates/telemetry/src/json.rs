@@ -1,5 +1,18 @@
-//! Minimal deterministic JSON writing (the workspace carries no
-//! serializer dependency).
+//! The workspace's one JSON module: a deterministic writer and a strict
+//! parser (the workspace carries no serializer dependency).
+//!
+//! Writing is two append helpers, [`write_string`] and [`write_f64`],
+//! that every exporter builds its documents from, so identical inputs
+//! give identical bytes. Reading is [`Value::parse`], which implements
+//! just enough of RFC 8259 to read request bodies, registry documents
+//! and bench baselines strictly: all six value types, string escapes
+//! (including `\uXXXX`), and nothing else — no comments, no trailing
+//! commas, no duplicate-key tolerance beyond last-wins. Errors carry
+//! the byte offset where parsing failed so a `400` response can point
+//! at the problem. [`Value::metric`] reads one metric back out of a
+//! parsed [`Registry`](crate::Registry) document.
+
+use std::fmt;
 
 /// Appends `s` as a JSON string literal (with escaping) to `out`.
 pub fn write_string(out: &mut String, s: &str) {
@@ -31,9 +44,308 @@ pub fn write_f64(out: &mut String, value: f64) {
     }
 }
 
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number (integers are exact up to 2^53).
+    Number(f64),
+    /// String with escapes resolved.
+    String(String),
+    /// Array of values.
+    Array(Vec<Value>),
+    /// Object as insertion-ordered key/value pairs (last duplicate wins
+    /// on lookup, matching the common behavior).
+    Object(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// Parses one complete JSON document; trailing non-whitespace is an
+    /// error.
+    pub fn parse(text: &str) -> Result<Value, ParseError> {
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        p.skip_ws();
+        let value = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.error("trailing data after JSON value"));
+        }
+        Ok(value)
+    }
+
+    /// Object member lookup (`None` for non-objects and missing keys).
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Object(members) => members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The `"value"` of metric `name` in a registry document
+    /// (`{"metrics":[{"name":…,"value":…}]}`, as
+    /// [`Registry::to_json`](crate::Registry::to_json) writes it);
+    /// `None` when the document has no such metric.
+    pub fn metric(&self, name: &str) -> Option<&Value> {
+        let Some(Value::Array(metrics)) = self.get("metrics") else { return None };
+        metrics.iter().find(|m| m.get("name").and_then(Value::as_str) == Some(name))?.get("value")
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as a non-negative integer, if it is one.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
+                Some(*n as u64)
+            }
+            _ => None,
+        }
+    }
+
+    /// The boolean payload, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+/// A parse failure: what went wrong and the byte offset it happened at.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// Human description of the failure.
+    pub message: String,
+    /// Byte offset into the input where parsing stopped.
+    pub offset: usize,
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} at byte {}", self.message, self.offset)
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Parser<'a> {
+    fn error(&self, message: &str) -> ParseError {
+        ParseError { message: message.to_owned(), offset: self.pos }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
+        if self.peek() == Some(byte) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.error(&format!("expected {:?}", byte as char)))
+        }
+    }
+
+    fn literal(&mut self, text: &str, value: Value) -> Result<Value, ParseError> {
+        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+            self.pos += text.len();
+            Ok(value)
+        } else {
+            Err(self.error(&format!("expected {text:?}")))
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, ParseError> {
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Value::String(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(_) => Err(self.error("unexpected character")),
+            None => Err(self.error("unexpected end of input")),
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, ParseError> {
+        self.expect(b'{')?;
+        let mut members = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Object(members));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let value = self.value()?;
+            members.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Object(members));
+                }
+                _ => return Err(self.error("expected ',' or '}' in object")),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Value, ParseError> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Array(items));
+                }
+                _ => return Err(self.error("expected ',' or ']' in array")),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, ParseError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let escape = self.peek().ok_or_else(|| self.error("unterminated escape"))?;
+                    self.pos += 1;
+                    match escape {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let unit = self.hex4()?;
+                            // Surrogate pairs: a high surrogate must be
+                            // followed by an escaped low surrogate.
+                            let ch = if (0xD800..0xDC00).contains(&unit) {
+                                if self.peek() == Some(b'\\') {
+                                    self.pos += 1;
+                                    self.expect(b'u')?;
+                                } else {
+                                    return Err(self.error("unpaired surrogate"));
+                                }
+                                let low = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(self.error("invalid low surrogate"));
+                                }
+                                let code = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                                char::from_u32(code)
+                            } else {
+                                char::from_u32(unit)
+                            };
+                            out.push(ch.ok_or_else(|| self.error("invalid unicode escape"))?);
+                        }
+                        _ => return Err(self.error("invalid escape")),
+                    }
+                }
+                Some(c) if c < 0x20 => return Err(self.error("control character in string")),
+                Some(_) => {
+                    // Copy one UTF-8 scalar (input is a &str, so the
+                    // encoding is already valid).
+                    let start = self.pos;
+                    self.pos += 1;
+                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
+                        self.pos += 1;
+                    }
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .expect("slice on scalar boundary"),
+                    );
+                }
+            }
+        }
+    }
+
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let end = self.pos + 4;
+        if end > self.bytes.len() {
+            return Err(self.error("truncated unicode escape"));
+        }
+        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
+            .map_err(|_| self.error("invalid unicode escape"))?;
+        let unit =
+            u32::from_str_radix(hex, 16).map_err(|_| self.error("invalid unicode escape"))?;
+        self.pos = end;
+        Ok(unit)
+    }
+
+    fn number(&mut self) -> Result<Value, ParseError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        text.parse::<f64>()
+            .map(Value::Number)
+            .map_err(|_| ParseError { message: format!("invalid number {text:?}"), offset: start })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{catalog, EpochSeries, Log2Histogram, Registry};
 
     fn string(s: &str) -> String {
         let mut out = String::new();
@@ -42,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn escapes_specials() {
+    fn write_string_escapes_specials() {
         assert_eq!(string("a\"b"), r#""a\"b""#);
         assert_eq!(string("a\\b"), r#""a\\b""#);
         assert_eq!(string("a\nb"), r#""a\nb""#);
@@ -57,5 +369,106 @@ mod tests {
         let mut out = String::new();
         write_f64(&mut out, f64::NAN);
         assert_eq!(out, "0.000000");
+    }
+
+    #[test]
+    fn parses_the_request_schema() {
+        let v = Value::parse(
+            r#"{"workload": {"kind": "crypto", "seed": 7, "length": 20000},
+                "improvements": "All_imps", "core": "iiswc", "epochs": 1000}"#,
+        )
+        .unwrap();
+        assert_eq!(v.get("core").and_then(Value::as_str), Some("iiswc"));
+        assert_eq!(v.get("epochs").and_then(Value::as_u64), Some(1000));
+        let w = v.get("workload").unwrap();
+        assert_eq!(w.get("kind").and_then(Value::as_str), Some("crypto"));
+        assert_eq!(w.get("seed").and_then(Value::as_u64), Some(7));
+    }
+
+    #[test]
+    fn parses_all_value_types() {
+        let v = Value::parse(r#"{"a": [1, -2.5, true, false, null, "sA\n"]}"#).unwrap();
+        let Some(Value::Array(items)) = v.get("a") else { panic!("array") };
+        assert_eq!(items[0], Value::Number(1.0));
+        assert_eq!(items[1], Value::Number(-2.5));
+        assert_eq!(items[2], Value::Bool(true));
+        assert_eq!(items[3], Value::Bool(false));
+        assert_eq!(items[4], Value::Null);
+        assert_eq!(items[5], Value::String("sA\n".to_owned()));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode() {
+        let v = Value::parse(r#""😀""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{1F600}"));
+    }
+
+    #[test]
+    fn errors_carry_byte_offsets() {
+        let err = Value::parse(r#"{"a": }"#).unwrap_err();
+        assert_eq!(err.offset, 6);
+        let err = Value::parse("[1, 2").unwrap_err();
+        assert!(err.message.contains("',' or ']'"), "{err}");
+        assert!(Value::parse("{} extra").unwrap_err().message.contains("trailing"));
+        assert!(Value::parse(r#""\ud800x""#).unwrap_err().message.contains("surrogate"));
+    }
+
+    #[test]
+    fn duplicate_keys_last_wins() {
+        let v = Value::parse(r#"{"k": 1, "k": 2}"#).unwrap();
+        assert_eq!(v.get("k").and_then(Value::as_f64), Some(2.0));
+    }
+
+    #[test]
+    fn as_u64_rejects_fractions_and_negatives() {
+        assert_eq!(Value::Number(3.0).as_u64(), Some(3));
+        assert_eq!(Value::Number(3.5).as_u64(), None);
+        assert_eq!(Value::Number(-1.0).as_u64(), None);
+    }
+
+    #[test]
+    fn written_strings_parse_back() {
+        let original = "a\"b\\c\nd\te\u{1}";
+        let parsed = Value::parse(&string(original)).unwrap();
+        assert_eq!(parsed.as_str(), Some(original));
+    }
+
+    /// The writer and the parser agree on the registry document: every
+    /// metric kind, labels and the epoch section read back as written.
+    #[test]
+    fn registry_documents_parse_back_metric_by_metric() {
+        let mut registry = Registry::new();
+        registry.label("tool", "json \"test\"");
+        registry.counter(&catalog::SIM_INSTRUCTIONS, 1_000);
+        registry.gauge(&catalog::SIM_IPC, 1.25);
+        let mut histogram = Log2Histogram::new();
+        histogram.record(3);
+        histogram.record(40);
+        registry.histogram(&catalog::SIM_ROB_OCCUPANCY, histogram);
+        let mut epochs = EpochSeries::new(500, &["cycles"]);
+        epochs.push_row(&[400]);
+        epochs.push_row(&[450]);
+        registry.set_epochs(epochs);
+
+        let doc = Value::parse(&registry.to_json()).unwrap();
+        assert_eq!(
+            doc.get("labels").and_then(|l| l.get("tool")).and_then(Value::as_str),
+            Some("json \"test\"")
+        );
+        assert_eq!(doc.metric("sim.instructions").and_then(Value::as_u64), Some(1_000));
+        assert_eq!(doc.metric("sim.ipc").and_then(Value::as_f64), Some(1.25));
+        let occupancy = doc.metric("sim.rob.occupancy").unwrap();
+        assert_eq!(occupancy.get("count").and_then(Value::as_u64), Some(2));
+        assert_eq!(occupancy.get("max").and_then(Value::as_u64), Some(40));
+        assert_eq!(occupancy.get("mean").and_then(Value::as_f64), Some(21.5));
+        assert_eq!(doc.metric("sim.cycles"), None, "absent metric");
+        let Some(Value::Array(cycles)) =
+            doc.get("epochs").and_then(|e| e.get("series")).and_then(|s| s.get("cycles"))
+        else {
+            panic!("epoch series");
+        };
+        assert_eq!(cycles, &[Value::Number(400.0), Value::Number(450.0)]);
+        let Some(Value::Array(metrics)) = doc.get("metrics") else { panic!("metrics") };
+        assert_eq!(metrics.len(), registry.len());
     }
 }

@@ -7,7 +7,8 @@
 //! binary one common way to export them: a self-describing,
 //! schema-versioned JSON document with deterministic ordering, so two
 //! runs of the same experiment produce byte-identical metric files
-//! regardless of thread count.
+//! regardless of thread count. The same [`json`] module parses those
+//! documents back, along with job specs and bench baselines.
 //!
 //! # Data flow
 //!
@@ -23,8 +24,17 @@
 //!   |    every metric named by a catalog Desc              |
 //!   +-----------------------------------------------------+
 //!             |                         |
-//!             v                         v
-//!      metrics JSON (--metrics)    METRICS.md (metrics_ref)
+//!             | to_json                 v
+//!             v                    METRICS.md (metrics_ref)
+//!   +-----------------------------------------------------+
+//!   |  telemetry::json                                     |
+//!   |    write: write_string / write_f64                   |
+//!   |    read:  Value::parse, Value::metric                |
+//!   +-----------------------------------------------------+
+//!             |                         ^
+//!             v                         |
+//!      metrics JSON              job specs, a backend's
+//!      (--metrics, /metrics)     /metrics, BENCH_*.json baselines
 //! ```
 //!
 //! # Design rules
@@ -38,8 +48,12 @@
 //!   the JSON writer has no map iteration, no wall-clock values and no
 //!   float formatting that depends on locale — identical inputs yield
 //!   identical bytes.
+//! * **One JSON module.** [`json`] holds the workspace's only JSON
+//!   code: the writer every exporter uses and the strict parser that
+//!   reads job specs, served registry documents and bench baselines
+//!   back. Nothing else in the workspace scrapes JSON text.
 //! * **Zero dependencies.** Like the rest of the workspace, everything
-//!   (including the JSON writer) is in-tree.
+//!   (including the JSON writer and parser) is in-tree.
 //!
 //! # Example
 //!
@@ -59,10 +73,10 @@
 
 pub mod catalog;
 pub mod format;
+pub mod json;
 
 mod epoch;
 mod histogram;
-mod json;
 mod metric;
 mod registry;
 
