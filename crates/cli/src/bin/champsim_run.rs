@@ -135,7 +135,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let pf = iprefetch_by_name(&name)?;
         options = options.with_prefetcher(pf);
     }
-    let report = Simulator::new(core).run_with_options(&records, options);
+    let report = Simulator::run_on(&core, &records, options);
     println!("{report}");
     if let Some(path) = metrics_path {
         let registry = cli::champsim_run_registry(&report, core_name, &trace_path);

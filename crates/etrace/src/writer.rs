@@ -146,11 +146,6 @@ impl<W: Write> EtraceWriter<W> {
         Ok(())
     }
 
-    /// Instructions written so far.
-    pub fn items_written(&self) -> u64 {
-        self.stats.items
-    }
-
     /// Flushes accumulated branch outcomes as one BRANCH-MAP packet.
     fn flush_bits(&mut self) {
         if self.pending_count == 0 {

@@ -10,7 +10,7 @@ use std::hint::black_box;
 use converter::{Converter, Improvement, ImprovementSet, InferenceContext};
 use experiments::bench::BenchGroup;
 use memsys::ReplacementPolicy;
-use sim::{CoreConfig, PredictorKind, Simulator};
+use sim::{CoreConfig, PredictorKind, RunOptions, SimReport, Simulator};
 use workloads::{TraceSpec, WorkloadKind};
 
 const N: usize = 15_000;
@@ -22,6 +22,10 @@ fn records(
 ) -> Vec<champsim_trace::ChampsimRecord> {
     let trace = TraceSpec::new("ablation", kind, seed).with_length(N).generate();
     Converter::new(imps).convert_all(trace.iter())
+}
+
+fn simulate(core: &CoreConfig, recs: &[champsim_trace::ChampsimRecord]) -> SimReport {
+    Simulator::run_on(core, recs, RunOptions::default())
 }
 
 /// Addressing-mode inference: the cost of the value-tracking heuristic
@@ -57,12 +61,12 @@ fn ablate_frontend() {
     let decoupled = CoreConfig::iiswc_main();
     let coupled =
         CoreConfig { decoupled_frontend: false, frontend_lookahead: 0, ..CoreConfig::iiswc_main() };
-    let ipc_d = Simulator::new(decoupled.clone()).run(&recs).ipc();
-    let ipc_c = Simulator::new(coupled.clone()).run(&recs).ipc();
+    let ipc_d = simulate(&decoupled, &recs).ipc();
+    let ipc_c = simulate(&coupled, &recs).ipc();
     eprintln!("[ablation] decoupled IPC {ipc_d:.3} vs coupled IPC {ipc_c:.3}");
     let mut group = BenchGroup::new("ablation_frontend");
-    group.bench_function("decoupled", || black_box(Simulator::new(decoupled.clone()).run(&recs)));
-    group.bench_function("coupled", || black_box(Simulator::new(coupled.clone()).run(&recs)));
+    group.bench_function("decoupled", || black_box(simulate(&decoupled, &recs)));
+    group.bench_function("coupled", || black_box(simulate(&coupled, &recs)));
     group.finish();
 }
 
@@ -79,7 +83,7 @@ fn ablate_replacement() {
             hierarchy: CoreConfig::iiswc_main().hierarchy.with_replacement(policy),
             ..CoreConfig::iiswc_main()
         };
-        group.bench_function(name, || black_box(Simulator::new(core.clone()).run(&recs)));
+        group.bench_function(name, || black_box(simulate(&core, &recs)));
     }
     group.finish();
 }
@@ -96,7 +100,7 @@ fn ablate_predictor() {
         ("tage_64kb", PredictorKind::Tage64kb),
     ] {
         let core = CoreConfig { predictor: kind, ..CoreConfig::iiswc_main() };
-        group.bench_function(name, || black_box(Simulator::new(core.clone()).run(&recs)));
+        group.bench_function(name, || black_box(simulate(&core, &recs)));
     }
     group.finish();
 }
@@ -111,7 +115,7 @@ fn ablate_split() {
     ] {
         group.bench_function(name, || {
             let recs = records(WorkloadKind::PointerChase, 13, imps);
-            black_box(Simulator::new(CoreConfig::iiswc_main()).run(&recs))
+            black_box(simulate(&CoreConfig::iiswc_main(), &recs))
         });
     }
     group.finish();
@@ -127,9 +131,8 @@ fn ablate_translation() {
         ..CoreConfig::iiswc_main()
     };
     let mut group = BenchGroup::new("ablation_translation");
-    group.bench_function("no_tlb", || black_box(Simulator::new(plain.clone()).run(&recs)));
-    group
-        .bench_function("icelake_tlb", || black_box(Simulator::new(translated.clone()).run(&recs)));
+    group.bench_function("no_tlb", || black_box(simulate(&plain, &recs)));
+    group.bench_function("icelake_tlb", || black_box(simulate(&translated, &recs)));
     group.finish();
 }
 
@@ -139,9 +142,7 @@ fn ablate_mshrs() {
     let mut group = BenchGroup::new("ablation_mshrs");
     for mshrs in [4usize, 16, 32, 128] {
         let core = CoreConfig { l1d_mshrs: mshrs, ..CoreConfig::iiswc_main() };
-        group.bench_function(format!("mshrs_{mshrs}"), || {
-            black_box(Simulator::new(core.clone()).run(&recs))
-        });
+        group.bench_function(format!("mshrs_{mshrs}"), || black_box(simulate(&core, &recs)));
     }
     group.finish();
 }

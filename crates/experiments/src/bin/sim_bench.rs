@@ -117,11 +117,10 @@ fn main() {
         let records = Converter::new(ImprovementSet::all()).convert_all(cvp.iter());
         phases.convert += start.elapsed().as_secs_f64();
 
-        let mut simulator = Simulator::new(core.clone());
         let (mean_seconds, iterations) =
-            measure(|| simulator.run_with_options(&records, RunOptions::default()));
+            measure(|| Simulator::run_on(&core, &records, RunOptions::default()));
         phases.simulate += mean_seconds * f64::from(iterations);
-        let instructions = simulator.run_with_options(&records, RunOptions::default()).instructions;
+        let instructions = Simulator::run_on(&core, &records, RunOptions::default()).instructions;
         let mips = instructions as f64 / 1e6 / mean_seconds;
         eprintln!("[sim_bench] {family}: {mips:.2} MIPS ({instructions} records, {iterations} iterations)");
         results.push(FamilyResult { family, instructions, mean_seconds, iterations, mips });
@@ -139,11 +138,10 @@ fn main() {
         let records = Converter::new(ImprovementSet::all()).convert_all(cvp.iter());
         phases.convert += start.elapsed().as_secs_f64();
 
-        let mut simulator = Simulator::new(core.clone());
         let (mean_seconds, iterations) =
-            measure(|| simulator.run_with_options(&records, RunOptions::default()));
+            measure(|| Simulator::run_on(&core, &records, RunOptions::default()));
         phases.simulate += mean_seconds * f64::from(iterations);
-        let instructions = simulator.run_with_options(&records, RunOptions::default()).instructions;
+        let instructions = Simulator::run_on(&core, &records, RunOptions::default()).instructions;
         let mips = instructions as f64 / 1e6 / mean_seconds;
         eprintln!("[sim_bench] {family}: {mips:.2} MIPS ({instructions} records, {iterations} iterations)");
         results.push(FamilyResult { family, instructions, mean_seconds, iterations, mips });

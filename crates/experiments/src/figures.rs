@@ -89,7 +89,7 @@ impl Grid {
         let outcomes = parallel_cells(jobs, |i| {
             let spec = &specs[i / nconf];
             let (_, imps) = &configs[i % nconf];
-            runner.simulate(spec, *imps, 0, None, plan)
+            runner.simulate(spec, *imps, 0, &[None], plan).remove(0)
         });
         let wall = start.elapsed();
 

@@ -4,15 +4,18 @@
 //!
 //! * the **uncached serial path** ([`simulate_conversion`] /
 //!   [`simulate_with_options`]) regenerates and reconverts its trace on
-//!   every call — the reference semantics, kept for spot checks and the
-//!   determinism tests;
-//! * the **scheduled path** ([`SharedRunner`], used by
+//!   every call — the reference semantics, kept for spot checks, the
+//!   determinism tests and the benchmark's grid probe;
+//! * the **scheduled path** ([`SharedRunner::simulate`], used by
 //!   [`Grid::compute_with_report`](crate::figures::Grid::compute_with_report)
 //!   and [`table3_with_report`](crate::tables::table3_with_report))
 //!   fetches artifacts from an [`ArtifactCache`] and flattens all
 //!   (trace × config) cells into one work-stealing job queue, so trace
 //!   generation runs exactly once per `(spec, length)` and threads never
-//!   idle at per-config barriers.
+//!   idle at per-config barriers. Each job is one fused simulation pass
+//!   with a lane per prefetcher.
+//!
+//! Both paths simulate through [`Simulator::run_fused`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -234,42 +237,11 @@ pub struct SharedRunner<'a> {
 
 impl SharedRunner<'_> {
     /// Like [`simulate_with_options`], but fetching the trace and
-    /// conversion through the cache and simulating straight from the
-    /// shared buffer (no clone).
+    /// conversion through the cache: one pass over the shared buffer
+    /// ([`Simulator::run_fused`]) drives a lane per prefetcher, returning
+    /// one outcome per lane in input order. A lane's report does not
+    /// depend on the other lanes; pass `&[None]` for a single plain run.
     pub fn simulate(
-        &self,
-        spec: &TraceSpec,
-        improvements: ImprovementSet,
-        warmup: u64,
-        prefetcher: Option<&str>,
-        plan: UsePlan,
-    ) -> TraceOutcome {
-        let converted = self.cache.converted(
-            spec,
-            self.scale.trace_length,
-            improvements,
-            plan.trace_uses,
-            plan.conversion_uses,
-        );
-        let start = Instant::now();
-        let report =
-            Simulator::run_on(self.core, &converted.records, run_options(warmup, prefetcher));
-        self.cache.add_simulate_ns(start.elapsed().as_nanos() as u64);
-        TraceOutcome {
-            trace: spec.name().to_owned(),
-            improvements,
-            report,
-            conversion: converted.stats,
-        }
-    }
-
-    /// Fused variant of [`SharedRunner::simulate`]: one decoded pass
-    /// over the conversion drives a lane per prefetcher in lockstep
-    /// ([`Simulator::run_fused`]), returning one outcome per lane in
-    /// input order. Each lane's report is identical to a solo
-    /// [`SharedRunner::simulate`] of the same options, but the record
-    /// stream is walked once instead of `prefetchers.len()` times.
-    pub fn simulate_fused(
         &self,
         spec: &TraceSpec,
         improvements: ImprovementSet,
@@ -503,13 +475,15 @@ mod tests {
         let serial = simulate_conversion(&spec, ImprovementSet::all(), &core, scale);
         let cache = ArtifactCache::new();
         let runner = SharedRunner { cache: &cache, core: &core, scale };
-        let shared = runner.simulate(
-            &spec,
-            ImprovementSet::all(),
-            0,
-            None,
-            UsePlan { trace_uses: 1, conversion_uses: 1 },
-        );
+        let shared = runner
+            .simulate(
+                &spec,
+                ImprovementSet::all(),
+                0,
+                &[None],
+                UsePlan { trace_uses: 1, conversion_uses: 1 },
+            )
+            .remove(0);
         assert_eq!(shared.report.ipc().to_bits(), serial.report.ipc().to_bits());
         assert_eq!(shared.conversion, serial.conversion);
     }
@@ -517,7 +491,7 @@ mod tests {
     #[test]
     fn fused_runner_matches_solo_lanes_across_families() {
         // Every workload family, through the same cache, must produce
-        // bit-identical reports whether lanes run fused or solo.
+        // bit-identical reports whether a lane runs with others or alone.
         for (kind, seed) in [
             (WorkloadKind::Crypto, 3u64),
             (WorkloadKind::Streaming, 7),
@@ -531,10 +505,12 @@ mod tests {
             let runner = SharedRunner { cache: &cache, core: &core, scale };
             let lanes = [None, Some("next-line")];
             let plan = UsePlan { trace_uses: 1, conversion_uses: u64::MAX };
-            let fused = runner.simulate_fused(&spec, ImprovementSet::all(), 500, &lanes, plan);
+            let fused = runner.simulate(&spec, ImprovementSet::all(), 500, &lanes, plan);
             assert_eq!(fused.len(), lanes.len());
             for (outcome, prefetcher) in fused.iter().zip(lanes) {
-                let solo = runner.simulate(&spec, ImprovementSet::all(), 500, prefetcher, plan);
+                let solo = runner
+                    .simulate(&spec, ImprovementSet::all(), 500, &[prefetcher], plan)
+                    .remove(0);
                 assert_eq!(
                     outcome.report.ipc().to_bits(),
                     solo.report.ipc().to_bits(),

@@ -230,9 +230,9 @@ pub fn table3_on(scale: ExperimentScale, core: &CoreConfig) -> Table3 {
 /// versions, and the tuned FNL+MMA on the fixed traces — still runs,
 /// but fused: each (trace, conversion) pair becomes **one** scheduled
 /// group whose prefetcher lanes share a single streaming pass over the
-/// conversion ([`SharedRunner::simulate_fused`]). The trace generates
-/// once, each conversion is built and walked once, and every lane's
-/// report stays bit-identical to a solo run.
+/// conversion ([`SharedRunner::simulate`]). The trace generates once,
+/// and each conversion is built and walked once; a lane's report does
+/// not depend on the other lanes.
 pub fn table3_with_report(scale: ExperimentScale, core: &CoreConfig) -> (Table3, SchedulerReport) {
     let specs = ipc1_suite();
     let competition_imps = ImprovementSet::none();
@@ -258,7 +258,7 @@ pub fn table3_with_report(scale: ExperimentScale, core: &CoreConfig) -> (Table3,
         let (imps, lanes) = groups[i % groups.len()];
         let plan = UsePlan { trace_uses: groups.len() as u64, conversion_uses: 1 };
         runner
-            .simulate_fused(spec, imps, scale.warmup, lanes, plan)
+            .simulate(spec, imps, scale.warmup, lanes, plan)
             .into_iter()
             .map(|outcome| outcome.report.ipc())
             .collect()

@@ -180,8 +180,9 @@ impl JobSpec {
 
     /// Runs a batch of jobs sharing one [`source key`](JobSpec::source_key)
     /// as a single fused streaming pass: the records are loaded (or
-    /// converted) once and pushed through one [`sim::SimSink`] per job
-    /// in lockstep, producing one independent outcome per job.
+    /// converted) once and pushed through one lane per job in lockstep
+    /// ([`sim::Simulator::run_fused`]), producing one independent
+    /// outcome per job.
     ///
     /// This is the only execution path — a batch of one is how
     /// [`execute`](JobSpec::execute) runs — so fused results are
@@ -583,8 +584,7 @@ mod tests {
         // The local champsim-run path for the same trace and options.
         let cvp = read_cvp(path.to_str().unwrap()).unwrap();
         let records = Converter::new(ImprovementSet::none()).convert_all(cvp.iter());
-        let report = Simulator::new(CoreConfig::iiswc_main())
-            .run_with_options(&records, RunOptions::default());
+        let report = Simulator::run_on(&CoreConfig::iiswc_main(), &records, RunOptions::default());
         let local = cli::champsim_run_registry(&report, "iiswc", path.to_str().unwrap()).to_json();
 
         assert_eq!(served, local, "served .etrace document must match local champsim-run");

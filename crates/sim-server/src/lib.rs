@@ -32,11 +32,11 @@
 //! produced by [`cli::champsim_run_registry`] — the exact exporter the
 //! `champsim-run` binary uses — so fetching `/jobs/<id>/result` yields
 //! bytes identical to a local `champsim-run --metrics` of the same
-//! trace and configuration. Batching preserves this: a fused pass
-//! drives the same per-record engine loop ([`sim::SimSink`]) that a
-//! solo run uses, and the result cache memoizes finished documents
-//! verbatim, so batched and cached results are byte-identical to
-//! unbatched ones.
+//! trace and configuration. Batching preserves this: a batch and a
+//! solo run both go through the one engine loop
+//! ([`sim::Simulator::run_fused`]), and the result cache memoizes
+//! finished documents verbatim, so batched and cached results are
+//! byte-identical to unbatched ones.
 //!
 //! Scale-out lives in [`router`]: the `sim_router` binary fronts N of
 //! these servers, sharding submissions by canonical source key on a

@@ -73,25 +73,13 @@ impl Direction {
     }
 }
 
-/// Options for one simulation run.
+/// Options for one simulation run, set through the `with_*` builders.
 #[derive(Default)]
 pub struct RunOptions {
-    /// Records to simulate before statistics start (the IPC-1 methodology
-    /// warms up for 50M instructions; tests use much less).
-    pub warmup_instructions: u64,
-    /// Optional L1I instruction prefetcher (the Table 3 plug-in point).
-    pub prefetcher: Option<Box<dyn InstructionPrefetcher + Send>>,
-    /// When set, snapshot counter deltas every this many retired records
-    /// into the report's epoch series (see
-    /// [`SimReport::components`](crate::SimReport)).
-    pub epoch_instructions: Option<u64>,
-    /// When set, the engine polls this token at epoch boundaries (every
-    /// [`epoch_instructions`](RunOptions::epoch_instructions) records,
-    /// or every 8192 records otherwise) and
-    /// stops early once it is cancelled. The returned report then covers
-    /// only the records consumed so far; callers must check
-    /// [`CancelToken::is_cancelled`] and discard the partial statistics.
-    pub cancel: Option<CancelToken>,
+    warmup_instructions: u64,
+    prefetcher: Option<Box<dyn InstructionPrefetcher + Send>>,
+    epoch_instructions: Option<u64>,
+    cancel: Option<CancelToken>,
 }
 
 impl std::fmt::Debug for RunOptions {
@@ -106,21 +94,24 @@ impl std::fmt::Debug for RunOptions {
 }
 
 impl RunOptions {
-    /// Warm up for `n` records before measuring.
+    /// Warm up for `n` records before measuring (the IPC-1 methodology
+    /// warms up for 50M instructions; tests use much less).
     #[must_use]
     pub fn with_warmup(mut self, n: u64) -> RunOptions {
         self.warmup_instructions = n;
         self
     }
 
-    /// Attach an instruction prefetcher.
+    /// Attach an L1I instruction prefetcher (the Table 3 plug-in point).
     #[must_use]
     pub fn with_prefetcher(mut self, pf: Box<dyn InstructionPrefetcher + Send>) -> RunOptions {
         self.prefetcher = Some(pf);
         self
     }
 
-    /// Record per-interval counter snapshots every `n` retired records.
+    /// Record per-interval counter snapshots every `n` retired records
+    /// into the report's epoch series (see
+    /// [`SimReport::components`](crate::SimReport)).
     ///
     /// # Panics
     ///
@@ -133,6 +124,12 @@ impl RunOptions {
     }
 
     /// Poll `token` during the run and stop early once it cancels.
+    ///
+    /// The token is polled at epoch boundaries (every
+    /// [`with_epochs`](RunOptions::with_epochs) records, or every 8192
+    /// records otherwise). The returned report then covers only the
+    /// records consumed so far; callers must check
+    /// [`CancelToken::is_cancelled`] and discard the partial statistics.
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> RunOptions {
         self.cancel = Some(token);
@@ -142,9 +139,9 @@ impl RunOptions {
 
 /// Trace-driven out-of-order core simulator.
 ///
-/// Each [`run`](Simulator::run) starts from cold predictors and caches;
-/// construct once and reuse for independent runs of the same
-/// configuration.
+/// Every run starts from cold predictors and caches. All simulation goes
+/// through [`run_fused`](Simulator::run_fused); [`run_on`](Simulator::run_on)
+/// and [`run_iter`](Simulator::run_iter) are its single-lane forms.
 #[derive(Debug)]
 pub struct Simulator {
     config: CoreConfig,
@@ -156,67 +153,40 @@ impl Simulator {
         Simulator { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &CoreConfig {
-        &self.config
-    }
-
-    /// Simulates `records` with default options (no warm-up, no
-    /// instruction prefetcher).
-    pub fn run(&mut self, records: &[ChampsimRecord]) -> SimReport {
-        self.run_with_options(records, RunOptions::default())
-    }
-
-    /// Simulates `records` with explicit options.
-    pub fn run_with_options(
-        &mut self,
-        records: &[ChampsimRecord],
-        options: RunOptions,
-    ) -> SimReport {
-        drive(SimSink::new(&self.config, options), records.iter().copied())
-    }
-
-    /// Simulates a record stream with explicit options, consuming it
-    /// chunk-by-chunk without requiring the trace to be materialized.
-    ///
-    /// This is the streaming twin of
-    /// [`run_with_options`](Simulator::run_with_options): feed it a
-    /// conversion iterator (or chained chunks) and converted traces
-    /// never need a full in-memory `Vec`. Reports are identical to the
-    /// slice path on the same record sequence — the engine keeps a
-    /// one-record lookahead internally to derive taken-branch targets,
-    /// exactly as the slice path derives them from `records[i + 1]`.
+    /// Simulates a record stream on this simulator's configuration: a
+    /// one-lane [`run_fused`](Simulator::run_fused). Kept as a named
+    /// entry point because the `perfbench` benchmark calls it.
     pub fn run_iter<I>(&mut self, records: I, options: RunOptions) -> SimReport
     where
         I: IntoIterator<Item = ChampsimRecord>,
     {
-        drive(SimSink::new(&self.config, options), records.into_iter())
+        Simulator::run_fused([(&self.config, options)], records).remove(0)
     }
 
-    /// Simulates `records` on a borrowed configuration, without
-    /// constructing a `Simulator` (and so without cloning the config).
-    /// Records typically come from shared storage (`Arc<[_]>`); each run
-    /// still starts from cold predictors and caches.
+    /// Simulates a record slice on a borrowed configuration: a one-lane
+    /// [`run_fused`](Simulator::run_fused). Kept as a named entry point
+    /// because the `perfbench` benchmark calls it.
     pub fn run_on(
         config: &CoreConfig,
         records: &[ChampsimRecord],
         options: RunOptions,
     ) -> SimReport {
-        drive(SimSink::new(config, options), records.iter().copied())
+        Simulator::run_fused([(config, options)], records.iter().copied()).remove(0)
     }
 
     /// Simulates one record stream through many independent cores in
     /// lockstep: the stream is decoded once and every record is pushed
-    /// into each lane's [`SimSink`], so N configurations share a single
-    /// streaming pass instead of N decodes.
+    /// into each lane's cold core, so N configurations share a single
+    /// streaming pass instead of N decodes. This is the one place engines
+    /// are built and driven.
     ///
-    /// Each returned report is byte-identical to what
-    /// [`run_iter`](Simulator::run_iter) produces for the same lane on
-    /// the same record sequence — the sinks advance record-by-record in
-    /// exactly the per-run order, including warm-up resets, epoch
-    /// snapshots and per-lane cancellation (a cancelled lane stops
-    /// consuming; the pass keeps feeding the lanes still live and ends
-    /// early once every lane has stopped).
+    /// Each lane's report depends only on its own configuration, options
+    /// and the record sequence — never on its neighbours. Lanes advance
+    /// record by record, including warm-up resets, epoch snapshots and
+    /// per-lane cancellation: a cancelled lane stops consuming, the pass
+    /// keeps feeding the lanes still live, and it stops pulling records
+    /// once every lane has stopped. The stream is read one record ahead,
+    /// since a taken branch's target is the next record's IP.
     pub fn run_fused<'c, L, I>(lanes: L, records: I) -> Vec<SimReport>
     where
         L: IntoIterator<Item = (&'c CoreConfig, RunOptions)>,
@@ -242,23 +212,6 @@ impl Simulator {
         }
         sinks.into_iter().map(SimSink::finish).collect()
     }
-}
-
-/// Feeds `records` through one sink with the shared one-record
-/// lookahead; all single-lane entry points funnel through here.
-fn drive<I>(mut sink: SimSink<'_>, mut records: I) -> SimReport
-where
-    I: Iterator<Item = ChampsimRecord>,
-{
-    let mut pending = records.next();
-    while let Some(rec) = pending {
-        let next = records.next();
-        if !sink.push(&rec, next.as_ref().map(|r| r.ip())) {
-            break;
-        }
-        pending = next;
-    }
-    sink.finish()
 }
 
 /// Per-run machine state.
@@ -569,18 +522,13 @@ impl<'c> Engine<'c> {
     }
 }
 
-/// A push-based single-core simulation: the record loop turned inside
-/// out so one decoded stream can drive many cores in lockstep (see
-/// [`Simulator::run_fused`]).
+/// A push-based single-core simulation: one lane of
+/// [`Simulator::run_fused`].
 ///
-/// Feed records with [`push`](SimSink::push) — each call advances the
-/// core by exactly one record, in the same order as the pull-based
-/// entry points ([`Simulator::run_iter`] and friends, which are built
-/// on this type) — then [`finish`](SimSink::finish) for the report.
-/// The caller supplies the one-record lookahead (`next_ip`) that the
-/// pull paths derive from `records[i + 1]`, so a sink fed the same
-/// sequence produces a byte-identical [`SimReport`].
-pub struct SimSink<'c> {
+/// Each [`push`](SimSink::push) advances the core by exactly one record;
+/// [`finish`](SimSink::finish) builds the report. The caller supplies the
+/// one-record lookahead (`next_ip`), the taken-branch target source.
+struct SimSink<'c> {
     engine: Engine<'c>,
     warm_cycles: u64,
     warm_branches: BranchStats,
@@ -600,7 +548,7 @@ pub struct SimSink<'c> {
 
 impl<'c> SimSink<'c> {
     /// A cold core ready to consume records under `options`.
-    pub fn new(config: &'c CoreConfig, options: RunOptions) -> SimSink<'c> {
+    fn new(config: &'c CoreConfig, options: RunOptions) -> SimSink<'c> {
         let engine = Engine::new(config, options);
         let epochs = engine.epoch_instructions.map(|n| {
             telemetry::EpochSeries::new(
@@ -634,9 +582,9 @@ impl<'c> SimSink<'c> {
     ///
     /// Returns `false` once the sink has stopped — its cancel token
     /// tripped at a poll boundary — after which further pushes are
-    /// ignored. The partial statistics must then be discarded, exactly
-    /// as with [`RunOptions::with_cancel`] on the pull paths.
-    pub fn push(&mut self, rec: &ChampsimRecord, next_ip: Option<u64>) -> bool {
+    /// ignored. The partial statistics must then be discarded (see
+    /// [`RunOptions::with_cancel`]).
+    fn push(&mut self, rec: &ChampsimRecord, next_ip: Option<u64>) -> bool {
         if self.stopped {
             return false;
         }
@@ -677,13 +625,13 @@ impl<'c> SimSink<'c> {
 
     /// `true` once cancellation stopped the sink; further pushes are
     /// no-ops.
-    pub fn is_stopped(&self) -> bool {
+    fn is_stopped(&self) -> bool {
         self.stopped
     }
 
     /// Closes the run and builds the report over the records consumed
     /// so far.
-    pub fn finish(self) -> SimReport {
+    fn finish(self) -> SimReport {
         let engine = self.engine;
         let mut components = telemetry::Registry::new();
         engine.direction.export_telemetry(&mut components);
@@ -753,13 +701,14 @@ mod tests {
         (0..n).map(|i| ChampsimRecord::new(0x1000 + i * 4)).collect()
     }
 
-    fn small_sim() -> Simulator {
-        Simulator::new(CoreConfig::test_small())
+    /// Simulates `records` on the small test core with default options.
+    fn run_small(records: &[ChampsimRecord]) -> SimReport {
+        Simulator::run_on(&CoreConfig::test_small(), records, RunOptions::default())
     }
 
     #[test]
     fn straight_line_code_reaches_high_ipc() {
-        let report = small_sim().run(&straight_line(20_000));
+        let report = run_small(&straight_line(20_000));
         assert!(report.ipc() > 3.0, "independent ALU ops should flow wide: {}", report.ipc());
     }
 
@@ -773,7 +722,7 @@ mod tests {
             r.add_destination_register(regs::arch(1));
             records.push(r);
         }
-        let report = small_sim().run(&records);
+        let report = run_small(&records);
         assert!(report.ipc() < 1.05, "serial chain cannot exceed 1 IPC: {}", report.ipc());
     }
 
@@ -789,8 +738,8 @@ mod tests {
             r.add_source_memory(0x10_0000 + (i.wrapping_mul(0x9e3779b97f4a7c15) % (1 << 28)));
             chase.push(r);
         }
-        let chase_report = small_sim().run(&chase);
-        let alu_report = small_sim().run(&straight_line(5_000));
+        let chase_report = run_small(&chase);
+        let alu_report = run_small(&straight_line(5_000));
         assert!(
             chase_report.ipc() * 10.0 < alu_report.ipc(),
             "memory chain must be far slower: {} vs {}",
@@ -812,7 +761,7 @@ mod tests {
                 records.push(b);
             }
         }
-        let report = small_sim().run(&records);
+        let report = run_small(&records);
         assert!(report.direction_mpki() < 5.0, "{}", report.direction_mpki());
     }
 
@@ -835,8 +784,8 @@ mod tests {
                 random.push(ChampsimRecord::new(ip));
             }
         }
-        let fast = small_sim().run(&predictable);
-        let slow = small_sim().run(&random);
+        let fast = run_small(&predictable);
+        let slow = run_small(&random);
         assert!(
             slow.ipc() < fast.ipc() * 0.7,
             "random branches must hurt: {} vs {}",
@@ -884,8 +833,8 @@ mod tests {
             }
             records
         };
-        let independent = small_sim().run(&build(false, &mut rand_bit));
-        let dependent = small_sim().run(&build(true, &mut rand_bit));
+        let independent = run_small(&build(false, &mut rand_bit));
+        let dependent = run_small(&build(true, &mut rand_bit));
         assert!(
             dependent.ipc() < independent.ipc() * 0.9,
             "load-fed branches must be slower: {} vs {}",
@@ -920,8 +869,8 @@ mod tests {
             }
             records
         };
-        let good = small_sim().run(&build(false));
-        let bad = small_sim().run(&build(true));
+        let good = run_small(&build(false));
+        let bad = run_small(&build(true));
         assert!(
             bad.return_mpki() > good.return_mpki() * 5.0,
             "RAS desync must inflate return MPKI: {} vs {}",
@@ -943,16 +892,19 @@ mod tests {
             records.push(pattern::ret(0x9004, true));
             records.push(ChampsimRecord::new(base + 8));
         }
-        let report = Simulator::new(CoreConfig::ipc1()).run(&records);
+        let report = Simulator::run_on(&CoreConfig::ipc1(), &records, RunOptions::default());
         assert_eq!(report.branches.target_mispredicts, 0);
     }
 
     #[test]
     fn warmup_excludes_cold_effects() {
         let records = straight_line(10_000);
-        let mut sim = small_sim();
-        let cold = sim.run(&records);
-        let warm = sim.run_with_options(&records, RunOptions::default().with_warmup(5_000));
+        let cold = run_small(&records);
+        let warm = Simulator::run_on(
+            &CoreConfig::test_small(),
+            &records,
+            RunOptions::default().with_warmup(5_000),
+        );
         assert_eq!(warm.instructions, 5_000);
         assert!(warm.ipc() >= cold.ipc() * 0.95);
     }
@@ -966,9 +918,10 @@ mod tests {
                 records.push(ChampsimRecord::new(0x10_0000 + i * 4));
             }
         }
-        let mut ipc1 = Simulator::new(CoreConfig::ipc1());
-        let base = ipc1.run(&records);
-        let with_pf = ipc1.run_with_options(
+        let ipc1 = CoreConfig::ipc1();
+        let base = Simulator::run_on(&ipc1, &records, RunOptions::default());
+        let with_pf = Simulator::run_on(
+            &ipc1,
             &records,
             RunOptions::default()
                 .with_prefetcher(iprefetch::by_name("next-line").expect("known name")),
@@ -991,13 +944,16 @@ mod tests {
                 records.push(ChampsimRecord::new(0x10_0000 + i * 4));
             }
         }
-        let coupled = Simulator::new(CoreConfig {
-            decoupled_frontend: false,
-            frontend_lookahead: 0,
-            ..CoreConfig::test_small()
-        })
-        .run(&records);
-        let decoupled = small_sim().run(&records);
+        let coupled = Simulator::run_on(
+            &CoreConfig {
+                decoupled_frontend: false,
+                frontend_lookahead: 0,
+                ..CoreConfig::test_small()
+            },
+            &records,
+            RunOptions::default(),
+        );
+        let decoupled = run_small(&records);
         assert!(
             decoupled.ipc() > coupled.ipc(),
             "run-ahead fetch must help: {} vs {}",
@@ -1017,10 +973,12 @@ mod tests {
             r.add_destination_register(regs::arch(((i % 8) + 2) as u8));
             records.push(r);
         }
-        let wide =
-            Simulator::new(CoreConfig { l1d_mshrs: 64, ..CoreConfig::test_small() }).run(&records);
-        let narrow =
-            Simulator::new(CoreConfig { l1d_mshrs: 1, ..CoreConfig::test_small() }).run(&records);
+        let mshrs = |n| {
+            let config = CoreConfig { l1d_mshrs: n, ..CoreConfig::test_small() };
+            Simulator::run_on(&config, &records, RunOptions::default())
+        };
+        let wide = mshrs(64);
+        let narrow = mshrs(1);
         assert!(
             narrow.ipc() < wide.ipc() * 0.5,
             "one MSHR must serialize the misses: {} vs {}",
@@ -1049,8 +1007,8 @@ mod tests {
         };
         // Page-hostile: a new 4KB page every access.
         let hostile = build(4096 + 64);
-        let base = Simulator::new(CoreConfig::test_small()).run(&hostile);
-        let translated = Simulator::new(with_tlb.clone()).run(&hostile);
+        let base = run_small(&hostile);
+        let translated = Simulator::run_on(&with_tlb, &hostile, RunOptions::default());
         assert!(
             translated.ipc() < base.ipc() * 0.95,
             "page walks must cost something: {} vs {}",
@@ -1060,8 +1018,8 @@ mod tests {
         // Page-local: everything within a handful of pages. The relative
         // translation cost must be far below the page-hostile pattern's.
         let local = build(8);
-        let base_local = Simulator::new(CoreConfig::test_small()).run(&local);
-        let translated_local = Simulator::new(with_tlb).run(&local);
+        let base_local = run_small(&local);
+        let translated_local = Simulator::run_on(&with_tlb, &local, RunOptions::default());
         let hostile_cost = base.ipc() / translated.ipc();
         let local_cost = base_local.ipc() / translated_local.ipc();
         assert!(
@@ -1073,7 +1031,7 @@ mod tests {
     #[test]
     fn report_counts_match_input() {
         let records = straight_line(1234);
-        let report = small_sim().run(&records);
+        let report = run_small(&records);
         assert_eq!(report.instructions, 1234);
         assert!(report.cycles > 0);
     }
@@ -1081,8 +1039,11 @@ mod tests {
     #[test]
     fn epoch_series_covers_the_run() {
         let records = straight_line(10_000);
-        let report =
-            small_sim().run_with_options(&records, RunOptions::default().with_epochs(1_000));
+        let report = Simulator::run_on(
+            &CoreConfig::test_small(),
+            &records,
+            RunOptions::default().with_epochs(1_000),
+        );
         let epochs = report.components.epochs().expect("epochs requested");
         assert_eq!(epochs.rows(), 10);
         let cycles = epochs.series("cycles").expect("cycles column");
@@ -1101,7 +1062,7 @@ mod tests {
             r.add_destination_register(regs::arch(1));
             records.push(r);
         }
-        let report = small_sim().run(&records);
+        let report = run_small(&records);
         assert!(report.pipeline.rob_stalls > 0, "serial chain must back up the ROB");
         assert!(report.pipeline.rob_stall_cycles >= report.pipeline.rob_stalls);
         assert_eq!(report.pipeline.rob_occupancy.count(), 20_000);
@@ -1110,8 +1071,11 @@ mod tests {
     #[test]
     fn pipeline_stats_reset_at_warmup() {
         let records = straight_line(10_000);
-        let mut sim = small_sim();
-        let warm = sim.run_with_options(&records, RunOptions::default().with_warmup(5_000));
+        let warm = Simulator::run_on(
+            &CoreConfig::test_small(),
+            &records,
+            RunOptions::default().with_warmup(5_000),
+        );
         assert_eq!(warm.pipeline.rob_occupancy.count(), 5_000);
     }
 
@@ -1125,7 +1089,7 @@ mod tests {
 
     /// A deterministic record soup mixing loads, stores, dependent
     /// chains and data-dependent branches — every mechanism the engine
-    /// models, so a fused/sequential divergence anywhere shows up.
+    /// models, so a divergence between lanes anywhere shows up.
     fn mixed_records(seed: u64, n: u64) -> Vec<ChampsimRecord> {
         let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
         let mut next = move || {
@@ -1159,8 +1123,8 @@ mod tests {
         records
     }
 
-    /// The fused-pass identity: N heterogeneous lanes over one stream
-    /// produce reports byte-identical to N separate `run_iter` runs.
+    /// Lane isolation: N heterogeneous lanes over one stream produce
+    /// reports byte-identical to N one-lane passes.
     #[test]
     fn fused_lanes_match_independent_runs() {
         let records = mixed_records(1, 20_000);
@@ -1228,26 +1192,28 @@ mod tests {
         assert_eq!(doc(&fused[1]), doc(&solo));
     }
 
-    /// When every lane cancels, the pass stops consuming the stream.
+    /// When every lane cancels, the pass stops consuming the stream. A
+    /// many-lane pass and `run_iter` pull exactly the same records: the
+    /// ones simulated plus the one-record lookahead.
     #[test]
     fn fused_pass_ends_early_once_all_lanes_stop() {
         let small = CoreConfig::test_small();
         let token = CancelToken::new();
         token.cancel();
-        let consumed = std::cell::Cell::new(0u64);
-        let records = (0..100_000u64).map(|i| {
-            consumed.set(i + 1);
-            ChampsimRecord::new(0x1000 + (i % 64) * 4)
-        });
-        let lanes =
-            vec![(&small, RunOptions::default().with_epochs(500).with_cancel(token.clone()))];
-        let fused = Simulator::run_fused(lanes, records);
-        assert_eq!(fused[0].instructions, 500);
-        assert!(
-            consumed.get() < 1_000,
-            "stream must stop shortly after the last lane: {} records pulled",
-            consumed.get()
-        );
+        let options = || RunOptions::default().with_epochs(500).with_cancel(token.clone());
+        let pulled = &std::cell::Cell::new(0u64);
+        let records = || {
+            (0..100_000u64).map(move |i| {
+                pulled.set(i + 1);
+                ChampsimRecord::new(0x1000 + (i % 64) * 4)
+            })
+        };
+        let fused = Simulator::run_fused(vec![(&small, options()), (&small, options())], records());
+        assert!(fused.iter().all(|report| report.instructions == 500));
+        assert_eq!(pulled.replace(0), 501, "fused pass pulled past the last lane's stop");
+        let solo = Simulator::new(small.clone()).run_iter(records(), options());
+        assert_eq!(solo.instructions, 500);
+        assert_eq!(pulled.get(), 501, "run_iter pulled past its stop");
     }
 
     #[test]
@@ -1261,7 +1227,7 @@ mod tests {
                 records.push(b);
             }
         }
-        let report = small_sim().run(&records);
+        let report = run_small(&records);
         let preds = report.components.counter_value("bpred.direction.predictions");
         assert!(preds > 0, "conditional branches must hit the direction predictor");
         let mut registry = telemetry::Registry::new();

@@ -23,30 +23,29 @@
 //! # Data flow
 //!
 //! ```text
-//!   ChampsimRecord stream ──► Simulator::run ──► fetch (bpred, iprefetch)
-//!                                                  │
-//!                                  dispatch ◄──────┘
-//!                            (ROB, load queue, register ready cycles,
-//!                             memsys latencies)
-//!                                                  │
-//!                                                  ▼
-//!                     SimReport (+ PipelineStats, component Registry)
-//!                                                  │
-//!                                                  ▼
-//!                                        telemetry (sim.* metrics)
+//!   ChampsimRecord stream ──► Simulator::run_fused ──► fetch (bpred, iprefetch)
+//!        (one pass, N lanes)                             │
+//!                                        dispatch ◄──────┘
+//!                                  (ROB, load queue, register ready cycles,
+//!                                   memsys latencies)
+//!                                                        │
+//!                                                        ▼
+//!                 one SimReport per lane (+ PipelineStats, component Registry)
+//!                                                        │
+//!                                                        ▼
+//!                                              telemetry (sim.* metrics)
 //! ```
 //!
 //! # Example
 //!
 //! ```
 //! use champsim_trace::ChampsimRecord;
-//! use sim::{CoreConfig, Simulator};
+//! use sim::{CoreConfig, RunOptions, Simulator};
 //!
 //! // A straight-line program, long enough to amortize cold misses.
 //! let records: Vec<ChampsimRecord> =
 //!     (0..20_000).map(|i| ChampsimRecord::new(0x1000 + i * 4)).collect();
-//! let mut simulator = Simulator::new(CoreConfig::iiswc_main());
-//! let report = simulator.run(&records);
+//! let report = Simulator::run_on(&CoreConfig::iiswc_main(), &records, RunOptions::default());
 //! assert!(report.ipc() > 1.0);
 //! ```
 
@@ -59,5 +58,5 @@ mod stats;
 
 pub use cancel::CancelToken;
 pub use config::{CoreConfig, IndirectKind, PredictorKind};
-pub use engine::{RunOptions, SimSink, Simulator};
+pub use engine::{RunOptions, Simulator};
 pub use stats::{BranchStats, SimReport};

@@ -1,4 +1,5 @@
-//! Cooperative cancellation through `Simulator::run_iter`.
+//! Cooperative cancellation through `Simulator::run_iter`, a one-lane
+//! `Simulator::run_fused` pass.
 
 use std::time::{Duration, Instant};
 

@@ -1,8 +1,9 @@
-//! Differential tests: `Simulator::run_iter` (the streaming entry point)
-//! must produce bit-for-bit the same `SimReport` as the slice-based
-//! `Simulator::run` / `run_with_options` on every workload shape the
-//! engine's unit tests exercise, plus a seeded property sweep over
-//! random record mixes.
+//! Differential tests: `Simulator::run_iter` (a record stream) must
+//! produce bit-for-bit the same `SimReport` as `Simulator::run_on` (a
+//! record slice) on every workload shape the engine's unit tests
+//! exercise, plus a seeded property sweep over random record mixes. Both
+//! are one-lane `Simulator::run_fused` passes, so this pins that the
+//! engine loop sees the same records and lookahead from either source.
 //!
 //! Equality is checked on a full fingerprint of the report: the scalar
 //! counters plus the exported telemetry registry (deterministic JSON —
@@ -30,12 +31,12 @@ fn assert_streaming_matches(
     what: &str,
 ) {
     for config in [CoreConfig::test_small(), CoreConfig::iiswc_main()] {
-        let slice_report = Simulator::new(config.clone()).run_with_options(records, options());
+        let slice_report = Simulator::run_on(&config, records, options());
         let iter_report = Simulator::new(config).run_iter(records.to_vec(), options());
         assert_eq!(
             fingerprint(&slice_report),
             fingerprint(&iter_report),
-            "run vs run_iter diverged on {what}"
+            "run_on vs run_iter diverged on {what}"
         );
     }
 }
@@ -151,14 +152,13 @@ fn instruction_prefetcher_inflight_path() {
             RunOptions::default()
                 .with_prefetcher(iprefetch::by_name(name).expect("known prefetcher"))
         };
-        let slice_report =
-            Simulator::new(CoreConfig::test_small()).run_with_options(&records, options());
+        let slice_report = Simulator::run_on(&CoreConfig::test_small(), &records, options());
         let iter_report =
             Simulator::new(CoreConfig::test_small()).run_iter(records.clone(), options());
         assert_eq!(
             fingerprint(&slice_report),
             fingerprint(&iter_report),
-            "run vs run_iter diverged under the {name} prefetcher"
+            "run_on vs run_iter diverged under the {name} prefetcher"
         );
     }
 }

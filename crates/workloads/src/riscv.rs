@@ -138,13 +138,6 @@ impl RvTraceSpec {
         self
     }
 
-    /// Sets the function count (minimum 2, so calls have a target).
-    #[must_use]
-    pub fn with_functions(mut self, n: usize) -> RvTraceSpec {
-        self.functions = n.max(2);
-        self
-    }
-
     /// Sets the data working-set size as a power of two.
     #[must_use]
     pub fn with_data_footprint_log2(mut self, l: u8) -> RvTraceSpec {
@@ -156,13 +149,6 @@ impl RvTraceSpec {
     #[must_use]
     pub fn with_hard_branch_fraction(mut self, f: f64) -> RvTraceSpec {
         self.hard_branch_fraction = f.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the RVC (2-byte) encoding fraction (clamped to `0..=1`).
-    #[must_use]
-    pub fn with_compressed_fraction(mut self, f: f64) -> RvTraceSpec {
-        self.compressed_fraction = f.clamp(0.0, 1.0);
         self
     }
 

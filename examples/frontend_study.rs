@@ -17,16 +17,18 @@ use trace_rebase::iprefetch;
 use trace_rebase::sim::{CoreConfig, RunOptions, Simulator};
 use trace_rebase::workloads::{TraceSpec, WorkloadKind};
 
-fn speedup(core: CoreConfig, records: &[trace_rebase::champsim::ChampsimRecord]) -> (f64, f64) {
-    let mut sim = Simulator::new(core);
-    let base = sim.run(records).ipc();
-    let with = sim
-        .run_with_options(
-            records,
+fn speedup(core: &CoreConfig, records: &[trace_rebase::champsim::ChampsimRecord]) -> (f64, f64) {
+    // One pass over the trace drives both cores: without and with D-JOLT.
+    let lanes = [
+        (core, RunOptions::default()),
+        (
+            core,
             RunOptions::default().with_prefetcher(iprefetch::by_name("djolt").expect("known name")),
-        )
-        .ipc();
-    (base, with / base)
+        ),
+    ];
+    let reports = Simulator::run_fused(lanes, records.iter().copied());
+    let base = reports[0].ipc();
+    (base, reports[1].ipc() / base)
 }
 
 fn main() {
@@ -40,8 +42,8 @@ fn main() {
         CoreConfig { decoupled_frontend: false, frontend_lookahead: 0, ..CoreConfig::iiswc_main() };
     let decoupled = CoreConfig::iiswc_main();
 
-    let (ipc_c, speedup_c) = speedup(coupled, &records);
-    let (ipc_d, speedup_d) = speedup(decoupled, &records);
+    let (ipc_c, speedup_c) = speedup(&coupled, &records);
+    let (ipc_d, speedup_d) = speedup(&decoupled, &records);
 
     println!("coupled front-end:   baseline IPC {ipc_c:.3}, D-JOLT speedup {speedup_c:.4}");
     println!("decoupled front-end: baseline IPC {ipc_d:.3}, D-JOLT speedup {speedup_d:.4}");

@@ -24,29 +24,25 @@ fn main() {
     let records = converter.convert_all(spec.generate().iter());
     let warmup = 50_000;
 
-    let mut sim = Simulator::new(CoreConfig::ipc1());
-    let baseline = sim
-        .run_with_options(
-            &records,
-            RunOptions::default()
-                .with_warmup(warmup)
-                .with_prefetcher(iprefetch::by_name("none").expect("known")),
-        )
-        .ipc();
+    // One pass over the trace drives a core per prefetcher; the first
+    // lane is the no-prefetch baseline.
+    let core = CoreConfig::ipc1();
+    let names: Vec<&str> = std::iter::once("none")
+        .chain(iprefetch::CONTEST_NAMES.iter().copied())
+        .chain(std::iter::once("next-line"))
+        .collect();
+    let lanes = names.iter().map(|name| {
+        let pf = iprefetch::by_name(name).expect("known name");
+        (&core, RunOptions::default().with_warmup(warmup).with_prefetcher(pf))
+    });
+    let reports = Simulator::run_fused(lanes, records.iter().copied());
+    let baseline = reports[0].ipc();
     println!("baseline (no prefetch): IPC {baseline:.3}\n");
 
-    let mut rows: Vec<(String, f64, f64)> = iprefetch::CONTEST_NAMES
+    let mut rows: Vec<(String, f64, f64)> = names[1..]
         .iter()
-        .chain(std::iter::once(&"next-line"))
-        .map(|name| {
-            let report = sim.run_with_options(
-                &records,
-                RunOptions::default()
-                    .with_warmup(warmup)
-                    .with_prefetcher(iprefetch::by_name(name).expect("known name")),
-            );
-            ((*name).to_owned(), report.ipc() / baseline, report.l1i_mpki())
-        })
+        .zip(&reports[1..])
+        .map(|(name, report)| ((*name).to_owned(), report.ipc() / baseline, report.l1i_mpki()))
         .collect();
     rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
 

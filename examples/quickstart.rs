@@ -10,7 +10,7 @@
 //! ```
 
 use trace_rebase::converter::{Converter, ImprovementSet};
-use trace_rebase::sim::{CoreConfig, Simulator};
+use trace_rebase::sim::{CoreConfig, RunOptions, Simulator};
 use trace_rebase::workloads::{TraceSpec, WorkloadKind};
 
 fn main() {
@@ -22,12 +22,12 @@ fn main() {
     let cvp_trace = spec.generate();
     println!("generated {} CVP-1 instructions ({})", cvp_trace.len(), spec.kind());
 
-    let mut simulator = Simulator::new(CoreConfig::iiswc_main());
+    let core = CoreConfig::iiswc_main();
     let mut results = Vec::new();
     for improvements in [ImprovementSet::none(), ImprovementSet::all()] {
         let mut converter = Converter::new(improvements);
         let records = converter.convert_all(cvp_trace.iter());
-        let report = simulator.run(&records);
+        let report = Simulator::run_on(&core, &records, RunOptions::default());
         println!("\n=== conversion: {improvements} ===");
         println!("{} records after conversion", records.len());
         println!("{report}");

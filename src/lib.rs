@@ -52,7 +52,7 @@
 //!
 //! ```
 //! use trace_rebase::converter::{Converter, ImprovementSet};
-//! use trace_rebase::sim::{CoreConfig, Simulator};
+//! use trace_rebase::sim::{CoreConfig, RunOptions, Simulator};
 //! use trace_rebase::workloads::{TraceSpec, WorkloadKind};
 //!
 //! let spec = TraceSpec::new("demo", WorkloadKind::PointerChase, 42).with_length(20_000);
@@ -61,8 +61,8 @@
 //! let mut converter = Converter::new(ImprovementSet::all());
 //! let champsim_trace = converter.convert_all(cvp_instructions.iter());
 //!
-//! let mut simulator = Simulator::new(CoreConfig::iiswc_main());
-//! let report = simulator.run(&champsim_trace);
+//! let core = CoreConfig::iiswc_main();
+//! let report = Simulator::run_on(&core, &champsim_trace, RunOptions::default());
 //! assert!(report.ipc() > 0.0);
 //! ```
 

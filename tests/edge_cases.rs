@@ -10,14 +10,18 @@ use trace_rebase::workloads::{TraceSpec, WorkloadKind};
 
 #[test]
 fn empty_trace_simulates_to_zero_instructions() {
-    let report = Simulator::new(CoreConfig::test_small()).run(&[]);
+    let report = Simulator::run_on(&CoreConfig::test_small(), &[], RunOptions::default());
     assert_eq!(report.instructions, 0);
     assert_eq!(report.ipc(), 0.0);
 }
 
 #[test]
 fn single_record_trace() {
-    let report = Simulator::new(CoreConfig::test_small()).run(&[ChampsimRecord::new(0x40)]);
+    let report = Simulator::run_on(
+        &CoreConfig::test_small(),
+        &[ChampsimRecord::new(0x40)],
+        RunOptions::default(),
+    );
     assert_eq!(report.instructions, 1);
     assert!(report.cycles >= 1);
 }
@@ -26,8 +30,11 @@ fn single_record_trace() {
 fn warmup_equal_to_trace_length_measures_nothing() {
     let records: Vec<ChampsimRecord> =
         (0..100).map(|i| ChampsimRecord::new(0x1000 + i * 4)).collect();
-    let report = Simulator::new(CoreConfig::test_small())
-        .run_with_options(&records, RunOptions::default().with_warmup(100));
+    let report = Simulator::run_on(
+        &CoreConfig::test_small(),
+        &records,
+        RunOptions::default().with_warmup(100),
+    );
     assert_eq!(report.instructions, 0);
 }
 
@@ -35,8 +42,11 @@ fn warmup_equal_to_trace_length_measures_nothing() {
 fn warmup_beyond_trace_length_is_tolerated() {
     let records: Vec<ChampsimRecord> =
         (0..50).map(|i| ChampsimRecord::new(0x1000 + i * 4)).collect();
-    let report = Simulator::new(CoreConfig::test_small())
-        .run_with_options(&records, RunOptions::default().with_warmup(10_000));
+    let report = Simulator::run_on(
+        &CoreConfig::test_small(),
+        &records,
+        RunOptions::default().with_warmup(10_000),
+    );
     // No warm-up boundary was crossed; everything is measured.
     assert_eq!(report.instructions, 50);
 }
@@ -48,7 +58,7 @@ fn trace_ending_on_a_taken_branch_uses_fallthrough_target() {
     let mut records: Vec<ChampsimRecord> =
         (0..10).map(|i| ChampsimRecord::new(0x1000 + i * 4)).collect();
     records.push(pattern::conditional(0x1028, true));
-    let report = Simulator::new(CoreConfig::test_small()).run(&records);
+    let report = Simulator::run_on(&CoreConfig::test_small(), &records, RunOptions::default());
     assert_eq!(report.instructions, 11);
     assert_eq!(report.branches.total(), 1);
 }
@@ -66,7 +76,7 @@ fn all_branch_types_flow_through_the_engine() {
         records.push(pattern::ret(pc + 16, true));
         records.push(ChampsimRecord::new(pc + 20));
     }
-    let report = Simulator::new(CoreConfig::test_small()).run(&records);
+    let report = Simulator::run_on(&CoreConfig::test_small(), &records, RunOptions::default());
     assert_eq!(report.branches.total(), 1000);
 }
 
@@ -129,7 +139,7 @@ fn champsim_reader_tolerates_all_byte_patterns() {
         ChampsimReader::new(noise.as_slice()).collect::<Result<_, _>>().unwrap();
     assert_eq!(records.len(), 5);
     // And whatever decoded must simulate without panicking.
-    let report = Simulator::new(CoreConfig::test_small()).run(&records);
+    let report = Simulator::run_on(&CoreConfig::test_small(), &records, RunOptions::default());
     assert_eq!(report.instructions, 5);
 }
 
@@ -163,7 +173,7 @@ fn extreme_knob_values_generate_valid_traces() {
         // And the full pipeline must digest it.
         let mut conv = Converter::new(ImprovementSet::all());
         let records = conv.convert_all(trace.iter());
-        let report = Simulator::new(CoreConfig::test_small()).run(&records);
+        let report = Simulator::run_on(&CoreConfig::test_small(), &records, RunOptions::default());
         assert!(report.ipc() > 0.0);
     }
 }
@@ -174,7 +184,7 @@ fn tiny_traces_work_everywhere() {
         let trace = TraceSpec::new("tiny", WorkloadKind::Crypto, 5).with_length(n).generate();
         let mut conv = Converter::new(ImprovementSet::all());
         let records = conv.convert_all(trace.iter());
-        let report = Simulator::new(CoreConfig::test_small()).run(&records);
+        let report = Simulator::run_on(&CoreConfig::test_small(), &records, RunOptions::default());
         assert_eq!(report.instructions, records.len() as u64);
     }
 }

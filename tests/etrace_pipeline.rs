@@ -6,7 +6,7 @@
 
 use trace_rebase::converter::{Converter, ImprovementSet};
 use trace_rebase::etrace::{EtraceReader, EtraceWriter, TraceItem};
-use trace_rebase::sim::{CoreConfig, Simulator};
+use trace_rebase::sim::{CoreConfig, RunOptions, Simulator};
 use trace_rebase::store::{rv_items_to_cvp, CvpTraceReader};
 use trace_rebase::workloads::rng::Xoshiro256;
 use trace_rebase::workloads::{rv_suite, RvTraceSpec, RvWorkloadKind};
@@ -160,9 +160,12 @@ fn etrace_file_feeds_the_pipeline_identically_to_memory() {
 
     let mut converter = Converter::new(ImprovementSet::all());
     let records = converter.convert_all(via_file.iter());
-    let report_file = Simulator::new(CoreConfig::iiswc_main()).run(&records);
-    let report_mem = Simulator::new(CoreConfig::iiswc_main())
-        .run(&Converter::new(ImprovementSet::all()).convert_all(direct.iter()));
+    let report_file = Simulator::run_on(&CoreConfig::iiswc_main(), &records, RunOptions::default());
+    let report_mem = Simulator::run_on(
+        &CoreConfig::iiswc_main(),
+        &Converter::new(ImprovementSet::all()).convert_all(direct.iter()),
+        RunOptions::default(),
+    );
     assert_eq!(format!("{report_file}"), format!("{report_mem}"));
     assert!(report_file.instructions > 0);
     std::fs::remove_dir_all(&dir).unwrap();

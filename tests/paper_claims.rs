@@ -4,12 +4,12 @@
 
 use trace_rebase::converter::{Converter, Improvement, ImprovementSet};
 use trace_rebase::cvp::{CvpInstruction, LINK_REG};
-use trace_rebase::sim::{CoreConfig, SimReport, Simulator};
+use trace_rebase::sim::{CoreConfig, RunOptions, SimReport, Simulator};
 
 fn simulate(insns: &[CvpInstruction], imps: ImprovementSet) -> SimReport {
     let mut converter = Converter::new(imps);
     let records = converter.convert_all(insns.iter());
-    Simulator::new(CoreConfig::test_small()).run(&records)
+    Simulator::run_on(&CoreConfig::test_small(), &records, RunOptions::default())
 }
 
 /// §3.2.1 / Figure 5: `blr x30` call/return pairs under the original
@@ -176,7 +176,7 @@ fn ipc1_core_is_blind_to_the_call_stack_fix() {
     let run = |imps| {
         let mut converter = Converter::new(imps);
         let records = converter.convert_all(insns.iter());
-        Simulator::new(CoreConfig::ipc1()).run(&records)
+        Simulator::run_on(&CoreConfig::ipc1(), &records, RunOptions::default())
     };
     let broken = run(ImprovementSet::none());
     let fixed = run(ImprovementSet::only(Improvement::CallStack));

@@ -4,7 +4,7 @@
 use trace_rebase::champsim::{ChampsimReader, ChampsimWriter};
 use trace_rebase::converter::{Converter, ImprovementSet};
 use trace_rebase::cvp::{CvpReader, CvpWriter};
-use trace_rebase::sim::{CoreConfig, Simulator};
+use trace_rebase::sim::{CoreConfig, RunOptions, Simulator};
 use trace_rebase::workloads::{TraceSpec, WorkloadKind};
 
 /// A scratch file path in the system temp directory, removed on drop.
@@ -87,8 +87,8 @@ fn file_and_memory_paths_simulate_identically() {
     }
     assert_eq!(records_mem, records_file);
 
-    let a = Simulator::new(CoreConfig::test_small()).run(&records_mem);
-    let b = Simulator::new(CoreConfig::test_small()).run(&records_file);
+    let a = Simulator::run_on(&CoreConfig::test_small(), &records_mem, RunOptions::default());
+    let b = Simulator::run_on(&CoreConfig::test_small(), &records_file, RunOptions::default());
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.instructions, b.instructions);
 }
@@ -116,7 +116,8 @@ fn every_workload_kind_survives_the_full_pipeline() {
             let mut converter = Converter::new(imps);
             let records = converter.convert_all(spec.generate().iter());
             assert!(records.len() >= 6_000, "{kind}/{imps}: record count");
-            let report = Simulator::new(CoreConfig::test_small()).run(&records);
+            let report =
+                Simulator::run_on(&CoreConfig::test_small(), &records, RunOptions::default());
             assert!(report.ipc() > 0.0, "{kind}/{imps}: IPC must be positive");
             assert!(report.ipc() < 6.0, "{kind}/{imps}: IPC cannot exceed core width");
         }
@@ -151,7 +152,7 @@ fn both_cores_run_both_conversions() {
         for imps in [ImprovementSet::none(), ImprovementSet::all()] {
             let mut converter = Converter::new(imps);
             let records = converter.convert_all(trace.iter());
-            let report = Simulator::new(core.clone()).run(&records);
+            let report = Simulator::run_on(&core, &records, RunOptions::default());
             assert!(report.cycles > 0);
             assert_eq!(report.instructions, records.len() as u64);
         }

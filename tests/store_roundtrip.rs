@@ -9,7 +9,7 @@ use std::path::Path;
 use trace_rebase::champsim::ChampsimRecord;
 use trace_rebase::converter::{Converter, ImprovementSet};
 use trace_rebase::cvp::{encode_record, CvpInstruction};
-use trace_rebase::sim::{CoreConfig, Simulator};
+use trace_rebase::sim::{CoreConfig, RunOptions, Simulator};
 use trace_rebase::store::{
     ChampsimTraceReader, ChampsimTraceWriter, ChampsimzReader, ChampsimzWriter, CvpTraceReader,
     CvpTraceWriter, CvpzReader, CvpzWriter,
@@ -95,7 +95,11 @@ fn simulating_from_a_store_matches_the_flat_file_bit_for_bit() {
         w.finish().unwrap();
         let from_disk: Vec<ChampsimRecord> =
             ChampsimTraceReader::open(&path).unwrap().collect::<Result<_, _>>().unwrap();
-        reports.push(Simulator::new(CoreConfig::iiswc_main()).run(&from_disk));
+        reports.push(Simulator::run_on(
+            &CoreConfig::iiswc_main(),
+            &from_disk,
+            RunOptions::default(),
+        ));
     }
     assert_eq!(
         reports[0].ipc().to_bits(),
