@@ -16,30 +16,9 @@
 //! writes the final `router.*` telemetry document after the drain.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-use sim_server::{Router, RouterConfig};
-
-/// Signals received so far; bumped from the (async-signal-safe) handler.
-static SIGNALS: AtomicU32 = AtomicU32::new(0);
-
-extern "C" fn on_signal(_signum: i32) {
-    SIGNALS.fetch_add(1, Ordering::SeqCst);
-}
-
-fn install_signal_handlers() {
-    // SIGINT = 2, SIGTERM = 15 on every platform this builds for. The
-    // libc `signal` entry point is reached directly to keep the crate
-    // zero-dependency.
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    unsafe {
-        signal(2, on_signal as *const () as usize);
-        signal(15, on_signal as *const () as usize);
-    }
-}
+use sim_server::{run_until_shutdown, Router, RouterConfig};
 
 fn main() -> ExitCode {
     match run() {
@@ -100,7 +79,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         return Err("at least one --backend is required".into());
     }
 
-    install_signal_handlers();
     let backends = config.backends.clone();
     let router =
         Router::start(config.clone()).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
@@ -111,38 +89,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         backends.join(", "),
         router.healthy_backends()
     );
-    if let Some(path) = &addr_file {
-        std::fs::write(path, format!("{addr}\n"))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-
-    let handle = router.shutdown_handle();
-    // Signal watcher: any signal starts the drain. Unlike sim_server
-    // there is no abort grade — the router holds no job state, so the
-    // only clean exit is letting in-flight proxied requests finish.
-    let watcher = {
-        let handle = handle.clone();
-        std::thread::spawn(move || loop {
-            if SIGNALS.load(Ordering::SeqCst) > 0 {
-                handle.begin_shutdown();
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        })
-    };
-
-    while !router.shutdown_requested() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    eprintln!("sim_router: shutting down, finishing in-flight proxied requests");
-    router.join();
-    drop(watcher); // detached; exits with the process
-
-    let doc = handle.metrics_json();
-    if let Some(path) = &metrics_path {
-        std::fs::write(path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("sim_router: wrote final metrics to {path}");
-    }
-    eprintln!("sim_router: drained and stopped");
-    Ok(())
+    Ok(run_until_shutdown(
+        "sim_router",
+        addr,
+        router.shutdown_handle(),
+        || router.join(),
+        addr_file.as_deref(),
+        metrics_path.as_deref(),
+    )?)
 }

@@ -16,30 +16,9 @@
 //! telemetry document after the drain.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-use sim_server::{Server, ServerConfig};
-
-/// Signals received so far; bumped from the (async-signal-safe) handler.
-static SIGNALS: AtomicU32 = AtomicU32::new(0);
-
-extern "C" fn on_signal(_signum: i32) {
-    SIGNALS.fetch_add(1, Ordering::SeqCst);
-}
-
-fn install_signal_handlers() {
-    // SIGINT = 2, SIGTERM = 15 on every platform this builds for. The
-    // libc `signal` entry point is reached directly to keep the crate
-    // zero-dependency.
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    unsafe {
-        signal(2, on_signal as *const () as usize);
-        signal(15, on_signal as *const () as usize);
-    }
-}
+use sim_server::{run_until_shutdown, Server, ServerConfig};
 
 fn main() -> ExitCode {
     match run() {
@@ -105,7 +84,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    install_signal_handlers();
     let server =
         Server::start(config.clone()).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
     let addr = server.local_addr();
@@ -117,42 +95,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         config.max_batch,
         config.result_cache_entries
     );
-    if let Some(path) = &addr_file {
-        std::fs::write(path, format!("{addr}\n"))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-
-    let handle = server.shutdown_handle();
-    // Escalation watcher: first signal drains, a second aborts.
-    let escalate = {
-        let handle = handle.clone();
-        std::thread::spawn(move || loop {
-            match SIGNALS.load(Ordering::SeqCst) {
-                0 => {}
-                1 => handle.begin_shutdown(false),
-                _ => {
-                    handle.begin_shutdown(true);
-                    return;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        })
-    };
-
-    while !server.shutdown_requested() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    eprintln!("sim_server: shutting down, draining in-flight jobs");
-    server.join();
-    drop(escalate); // detached; exits with the process
-
-    // The handle outlives the join, so the flushed document carries the
-    // final post-drain counts.
-    let doc = handle.metrics_json();
-    if let Some(path) = &metrics_path {
-        std::fs::write(path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("sim_server: wrote final metrics to {path}");
-    }
-    eprintln!("sim_server: drained and stopped");
-    Ok(())
+    Ok(run_until_shutdown(
+        "sim_server",
+        addr,
+        server.shutdown_handle(),
+        || server.join(),
+        addr_file.as_deref(),
+        metrics_path.as_deref(),
+    )?)
 }

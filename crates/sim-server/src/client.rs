@@ -1,8 +1,9 @@
 //! A small blocking HTTP client for the job API, shared by
-//! `sim_client`, `server_bench`, and the integration tests.
+//! `sim_client`, `server_bench`, the integration tests, and the router's
+//! backend forwards: [`Connection::send`] is the one request writer.
 
 use std::io::{self, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::http::{read_response, ClientResponse};
@@ -25,6 +26,28 @@ impl Connection {
                 format!("cannot connect to {addr}: {e} (is the server up? check GET /healthz)"),
             )
         })?;
+        Connection::over(stream)
+    }
+
+    /// Connects to `addr` within `connect_timeout`; every later read or
+    /// write fails once it waits `io_timeout`. The router forwards
+    /// through these, so a stalled backend costs a bounded wait.
+    pub(crate) fn connect_with_deadlines(
+        addr: &str,
+        connect_timeout: Duration,
+        io_timeout: Duration,
+    ) -> io::Result<Connection> {
+        let sock = addr
+            .to_socket_addrs()?
+            .next()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?;
+        let stream = TcpStream::connect_timeout(&sock, connect_timeout)?;
+        stream.set_read_timeout(Some(io_timeout))?;
+        stream.set_write_timeout(Some(io_timeout))?;
+        Connection::over(stream)
+    }
+
+    fn over(stream: TcpStream) -> io::Result<Connection> {
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Connection { reader: BufReader::new(stream), writer })

@@ -1,18 +1,38 @@
-//! Hand-rolled HTTP/1.1 framing, shared by the server and the client.
+//! Hand-rolled HTTP/1.1 framing, shared by the server and the client,
+//! and the front door `sim_server` and `sim_router` share.
 //!
 //! Only the subset the job service needs: request/status lines, header
 //! fields, `Content-Length` bodies, and keep-alive. No chunked
 //! encoding, no TLS, no compression. Limits are enforced while reading
 //! (oversized inputs fail fast instead of buffering unboundedly).
+//!
+//! ```text
+//!   FrontDoor: accept loop ──▶ one thread per connection (ServerConnection)
+//!     keep-alive: read request ──▶ Endpoint::parse ──▶ Service::route
+//!                                        └──▶ otherwise 404 / 405
+//!   Door: draining (submissions get 503), in-flight request count,
+//!         terminate (the loops exit at their next poll)
+//!   run_until_shutdown: addr-file, SIGINT/SIGTERM ──▶ ShutdownHandle,
+//!                       join, final --metrics document
+//! ```
+//!
+//! Both services drain by one rule: once shutdown begins, submissions
+//! are refused while every other endpoint keeps serving; `join` returns
+//! only after the last request being routed has had its response
+//! written.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use telemetry::json;
 
-/// How often an idle server-side connection (and an accept loop)
+use crate::jobspec::JobSpec;
+
+/// How often an idle server-side connection (and the accept loop)
 /// wakes to check for shutdown.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// Time a client has to send the rest of a request once its first
@@ -169,6 +189,300 @@ impl BufRead for Deadline<'_> {
     fn consume(&mut self, n: usize) {
         self.reader.consume(n);
     }
+}
+
+/// The job API's endpoints, parsed once from a request's method and
+/// path.
+pub(crate) enum Endpoint<'a> {
+    /// `POST /jobs`.
+    Submit,
+    /// `GET /healthz`.
+    Healthz,
+    /// `GET /metrics`.
+    Metrics,
+    /// `POST /shutdown`.
+    Shutdown,
+    /// `GET /jobs/<id>`, or `GET /jobs/<id>/result` when `result`.
+    Job { id: &'a str, result: bool },
+}
+
+impl Endpoint<'_> {
+    /// Parses `request`'s method and path. `Err` carries the answer
+    /// both services give to anything else: `405` for a known path
+    /// under another method, `404` for an unknown path.
+    pub(crate) fn parse(request: &Request) -> Result<Endpoint<'_>, Response> {
+        let path = request.path.as_str();
+        let (endpoint, method) = match path {
+            "/jobs" => (Endpoint::Submit, "POST"),
+            "/healthz" => (Endpoint::Healthz, "GET"),
+            "/metrics" => (Endpoint::Metrics, "GET"),
+            "/shutdown" => (Endpoint::Shutdown, "POST"),
+            _ => {
+                let Some(rest) = path.strip_prefix("/jobs/") else {
+                    return Err(Response::error(404, "no such endpoint"));
+                };
+                let job = match rest.strip_suffix("/result") {
+                    Some(id) => Endpoint::Job { id, result: true },
+                    None => Endpoint::Job { id: rest, result: false },
+                };
+                (job, "GET")
+            }
+        };
+        if request.method == method {
+            Ok(endpoint)
+        } else {
+            Err(Response::error(405, "method not allowed"))
+        }
+    }
+}
+
+/// The drain state a service shares with its front door.
+#[derive(Default)]
+pub(crate) struct Door {
+    /// Set when shutdown begins: submissions are refused, every other
+    /// endpoint is still served.
+    draining: AtomicBool,
+    /// Set when the drain is over: the accept loop and idle
+    /// connections exit at their next poll.
+    terminate: AtomicBool,
+    /// Requests being routed or answered; the drain waits for none.
+    inflight: AtomicU64,
+}
+
+impl Door {
+    /// Starts the drain. Idempotent.
+    pub(crate) fn drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+    }
+
+    /// `true` once the drain has started.
+    pub(crate) fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+
+    /// `true` once the front door has closed.
+    pub(crate) fn closed(&self) -> bool {
+        self.terminate.load(Ordering::SeqCst)
+    }
+
+    /// The precheck of `POST /jobs`: `refusal()` while draining, then
+    /// `400` for a body that is not UTF-8 or not a valid job spec.
+    /// Returns the body and its spec.
+    pub(crate) fn submission<'r>(
+        &self,
+        request: &'r Request,
+        refusal: impl FnOnce() -> Response,
+    ) -> Result<(&'r str, JobSpec), Response> {
+        if self.draining() {
+            return Err(refusal());
+        }
+        let body = std::str::from_utf8(&request.body)
+            .map_err(|_| Response::error(400, "body is not UTF-8"))?;
+        let spec = JobSpec::parse(body).map_err(|message| Response::error(400, &message))?;
+        Ok((body, spec))
+    }
+}
+
+/// A service behind the front door: its routing and its shutdown.
+pub(crate) trait Service: Send + Sync + 'static {
+    /// The drain state shared with the front door.
+    fn door(&self) -> &Door;
+
+    /// Answers one request for `endpoint`.
+    fn route(&self, endpoint: Endpoint<'_>, request: &Request) -> Response;
+
+    /// See [`ShutdownHandle::begin_shutdown`].
+    fn begin_shutdown(&self, abort: bool);
+
+    /// The `GET /metrics` document.
+    fn metrics_json(&self) -> String;
+}
+
+/// A service's listener: an accept loop that hands each connection to
+/// its own keep-alive thread.
+pub(crate) struct FrontDoor {
+    service: Arc<dyn Service>,
+    local_addr: SocketAddr,
+    accept: JoinHandle<()>,
+}
+
+impl FrontDoor {
+    /// Starts serving `listener` for `service`; `name` prefixes the
+    /// thread names.
+    pub(crate) fn open(
+        listener: TcpListener,
+        name: &'static str,
+        service: Arc<dyn Service>,
+    ) -> io::Result<FrontDoor> {
+        listener.set_nonblocking(true)?;
+        let local_addr = listener.local_addr()?;
+        let accept = {
+            let service = Arc::clone(&service);
+            thread::Builder::new()
+                .name(format!("{name}-accept"))
+                .spawn(move || accept_loop(&listener, name, &service))?
+        };
+        Ok(FrontDoor { service, local_addr, accept })
+    }
+
+    /// The bound address (useful with an ephemeral port).
+    pub(crate) fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// A handle on the service that outlives [`FrontDoor::close`].
+    pub(crate) fn handle(&self) -> ShutdownHandle {
+        ShutdownHandle { service: Arc::clone(&self.service) }
+    }
+
+    /// Waits until no request is being routed or answered, then stops
+    /// the accept loop and every idle connection. The drain must have
+    /// started.
+    pub(crate) fn close(self) {
+        let door = self.service.door();
+        while door.inflight.load(Ordering::SeqCst) > 0 {
+            thread::sleep(Duration::from_millis(5));
+        }
+        door.terminate.store(true, Ordering::SeqCst);
+        let _ = self.accept.join();
+    }
+}
+
+fn accept_loop(listener: &TcpListener, name: &str, service: &Arc<dyn Service>) {
+    while !service.door().closed() {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                let service = Arc::clone(service);
+                let _ = thread::Builder::new()
+                    .name(format!("{name}-conn"))
+                    .spawn(move || serve_connection(stream, &*service));
+            }
+            Err(_) => thread::sleep(POLL_INTERVAL),
+        }
+    }
+}
+
+fn serve_connection(stream: TcpStream, service: &dyn Service) {
+    let door = service.door();
+    let Ok(mut conn) = ServerConnection::new(stream) else { return };
+    while let Some(request) = conn.next_request(&door.terminate) {
+        let close = request.wants_close() || door.closed();
+        // The in-flight window covers routing AND writing the reply, so
+        // a drain never cuts a response mid-stream.
+        door.inflight.fetch_add(1, Ordering::SeqCst);
+        let response = match Endpoint::parse(&request) {
+            Ok(endpoint) => service.route(endpoint, &request),
+            Err(response) => response,
+        };
+        let wrote = conn.respond(&response, close);
+        door.inflight.fetch_sub(1, Ordering::SeqCst);
+        if wrote.is_err() || close {
+            return;
+        }
+    }
+}
+
+/// A cloneable handle on a running [`Server`](crate::Server) or
+/// [`Router`](crate::Router) that outlives its `join`: the signal path
+/// starts (and escalates) the drain through it, and the binaries flush
+/// the final metrics through it.
+#[derive(Clone)]
+pub struct ShutdownHandle {
+    service: Arc<dyn Service>,
+}
+
+impl ShutdownHandle {
+    /// Starts shutdown without blocking: new submissions get `503`
+    /// while every other endpoint keeps serving. With `abort`, a server
+    /// also cancels its queued and running jobs; a router holds no jobs,
+    /// so for it `abort` is the same drain. Idempotent, and callable
+    /// while (or after) another thread joins the service.
+    pub fn begin_shutdown(&self, abort: bool) {
+        self.service.begin_shutdown(abort);
+    }
+
+    /// `true` once shutdown has been requested (a signal, the
+    /// `/shutdown` endpoint, or [`ShutdownHandle::begin_shutdown`]).
+    pub fn shutdown_requested(&self) -> bool {
+        self.service.door().draining()
+    }
+
+    /// The operational metrics document (same as `GET /metrics`).
+    pub fn metrics_json(&self) -> String {
+        self.service.metrics_json()
+    }
+}
+
+/// Signals received so far; bumped from the (async-signal-safe) handler.
+static SIGNALS: AtomicU32 = AtomicU32::new(0);
+
+extern "C" fn on_signal(_signum: i32) {
+    SIGNALS.fetch_add(1, Ordering::SeqCst);
+}
+
+fn install_signal_handlers() {
+    // SIGINT = 2, SIGTERM = 15 on every platform this builds for. The
+    // libc `signal` entry point is reached directly to keep the crate
+    // zero-dependency.
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    // SAFETY: `signal` only installs the handler, and `on_signal` does
+    // nothing but an atomic add, which is async-signal-safe.
+    unsafe {
+        signal(2, on_signal as *const () as usize);
+        signal(15, on_signal as *const () as usize);
+    }
+}
+
+/// The tail of the `sim_server` and `sim_router` binaries, once the
+/// service listens on `addr`: writes `addr` to `addr_file`, serves
+/// until SIGINT, SIGTERM or `POST /shutdown`, drains through `join`,
+/// and writes the final metrics document to `metrics_path`. The first
+/// signal starts the drain; a second one calls
+/// [`ShutdownHandle::begin_shutdown`]`(true)`, which aborts a server's
+/// jobs.
+pub fn run_until_shutdown(
+    name: &str,
+    addr: SocketAddr,
+    handle: ShutdownHandle,
+    join: impl FnOnce(),
+    addr_file: Option<&str>,
+    metrics_path: Option<&str>,
+) -> Result<(), String> {
+    install_signal_handlers();
+    if let Some(path) = addr_file {
+        std::fs::write(path, format!("{addr}\n"))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+    }
+    let watcher = handle.clone();
+    // Detached: it exits with the process.
+    thread::spawn(move || loop {
+        match SIGNALS.load(Ordering::SeqCst) {
+            0 => {}
+            1 => watcher.begin_shutdown(false),
+            _ => {
+                watcher.begin_shutdown(true);
+                return;
+            }
+        }
+        thread::sleep(Duration::from_millis(50));
+    });
+
+    while !handle.shutdown_requested() {
+        thread::sleep(Duration::from_millis(50));
+    }
+    eprintln!("{name}: shutting down, draining in-flight work");
+    join();
+    // The handle outlives the join, so the flushed document carries the
+    // final post-drain counts.
+    if let Some(path) = metrics_path {
+        std::fs::write(path, handle.metrics_json())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("{name}: wrote final metrics to {path}");
+    }
+    eprintln!("{name}: drained and stopped");
+    Ok(())
 }
 
 /// A response about to be written: status, extra headers, body.

@@ -320,17 +320,6 @@ impl JobSpec {
         key
     }
 
-    /// FNV-1a hash of [`canonical_key`](JobSpec::canonical_key) — a
-    /// compact fingerprint for logs and metrics labels.
-    pub fn canonical_hash(&self) -> u64 {
-        let mut hash = 0xcbf29ce484222325u64;
-        for byte in self.canonical_key().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-        hash
-    }
-
     /// The resolved core configuration.
     pub fn core(&self) -> CoreConfig {
         match self.core_name.as_str() {
@@ -631,7 +620,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.canonical_key(), b.canonical_key(), "equivalent spellings must agree");
-        assert_eq!(a.canonical_hash(), b.canonical_hash());
 
         // Defaults spelled out explicitly still match the implicit form.
         let implicit = JobSpec::parse(r#"{"workload": {"kind": "crypto", "seed": 7}}"#).unwrap();

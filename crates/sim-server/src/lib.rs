@@ -13,9 +13,9 @@
 //!         │  POST /jobs {"workload": …} | {"trace": "x.cvpz"}
 //!         ▼
 //!   ┌────────────────────────── sim_server ──────────────────────────┐
-//!   │ accept loop ─▶ conn threads ──▶ BoundedQueue(depth N) ──▶      │
-//!   │     GET /jobs/<id>, /result,   │     │ full: 429 +        │    │
-//!   │     /healthz, /metrics         │     ▼ Retry-After        ▼    │
+//!   │ front door ─▶ conn threads ──▶ BoundedQueue(depth N) ──▶       │
+//!   │  (http.rs) GET /jobs/<id>,     │     │ full: 429 +        │    │
+//!   │    /result, /healthz, /metrics │     ▼ Retry-After        ▼    │
 //!   │                                │  job table          worker ×M │
 //!   │   ResultCache ◀── canonical ───┤ (status/result)  batch planner:
 //!   │   hit: born Done  key          │                  drain same   │
@@ -42,6 +42,12 @@
 //! these servers, sharding submissions by canonical source key on a
 //! consistent-hash [`ring`] so each shard's caches stay hot for "its"
 //! record streams; [`router`]'s module docs carry the fleet diagram.
+//!
+//! Both services stand behind one front door in [`http`]: one accept
+//! loop, one keep-alive connection loop, one endpoint table with the
+//! shared `404`/`405` answers, one drain rule, and one signal-and-drain
+//! tail ([`run_until_shutdown`]) for the two binaries. Each service
+//! keeps only its own routing.
 
 pub mod client;
 pub mod http;
@@ -54,10 +60,9 @@ pub mod router;
 pub mod server;
 
 pub use client::Connection;
+pub use http::{run_until_shutdown, ShutdownHandle};
 pub use jobspec::{JobError, JobSource, JobSpec};
-pub use queue::BoundedQueue;
-pub use result_cache::{ResultCache, ResultCacheStats};
 pub use ring::HashRing;
-pub use router::{Router, RouterConfig, RouterHandle};
-pub use server::{JobStatus, Server, ServerConfig, ShutdownHandle};
+pub use router::{Router, RouterConfig};
+pub use server::{JobStatus, Server, ServerConfig};
 pub use telemetry::json;

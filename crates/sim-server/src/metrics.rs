@@ -76,21 +76,6 @@ impl ServerMetrics {
         self.cancelled.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Jobs accepted so far.
-    pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Jobs rejected with `429` so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Jobs completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
     fn record_latency(&self, queued: Duration, ran: Duration) {
         lock(&self.queue_ms).record(queued.as_millis() as u64);
         lock(&self.run_ms).record(ran.as_millis() as u64);

@@ -15,10 +15,11 @@
 //!   │   eject on failure, re-admit on recovery
 //!   │ GET /jobs/s<shard>-<id>[/result] → proxied to that shard
 //!   │ GET /metrics → router.* + fleet sums scraped from shards
+//!   │ front door (http.rs) and drain: shared with sim_server
 //!   └───────────────────────────────────
 //! ```
 //!
-//! Routing is by the job's [`source key`](JobSpec::source_key) — the
+//! Routing is by the job's [`source key`](crate::JobSpec::source_key) — the
 //! same canonicalization the backends' batch planners and result caches
 //! use — so every spelling of a spec over one record stream lands on
 //! one shard, keeping that shard's artifact cache, fused batching, and
@@ -31,13 +32,18 @@
 //! routed trace-job result is still byte-for-byte what a local
 //! `champsim-run --metrics` writes) survives the extra hop.
 //!
+//! Accepting, connection handling, endpoint parsing and the drain wait
+//! are the front door in [`crate::http`], shared with `sim_server`;
+//! backend requests are written by [`Connection::send`], the client's
+//! one request writer.
+//!
 //! Shutdown is a single-grade drain: new submissions get `503` while
 //! status polls, result fetches, `/healthz`, and `/metrics` keep
 //! working; [`Router::join`] returns once the last in-flight proxied
 //! request has been answered.
 
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -45,10 +51,11 @@ use std::time::Duration;
 
 use telemetry::{catalog, Registry};
 
+use crate::client::Connection;
 use crate::http::{
-    read_response, ClientResponse, Request, Response, ServerConnection, POLL_INTERVAL,
+    ClientResponse, Door, Endpoint, FrontDoor, Request, Response, Service, ShutdownHandle,
+    POLL_INTERVAL,
 };
-use crate::jobspec::JobSpec;
 use crate::json;
 use crate::ring::{HashRing, DEFAULT_VNODES};
 
@@ -181,12 +188,7 @@ struct Shared {
     ring: HashRing,
     backends: Vec<Backend>,
     metrics: RouterMetrics,
-    /// Submissions refused (`503`); polls and fetches still served.
-    shutting_down: AtomicBool,
-    /// Connection threads and loops exit at next poll.
-    terminate: AtomicBool,
-    /// Requests currently being handled; the drain waits on zero.
-    inflight: AtomicU64,
+    door: Door,
 }
 
 impl Shared {
@@ -194,11 +196,45 @@ impl Shared {
         self.backends.iter().filter(|b| b.healthy.load(Ordering::SeqCst)).count()
     }
 
+    /// Opens a connection to a backend for one proxied exchange.
+    fn connect(&self, backend: &Backend) -> io::Result<Connection> {
+        Connection::connect_with_deadlines(
+            &backend.addr,
+            self.config.connect_timeout,
+            PROXY_IO_TIMEOUT,
+        )
+    }
+}
+
+impl Service for Shared {
+    fn door(&self) -> &Door {
+        &self.door
+    }
+
+    fn route(&self, endpoint: Endpoint<'_>, request: &Request) -> Response {
+        match endpoint {
+            Endpoint::Submit => forward_submit(request, self),
+            Endpoint::Healthz => healthz(self),
+            Endpoint::Metrics => Response::json(200, self.metrics_json()),
+            Endpoint::Shutdown => {
+                self.door.drain();
+                Response::json(200, "{\"status\":\"shutting down\"}")
+            }
+            Endpoint::Job { id, result } => proxy_job_get(id, result, self),
+        }
+    }
+
+    /// The router holds no job state, so there is nothing to abort:
+    /// both grades drain.
+    fn begin_shutdown(&self, _abort: bool) {
+        self.door.drain();
+    }
+
     fn metrics_json(&self) -> String {
         let mut fleet = FleetTotals::default();
         for backend in &self.backends {
             let Ok(response) =
-                forward_once(&backend.addr, "GET", "/metrics", "", self.config.connect_timeout)
+                self.connect(backend).and_then(|mut c| c.send("GET", "/metrics", ""))
             else {
                 continue;
             };
@@ -216,9 +252,8 @@ impl Shared {
 /// A running sharding router; see the module docs for the data flow.
 pub struct Router {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    health: Option<JoinHandle<()>>,
+    front: FrontDoor,
+    health: JoinHandle<()>,
 }
 
 impl Router {
@@ -233,8 +268,6 @@ impl Router {
             ));
         }
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let ring = HashRing::new(&config.backends, config.vnodes);
         let backends: Vec<Backend> = config
             .backends
@@ -249,17 +282,9 @@ impl Router {
             ring,
             backends,
             metrics: RouterMetrics::default(),
-            shutting_down: AtomicBool::new(false),
-            terminate: AtomicBool::new(false),
-            inflight: AtomicU64::new(0),
+            door: Door::default(),
         });
-        let accept = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("router-accept".to_owned())
-                .spawn(move || accept_loop(listener, &shared))
-                .expect("spawn accept loop")
-        };
+        let front = FrontDoor::open(listener, "router", shared.clone())?;
         let health = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
@@ -267,25 +292,12 @@ impl Router {
                 .spawn(move || health_loop(&shared))
                 .expect("spawn health loop")
         };
-        Ok(Router { shared, local_addr, accept: Some(accept), health: Some(health) })
+        Ok(Router { shared, front, health })
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Starts the drain without blocking: new submissions get `503`,
-    /// everything else keeps serving. Idempotent; call
-    /// [`Router::join`] afterwards to wait it out.
-    pub fn begin_shutdown(&self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-    }
-
-    /// `true` once shutdown has been requested (signal handler, the
-    /// `/shutdown` endpoint, or [`Router::begin_shutdown`]).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
+        self.front.local_addr()
     }
 
     /// Backends the health checker currently considers live.
@@ -301,71 +313,24 @@ impl Router {
     /// A cloneable handle that outlives [`Router::join`]; signal
     /// handlers use it to trigger the drain, and the binary uses it to
     /// flush final metrics afterwards.
-    pub fn shutdown_handle(&self) -> RouterHandle {
-        RouterHandle { shared: Arc::clone(&self.shared) }
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        self.front.handle()
     }
 
     /// Drains and stops: refuses new submissions, waits for in-flight
     /// proxied requests to finish, then tears down the accept and
     /// health loops.
-    pub fn join(mut self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        while self.shared.inflight.load(Ordering::SeqCst) > 0 {
-            thread::sleep(Duration::from_millis(5));
-        }
-        self.shared.terminate.store(true, Ordering::SeqCst);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        if let Some(health) = self.health.take() {
-            let _ = health.join();
-        }
-    }
-}
-
-/// See [`Router::shutdown_handle`].
-#[derive(Clone)]
-pub struct RouterHandle {
-    shared: Arc<Shared>,
-}
-
-impl RouterHandle {
-    /// Same as [`Router::begin_shutdown`]; callable while (or after)
-    /// another thread joins the router.
-    pub fn begin_shutdown(&self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-    }
-
-    /// `true` once shutdown has been requested.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
-    }
-
-    /// The operational metrics document (same as `GET /metrics`).
-    pub fn metrics_json(&self) -> String {
-        self.shared.metrics_json()
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    while !shared.terminate.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(shared);
-                let _ = thread::Builder::new()
-                    .name("router-conn".to_owned())
-                    .spawn(move || handle_connection(stream, &shared));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
-            Err(_) => thread::sleep(POLL_INTERVAL),
-        }
+    pub fn join(self) {
+        self.shared.door.drain();
+        self.front.close();
+        let _ = self.health.join();
     }
 }
 
 fn health_loop(shared: &Arc<Shared>) {
-    while !shared.terminate.load(Ordering::SeqCst) {
+    while !shared.door.closed() {
         for backend in &shared.backends {
-            if shared.terminate.load(Ordering::SeqCst) {
+            if shared.door.closed() {
                 return;
             }
             let live = probe(&backend.addr, shared.config.connect_timeout);
@@ -377,7 +342,7 @@ fn health_loop(shared: &Arc<Shared>) {
             }
         }
         let mut slept = Duration::ZERO;
-        while slept < shared.config.health_interval && !shared.terminate.load(Ordering::SeqCst) {
+        while slept < shared.config.health_interval && !shared.door.closed() {
             let step = Duration::from_millis(10).min(shared.config.health_interval - slept);
             thread::sleep(step);
             slept += step;
@@ -389,14 +354,8 @@ fn health_loop(shared: &Arc<Shared>) {
 /// `"status":"ok"`. A *draining* backend reports `"draining"` and is
 /// treated as unhealthy — it would refuse new submissions anyway.
 fn probe(addr: &str, timeout: Duration) -> bool {
-    match forward_once_with_deadline(
-        addr,
-        "GET",
-        "/healthz",
-        "",
-        timeout,
-        timeout.max(POLL_INTERVAL),
-    ) {
+    let connection = Connection::connect_with_deadlines(addr, timeout, timeout.max(POLL_INTERVAL));
+    match connection.and_then(|mut c| c.send("GET", "/healthz", "")) {
         Ok(response) if response.status == 200 => {
             let text = response.text();
             json::Value::parse(&text)
@@ -410,57 +369,16 @@ fn probe(addr: &str, timeout: Duration) -> bool {
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let Ok(mut conn) = ServerConnection::new(stream) else { return };
-    while let Some(request) = conn.next_request(&shared.terminate) {
-        let close = request.wants_close() || shared.terminate.load(Ordering::SeqCst);
-        // The in-flight window covers routing AND writing the reply, so
-        // a drain never cuts a proxied response mid-stream.
-        shared.inflight.fetch_add(1, Ordering::SeqCst);
-        let response = route(&request, shared);
-        let wrote = conn.respond(&response, close);
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        if wrote.is_err() || close {
-            return;
-        }
-    }
-}
-
-fn route(request: &Request, shared: &Arc<Shared>) -> Response {
-    let path = request.path.as_str();
-    match (request.method.as_str(), path) {
-        ("POST", "/jobs") => forward_submit(request, shared),
-        ("GET", "/healthz") => healthz(shared),
-        ("GET", "/metrics") => Response::json(200, shared.metrics_json()),
-        ("POST", "/shutdown") => {
-            shared.shutting_down.store(true, Ordering::SeqCst);
-            Response::json(200, "{\"status\":\"shutting down\"}")
-        }
-        ("GET", _) if path.starts_with("/jobs/") => proxy_job_get(path, shared),
-        (_, "/jobs" | "/healthz" | "/metrics" | "/shutdown") => {
-            Response::error(405, "method not allowed")
-        }
-        (_, _) if path.starts_with("/jobs/") => Response::error(405, "method not allowed"),
-        _ => Response::error(404, "no such endpoint"),
-    }
-}
-
 /// Validates the spec locally (a bad body earns its `400` without
 /// touching any shard), routes by source key, and walks the ring's
 /// distinct replicas until one accepts. `429`/`503` answers and
 /// unreachable shards both advance the walk; busy shards additionally
 /// pace it with capped exponential backoff.
-fn forward_submit(request: &Request, shared: &Arc<Shared>) -> Response {
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        return Response::error(503, "router is draining").with_header("retry-after", "1");
-    }
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(body) => body,
-        Err(_) => return Response::error(400, "body is not UTF-8"),
-    };
-    let spec = match JobSpec::parse(body) {
-        Ok(spec) => spec,
-        Err(message) => return Response::error(400, &message),
+fn forward_submit(request: &Request, shared: &Shared) -> Response {
+    let refusal = || Response::error(503, "router is draining").with_header("retry-after", "1");
+    let (body, spec) = match shared.door.submission(request, refusal) {
+        Ok(submission) => submission,
+        Err(response) => return response,
     };
     let preference = shared.ring.preference(&spec.source_key());
     // Prefer live shards in ring order; when the health checker has
@@ -483,7 +401,7 @@ fn forward_submit(request: &Request, shared: &Arc<Shared>) -> Response {
             }
         }
         let backend = &shared.backends[index];
-        match forward_once(&backend.addr, "POST", "/jobs", body, shared.config.connect_timeout) {
+        match shared.connect(backend).and_then(|mut c| c.send("POST", "/jobs", body)) {
             Ok(response) if response.status == 202 => {
                 shared.metrics.note_routed();
                 let text = response.text();
@@ -522,12 +440,7 @@ fn forward_submit(request: &Request, shared: &Arc<Shared>) -> Response {
 /// Proxy `GET /jobs/s<shard>-<id>[/result]` to the owning shard.
 /// Health status is ignored here: a draining shard still serves its
 /// job table, and the job's state lives nowhere else.
-fn proxy_job_get(path: &str, shared: &Arc<Shared>) -> Response {
-    let rest = &path["/jobs/".len()..];
-    let (id_text, want_result) = match rest.strip_suffix("/result") {
-        Some(id_text) => (id_text, true),
-        None => (rest, false),
-    };
+fn proxy_job_get(id_text: &str, want_result: bool, shared: &Shared) -> Response {
     let Some((shard, raw_id)) = parse_shard_id(id_text) else {
         return Response::error(404, "malformed job id (router job ids look like \"s0-17\")");
     };
@@ -540,7 +453,7 @@ fn proxy_job_get(path: &str, shared: &Arc<Shared>) -> Response {
     let backend = &shared.backends[shard];
     let backend_path =
         if want_result { format!("/jobs/{raw_id}/result") } else { format!("/jobs/{raw_id}") };
-    match forward_once(&backend.addr, "GET", &backend_path, "", shared.config.connect_timeout) {
+    match shared.connect(backend).and_then(|mut c| c.send("GET", &backend_path, "")) {
         // A finished result document is relayed verbatim: this is the
         // byte-identity anchor, never rewritten.
         Ok(response) if want_result && response.status == 200 => relay(response),
@@ -570,8 +483,8 @@ fn proxy_job_get(path: &str, shared: &Arc<Shared>) -> Response {
     }
 }
 
-fn healthz(shared: &Arc<Shared>) -> Response {
-    let draining = shared.shutting_down.load(Ordering::SeqCst);
+fn healthz(shared: &Shared) -> Response {
+    let draining = shared.door.draining();
     let mut shards = String::from("[");
     for (index, backend) in shared.backends.iter().enumerate() {
         if index > 0 {
@@ -598,48 +511,6 @@ fn healthz(shared: &Arc<Shared>) -> Response {
 /// owns the long waits).
 fn backoff(attempt: usize) -> Duration {
     Duration::from_millis(25u64 << attempt.min(3))
-}
-
-/// One short-lived proxied exchange with a backend.
-fn forward_once(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &str,
-    connect_timeout: Duration,
-) -> io::Result<ClientResponse> {
-    forward_once_with_deadline(addr, method, path, body, connect_timeout, PROXY_IO_TIMEOUT)
-}
-
-fn forward_once_with_deadline(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &str,
-    connect_timeout: Duration,
-    io_timeout: Duration,
-) -> io::Result<ClientResponse> {
-    let sock = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?;
-    let stream = TcpStream::connect_timeout(&sock, connect_timeout)?;
-    stream.set_read_timeout(Some(io_timeout))?;
-    stream.set_write_timeout(Some(io_timeout))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: sim-router\r\nconnection: close\r\n");
-    if !body.is_empty() {
-        head.push_str(&format!(
-            "content-type: application/json\r\ncontent-length: {}\r\n",
-            body.len()
-        ));
-    }
-    head.push_str("\r\n");
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body.as_bytes())?;
-    writer.flush()?;
-    read_response(&mut BufReader::new(stream))
 }
 
 /// Rewrites a backend body's leading `{"id":<n>` to the

@@ -1,11 +1,13 @@
-//! The job service itself: listener, connection handling, worker pool,
-//! job table, and shutdown choreography.
+//! The job service itself: routing, worker pool, job table, and
+//! shutdown choreography. Accepting, connection handling, endpoint
+//! parsing and the drain wait are the front door in [`crate::http`],
+//! shared with the router.
 //!
 //! ```text
-//!                  connection threads                     worker pool
-//!   TCP accept ──▶ parse request ──▶ BoundedQueue ──────▶ pop (id, source key)
-//!   (nonblocking,     │   │ full       (depth N)          │ drain_matching:
-//!    poll loop)       │   └──▶ 429 + Retry-After          │ claim co-queued jobs
+//!                  Service::route                         worker pool
+//!   front door ──▶ POST /jobs ─────▶ BoundedQueue ──────▶ pop (id, source key)
+//!   (http.rs,         │   │ full       (depth N)          │ drain_matching:
+//!    shared)          │   └──▶ 429 + Retry-After          │ claim co-queued jobs
 //!                     │                                   ▼ with same source key
 //!                     ├──▶ ResultCache hit ─▶ Done   JobSpec::execute_batch
 //!                     │    (canonical key)          (one fused streaming pass,
@@ -33,13 +35,14 @@
 //! (`begin_shutdown(true)`): the backlog is drained to `cancelled` and
 //! every in-flight token is tripped, so running simulations stop at
 //! their next cooperative check and report `cancelled`. In both grades
-//! [`Server::join`] returns only after the workers and the accept loop
-//! have exited.
+//! [`Server::join`] returns only after the workers have exited, every
+//! request being routed has had its response written, and the accept
+//! loop has stopped.
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -47,7 +50,7 @@ use std::time::{Duration, Instant};
 use experiments::ArtifactCache;
 use sim::CancelToken;
 
-use crate::http::{Request, Response, ServerConnection, POLL_INTERVAL};
+use crate::http::{Door, Endpoint, FrontDoor, Request, Response, Service, ShutdownHandle};
 use crate::jobspec::{JobError, JobSpec};
 use crate::json;
 use crate::metrics::ServerMetrics;
@@ -159,10 +162,7 @@ struct Shared {
     metrics: ServerMetrics,
     cache: ArtifactCache,
     result_cache: ResultCache,
-    /// Submissions refused (`503`); polls and fetches still served.
-    shutting_down: AtomicBool,
-    /// Connection threads and the accept loop exit at next poll.
-    terminate: AtomicBool,
+    door: Door,
 }
 
 impl Shared {
@@ -177,6 +177,51 @@ impl Shared {
     fn inflight_lock(&self) -> MutexGuard<'_, HashMap<String, Inflight>> {
         self.inflight.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
+}
+
+impl Service for Shared {
+    fn door(&self) -> &Door {
+        &self.door
+    }
+
+    fn route(&self, endpoint: Endpoint<'_>, request: &Request) -> Response {
+        match endpoint {
+            Endpoint::Submit => submit(request, self),
+            Endpoint::Healthz => healthz(self),
+            Endpoint::Metrics => Response::json(200, self.metrics_json()),
+            Endpoint::Shutdown => shutdown_endpoint(request, self),
+            Endpoint::Job { id, result } => job_endpoint(id, result, self),
+        }
+    }
+
+    fn begin_shutdown(&self, abort: bool) {
+        self.door.drain();
+        if abort {
+            let mut doomed: Vec<u64> =
+                self.queue.close_and_drain().into_iter().map(|(id, _)| id).collect();
+            // Followers never sit in the queue; drain the in-flight map so
+            // they are not stranded waiting for a primary that will report
+            // cancellation (or was itself just drained).
+            for (_, entry) in self.inflight_lock().drain() {
+                doomed.extend(entry.followers);
+            }
+            for id in doomed {
+                if let Some(job) = self.job(id) {
+                    let mut state = job.lock();
+                    if !state.status.is_terminal() {
+                        state.status = JobStatus::Cancelled;
+                        state.finished = Some(Instant::now());
+                        self.metrics.note_cancelled();
+                    }
+                }
+            }
+            for job in self.jobs_lock().values() {
+                job.token.cancel();
+            }
+        } else {
+            self.queue.close();
+        }
+    }
 
     fn metrics_json(&self) -> String {
         self.metrics.export(self.queue.len(), self.result_cache.stats()).to_json()
@@ -186,8 +231,7 @@ impl Shared {
 /// A running job service; see the module docs for the thread layout.
 pub struct Server {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    front: FrontDoor,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -196,8 +240,6 @@ impl Server {
     /// returns once the listener is live.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let worker_count = config.workers.max(1);
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_depth),
@@ -208,8 +250,7 @@ impl Server {
             next_id: AtomicU64::new(1),
             metrics: ServerMetrics::default(),
             cache: ArtifactCache::with_spill(None),
-            shutting_down: AtomicBool::new(false),
-            terminate: AtomicBool::new(false),
+            door: Door::default(),
         });
         let workers = (0..worker_count)
             .map(|i| {
@@ -220,19 +261,15 @@ impl Server {
                     .expect("spawn worker")
             })
             .collect();
-        let accept = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("sim-accept".to_owned())
-                .spawn(move || accept_loop(listener, &shared))
-                .expect("spawn accept loop")
-        };
-        Ok(Server { shared, local_addr, accept: Some(accept), workers })
+        // Closing the queue lets the workers exit if the listener fails.
+        let front = FrontDoor::open(listener, "sim", shared.clone())
+            .inspect_err(|_| shared.queue.close())?;
+        Ok(Server { shared, front, workers })
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// Starts shutdown without blocking: refuse new submissions, close
@@ -240,22 +277,13 @@ impl Server {
     /// Idempotent. Call [`Server::join`] afterwards to wait out the
     /// drain.
     pub fn begin_shutdown(&self, abort: bool) {
-        begin_shutdown(&self.shared, abort);
+        self.shared.begin_shutdown(abort);
     }
 
     /// `true` once shutdown has been requested (signal handler, the
     /// `/shutdown` endpoint, or [`Server::begin_shutdown`]).
     pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
-    }
-
-    /// Jobs accepted / rejected / completed so far (for smoke checks).
-    pub fn job_counts(&self) -> (u64, u64, u64) {
-        (
-            self.shared.metrics.accepted(),
-            self.shared.metrics.rejected(),
-            self.shared.metrics.completed(),
-        )
+        self.shared.door.draining()
     }
 
     /// The operational metrics document (same as `GET /metrics`).
@@ -267,131 +295,27 @@ impl Server {
     /// handlers use it to trigger (and escalate) shutdown, and the
     /// binary uses it to flush final metrics after the drain.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle { shared: Arc::clone(&self.shared) }
+        self.front.handle()
     }
 
-    /// Waits for the workers to finish the (possibly drained) backlog,
-    /// then stops the accept loop and open connections. Implies
-    /// [`Server::begin_shutdown`]`(false)` if shutdown wasn't already
-    /// requested.
-    pub fn join(mut self) {
-        begin_shutdown(&self.shared, false);
-        for worker in self.workers.drain(..) {
+    /// Waits for the workers to finish the (possibly drained) backlog
+    /// and for every response being written, then stops the accept loop
+    /// and open connections. Implies [`Server::begin_shutdown`]`(false)`
+    /// if shutdown wasn't already requested.
+    pub fn join(self) {
+        self.shared.begin_shutdown(false);
+        for worker in self.workers {
             let _ = worker.join();
         }
-        self.shared.terminate.store(true, Ordering::SeqCst);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        self.front.close();
     }
 }
 
-/// See [`Server::shutdown_handle`].
-#[derive(Clone)]
-pub struct ShutdownHandle {
-    shared: Arc<Shared>,
-}
-
-impl ShutdownHandle {
-    /// Same as [`Server::begin_shutdown`]; callable while (or after)
-    /// another thread joins the server.
-    pub fn begin_shutdown(&self, abort: bool) {
-        begin_shutdown(&self.shared, abort);
-    }
-
-    /// `true` once shutdown has been requested.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
-    }
-
-    /// The operational metrics document (same as `GET /metrics`).
-    pub fn metrics_json(&self) -> String {
-        self.shared.metrics_json()
-    }
-}
-
-fn begin_shutdown(shared: &Shared, abort: bool) {
-    shared.shutting_down.store(true, Ordering::SeqCst);
-    if abort {
-        let mut doomed: Vec<u64> =
-            shared.queue.close_and_drain().into_iter().map(|(id, _)| id).collect();
-        // Followers never sit in the queue; drain the in-flight map so
-        // they are not stranded waiting for a primary that will report
-        // cancellation (or was itself just drained).
-        for (_, entry) in shared.inflight_lock().drain() {
-            doomed.extend(entry.followers);
-        }
-        for id in doomed {
-            if let Some(job) = shared.job(id) {
-                let mut state = job.lock();
-                if !state.status.is_terminal() {
-                    state.status = JobStatus::Cancelled;
-                    state.finished = Some(Instant::now());
-                    shared.metrics.note_cancelled();
-                }
-            }
-        }
-        for job in shared.jobs_lock().values() {
-            job.token.cancel();
-        }
-    } else {
-        shared.queue.close();
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    while !shared.terminate.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(shared);
-                let _ = thread::Builder::new()
-                    .name("sim-conn".to_owned())
-                    .spawn(move || handle_connection(stream, &shared));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
-            Err(_) => thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let Ok(mut conn) = ServerConnection::new(stream) else { return };
-    while let Some(request) = conn.next_request(&shared.terminate) {
-        let close = request.wants_close() || shared.terminate.load(Ordering::SeqCst);
-        let response = route(&request, shared);
-        if conn.respond(&response, close).is_err() || close {
-            return;
-        }
-    }
-}
-
-fn route(request: &Request, shared: &Arc<Shared>) -> Response {
-    let path = request.path.as_str();
-    match (request.method.as_str(), path) {
-        ("POST", "/jobs") => submit(request, shared),
-        ("GET", "/healthz") => healthz(shared),
-        ("GET", "/metrics") => Response::json(200, shared.metrics_json()),
-        ("POST", "/shutdown") => shutdown_endpoint(request, shared),
-        ("GET", _) if path.starts_with("/jobs/") => job_endpoint(path, shared),
-        (_, "/jobs" | "/healthz" | "/metrics" | "/shutdown") => {
-            Response::error(405, "method not allowed")
-        }
-        (_, _) if path.starts_with("/jobs/") => Response::error(405, "method not allowed"),
-        _ => Response::error(404, "no such endpoint"),
-    }
-}
-
-fn submit(request: &Request, shared: &Arc<Shared>) -> Response {
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        return Response::error(503, "server is shutting down");
-    }
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(body) => body,
-        Err(_) => return Response::error(400, "body is not UTF-8"),
-    };
-    let spec = match JobSpec::parse(body) {
-        Ok(spec) => spec,
-        Err(message) => return Response::error(400, &message),
+fn submit(request: &Request, shared: &Shared) -> Response {
+    let refusal = || Response::error(503, "server is shutting down");
+    let spec = match shared.door.submission(request, refusal) {
+        Ok((_, spec)) => spec,
+        Err(response) => return response,
     };
     let canonical_key = spec.canonical_key();
     let source_key = spec.source_key();
@@ -484,8 +408,8 @@ fn remove_inflight_entry(shared: &Shared, key: &str, id: u64) -> Vec<u64> {
     }
 }
 
-fn healthz(shared: &Arc<Shared>) -> Response {
-    let status = if shared.shutting_down.load(Ordering::SeqCst) { "draining" } else { "ok" };
+fn healthz(shared: &Shared) -> Response {
+    let status = if shared.door.draining() { "draining" } else { "ok" };
     Response::json(
         200,
         format!(
@@ -496,23 +420,18 @@ fn healthz(shared: &Arc<Shared>) -> Response {
     )
 }
 
-fn shutdown_endpoint(request: &Request, shared: &Arc<Shared>) -> Response {
+fn shutdown_endpoint(request: &Request, shared: &Shared) -> Response {
     let abort = std::str::from_utf8(&request.body)
         .ok()
         .filter(|body| !body.trim().is_empty())
         .and_then(|body| json::Value::parse(body).ok())
         .and_then(|v| v.get("abort").and_then(json::Value::as_bool))
         .unwrap_or(false);
-    begin_shutdown(shared, abort);
+    shared.begin_shutdown(abort);
     Response::json(200, format!("{{\"status\":\"shutting down\",\"abort\":{abort}}}"))
 }
 
-fn job_endpoint(path: &str, shared: &Arc<Shared>) -> Response {
-    let rest = &path["/jobs/".len()..];
-    let (id_text, want_result) = match rest.strip_suffix("/result") {
-        Some(id_text) => (id_text, true),
-        None => (rest, false),
-    };
+fn job_endpoint(id_text: &str, want_result: bool, shared: &Shared) -> Response {
     let Ok(id) = id_text.parse::<u64>() else {
         return Response::error(404, "malformed job id");
     };

@@ -124,6 +124,37 @@ fn slow_clients_keep_their_partial_request() {
     backend.join();
 }
 
+/// Both front doors diagnose protocol errors alike — a malformed body
+/// is `400` with the byte offset, an unknown path `404`, a wrong method
+/// `405`, a malformed job id `404` — and `POST /shutdown` starts the
+/// drain, after which submissions get `503`.
+#[test]
+fn api_error_paths_match_on_both_front_doors() {
+    let backend = start_backend(4, 1);
+    let router = start_router(vec![backend.local_addr().to_string()]);
+    let doors = [
+        ("server", backend.local_addr(), backend.shutdown_handle()),
+        ("router", router.local_addr(), router.shutdown_handle()),
+    ];
+    for (name, addr, handle) in &doors {
+        let mut conn = Connection::connect(&addr.to_string()).unwrap();
+        let bad_json = conn.send("POST", "/jobs", "{not json").unwrap();
+        assert_eq!(bad_json.status, 400, "{name}");
+        assert!(bad_json.text().contains("at byte"), "{name}: {}", bad_json.text());
+        assert_eq!(conn.send("GET", "/nope", "").unwrap().status, 404, "{name}");
+        assert_eq!(conn.send("DELETE", "/jobs", "").unwrap().status, 405, "{name}");
+        assert_eq!(conn.send("GET", "/jobs/bogus", "").unwrap().status, 404, "{name}");
+
+        assert!(!handle.shutdown_requested(), "{name}");
+        assert_eq!(conn.send("POST", "/shutdown", "").unwrap().status, 200, "{name}");
+        assert!(handle.shutdown_requested(), "{name}");
+        let refused = conn.send("POST", "/jobs", &body_for_seed(1, 3_000)).unwrap();
+        assert_eq!(refused.status, 503, "{name}: {}", refused.text());
+    }
+    router.join();
+    backend.join();
+}
+
 /// A backend that is down when the router starts begins life ejected:
 /// `/healthz` reports it unhealthy, and submissions homed on it fail
 /// over to the live shard instead of erroring.

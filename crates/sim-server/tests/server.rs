@@ -165,9 +165,9 @@ fn overflow_gets_429_with_retry_after() {
     assert!(rejected >= 1, "a depth-1 queue under burst must reject");
     let health = conn.send("GET", "/healthz", "").unwrap().text();
     assert!(health.contains("\"queue_capacity\":1"), "{health}");
-    let (counted_accepted, counted_rejected, _) = server.job_counts();
-    assert_eq!(counted_accepted, accepted);
-    assert_eq!(counted_rejected, rejected);
+    let metrics = server.metrics_json();
+    assert_eq!(metric_count(&metrics, "server.jobs.accepted"), accepted);
+    assert_eq!(metric_count(&metrics, "server.jobs.rejected"), rejected);
     server.join();
 }
 
@@ -192,8 +192,7 @@ fn graceful_shutdown_drains_accepted_jobs() {
         let doc = conn.fetch(id).unwrap();
         assert!(doc.contains("sim.ipc"), "drained job result is a metrics document");
     }
-    let (_, _, completed) = server.job_counts();
-    assert_eq!(completed, 3);
+    assert_eq!(metric_count(&server.metrics_json(), "server.jobs.completed"), 3);
     server.join();
 }
 
@@ -414,7 +413,7 @@ fn client_run_backs_off_through_an_overloaded_server() {
         )
         .unwrap();
     assert!(doc.contains("sim.ipc"), "retried job returns a metrics document");
-    let (_, rejected, _) = server.job_counts();
+    let rejected = metric_count(&server.metrics_json(), "server.jobs.rejected");
     assert!(rejected >= 1, "the server must actually have pushed back");
     server.join();
 }
