@@ -308,8 +308,8 @@ impl JobSpec {
     /// every knob that shapes the result document. Two request bodies
     /// that parse to the same spec — regardless of field order,
     /// whitespace, or spelled-out defaults — get the same key, which is
-    /// what makes the server's result cache and in-flight coalescing
-    /// sound.
+    /// what makes the server's execution table (coalescing and result
+    /// cache) sound.
     pub fn canonical_key(&self) -> String {
         let mut key = String::new();
         write_source_key(&mut key, &self.source, self.improvements);

@@ -13,14 +13,16 @@
 //!         │  POST /jobs {"workload": …} | {"trace": "x.cvpz"}
 //!         ▼
 //!   ┌────────────────────────── sim_server ──────────────────────────┐
-//!   │ front door ─▶ conn threads ──▶ BoundedQueue(depth N) ──▶       │
-//!   │  (http.rs) GET /jobs/<id>,     │     │ full: 429 +        │    │
-//!   │    /result, /healthz, /metrics │     ▼ Retry-After        ▼    │
-//!   │                                │  job table          worker ×M │
-//!   │   ResultCache ◀── canonical ───┤ (status/result)  batch planner:
-//!   │   hit: born Done  key          │                  drain same   │
-//!   │   in-flight map ◀── duplicate ─┘                  source key   │
-//!   │   attach as follower                                   │       │
+//!   │ front door ─▶ conn threads ─▶ execution table ──▶ BoundedQueue │
+//!   │  (http.rs)      │ POST /jobs   (canonical key)     (depth N)   │
+//!   │                 │              done: born Done     │ full: 429 │
+//!   │  GET /jobs/<id>, /result,      (LRU-bounded)       │ + Retry-  │
+//!   │  /healthz, /metrics            queued/running:     ▼ After     │
+//!   │                 │              attach          worker ×M       │
+//!   │                 ▼                              batch planner:  │
+//!   │  job table: id → execution +                   drain same      │
+//!   │  own submission and deadline                   source key      │
+//!   │                                                    │           │
 //!   │                                         JobSpec::execute_batch │
 //!   │                                        (one fused pass ×N cfg) │
 //!   │                                         ArtifactCache          │
@@ -34,9 +36,10 @@
 //! bytes identical to a local `champsim-run --metrics` of the same
 //! trace and configuration. Batching preserves this: a batch and a
 //! solo run both go through the one engine loop
-//! ([`sim::Simulator::run_fused`]), and the result cache memoizes
-//! finished documents verbatim, so batched and cached results are
-//! byte-identical to unbatched ones.
+//! ([`sim::Simulator::run_fused`]), and the execution table keeps each
+//! finished document verbatim, once, for every job of that spec, so
+//! batched, coalesced and cached results are byte-identical to
+//! unbatched ones.
 //!
 //! Scale-out lives in [`router`]: the `sim_router` binary fronts N of
 //! these servers, sharding submissions by canonical source key on a
@@ -54,7 +57,6 @@ pub mod http;
 pub mod jobspec;
 pub mod metrics;
 pub mod queue;
-pub mod result_cache;
 pub mod ring;
 pub mod router;
 pub mod server;

@@ -13,8 +13,6 @@ use std::time::Duration;
 
 use telemetry::{catalog, Log2Histogram, Registry};
 
-use crate::result_cache::ResultCacheStats;
-
 /// Aggregated lifetime metrics for one server instance.
 #[derive(Default)]
 pub struct ServerMetrics {
@@ -24,6 +22,9 @@ pub struct ServerMetrics {
     failed: AtomicU64,
     cancelled: AtomicU64,
     coalesced: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    cache_evictions: AtomicU64,
     batch_passes: AtomicU64,
     batch_fused_jobs: AtomicU64,
     queue_ms: Mutex<Log2Histogram>,
@@ -42,6 +43,21 @@ impl ServerMetrics {
     /// to its execution instead of queueing.
     pub fn note_coalesced(&self) {
         self.coalesced.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A submission found its spec's document memoized.
+    pub fn note_cache_hit(&self) {
+        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A submission found no memoized document for its spec.
+    pub fn note_cache_miss(&self) {
+        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `count` memoized documents were dropped to stay within capacity.
+    pub fn note_evicted(&self, count: u64) {
+        self.cache_evictions.fetch_add(count, Ordering::Relaxed);
     }
 
     /// A worker dispatched one fused streaming pass over `size` jobs.
@@ -82,10 +98,9 @@ impl ServerMetrics {
         lock(&self.total_ms).record((queued + ran).as_millis() as u64);
     }
 
-    /// Snapshots everything into a registry; `queue_depth` and
-    /// `cache_stats` are sampled by the caller (the queue and result
-    /// cache live next to, not inside, the metrics).
-    pub fn export(&self, queue_depth: usize, cache_stats: ResultCacheStats) -> Registry {
+    /// Snapshots everything into a registry; `queue_depth` is sampled
+    /// by the caller (the queue lives next to, not inside, the metrics).
+    pub fn export(&self, queue_depth: usize) -> Registry {
         let mut registry = Registry::new();
         registry.label("tool", "sim-server");
         registry.counter(&catalog::SERVER_JOBS_ACCEPTED, self.accepted.load(Ordering::Relaxed));
@@ -99,9 +114,16 @@ impl ServerMetrics {
             &catalog::SERVER_BATCH_FUSED_JOBS,
             self.batch_fused_jobs.load(Ordering::Relaxed),
         );
-        registry.counter(&catalog::SERVER_RESULT_CACHE_HITS, cache_stats.hits);
-        registry.counter(&catalog::SERVER_RESULT_CACHE_MISSES, cache_stats.misses);
-        registry.counter(&catalog::SERVER_RESULT_CACHE_EVICTIONS, cache_stats.evictions);
+        registry
+            .counter(&catalog::SERVER_RESULT_CACHE_HITS, self.cache_hits.load(Ordering::Relaxed));
+        registry.counter(
+            &catalog::SERVER_RESULT_CACHE_MISSES,
+            self.cache_misses.load(Ordering::Relaxed),
+        );
+        registry.counter(
+            &catalog::SERVER_RESULT_CACHE_EVICTIONS,
+            self.cache_evictions.load(Ordering::Relaxed),
+        );
         registry.gauge(&catalog::SERVER_QUEUE_DEPTH, queue_depth as f64);
         registry.histogram(&catalog::SERVER_LATENCY_QUEUE, lock(&self.queue_ms).clone());
         registry.histogram(&catalog::SERVER_LATENCY_RUN, lock(&self.run_ms).clone());
@@ -131,8 +153,14 @@ mod tests {
         m.note_coalesced();
         m.note_batch(1);
         m.note_batch(3);
-        let cache_stats = ResultCacheStats { hits: 4, misses: 6, evictions: 2 };
-        let registry = m.export(3, cache_stats);
+        for _ in 0..4 {
+            m.note_cache_hit();
+        }
+        for _ in 0..6 {
+            m.note_cache_miss();
+        }
+        m.note_evicted(2);
+        let registry = m.export(3);
         assert_eq!(registry.counter_value("server.jobs.accepted"), 2);
         assert_eq!(registry.counter_value("server.jobs.rejected"), 1);
         assert_eq!(registry.counter_value("server.jobs.completed"), 1);

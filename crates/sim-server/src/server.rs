@@ -1,31 +1,43 @@
-//! The job service itself: routing, worker pool, job table, and
+//! The job service itself: routing, worker pool, execution table, and
 //! shutdown choreography. Accepting, connection handling, endpoint
 //! parsing and the drain wait are the front door in [`crate::http`],
 //! shared with the router.
 //!
 //! ```text
-//!                  Service::route                         worker pool
-//!   front door ──▶ POST /jobs ─────▶ BoundedQueue ──────▶ pop (id, source key)
-//!   (http.rs,         │   │ full       (depth N)          │ drain_matching:
-//!    shared)          │   └──▶ 429 + Retry-After          │ claim co-queued jobs
-//!                     │                                   ▼ with same source key
-//!                     ├──▶ ResultCache hit ─▶ Done   JobSpec::execute_batch
-//!                     │    (canonical key)          (one fused streaming pass,
-//!                     ├──▶ in-flight dup ─▶ attach   N reports; shared cache,
-//!                     │    as follower              per-job cancel tokens)
-//!      GET /jobs/<id>[/result], /healthz, /metrics        │
-//!                     │                                   ▼
-//!                     └──▶ job table lookup ◀──── record outcomes, fill
-//!                                                 cache, settle followers
+//!                  Service::route
+//!   front door ──▶ POST /jobs ──▶ execution table (canonical key)
+//!   (http.rs,         │            ├─ done: job born done (LRU hit)
+//!    shared)          │            ├─ queued/running: attach, extend deadline
+//!                     │            └─ none: new execution ──▶ BoundedQueue
+//!                     │                  full: 429 + Retry-After   (depth N)
+//!                     │                                               │
+//!                     │                       worker pool: pop an execution,
+//!                     │                       drain_matching claims co-queued
+//!                     │                       ones with the same source key
+//!                     │                                               ▼
+//!      GET /jobs/<id>[/result], /healthz, /metrics      JobSpec::execute_batch
+//!                     │                                 (one fused pass, N reports;
+//!                     │                                  one token per execution)
+//!                     │                                               │
+//!                     └──▶ job table: id → execution ◀──── settle: store the outcome
+//!                          + own submission, deadline      once, decide each job,
+//!                                                          keep done ones (LRU)
 //! ```
 //!
-//! The submission fast paths come first: a result-cache hit (keyed by
-//! the [`canonical job-spec key`](JobSpec::canonical_key)) creates the
-//! job already `Done` with the memoized document, and a submission that
-//! duplicates a job still in flight attaches to that execution as a
-//! *follower* — accepted, never queued, settled when the primary
-//! finishes. Everything else queues as `(id, source key)`; a worker
-//! that pops a job scans the queue for co-queued jobs with the same
+//! The table holds one execution per
+//! [`canonical job-spec key`](JobSpec::canonical_key): queued and
+//! running ones, plus up to `result_cache_entries` done ones kept under
+//! a least-recently-used rule. A submission whose key finds a done
+//! execution is born `done` (a result-cache hit); one that finds a
+//! queued or running execution attaches to it (coalesced); otherwise a
+//! new execution goes onto the queue. Job ids map to an execution plus
+//! the job's own submission time and deadline, so every job waiting on
+//! one execution reads the one stored document. When an execution
+//! settles, the settle rule decides each attached job: a job whose
+//! deadline passed first is `cancelled`, every other job takes the
+//! execution's outcome. Failed and cancelled executions leave the table,
+//! so resubmitting their spec runs it again. A worker that pops an
+//! execution scans the queue for co-queued executions with the same
 //! source key (up to `max_batch`) and drives them through one fused
 //! streaming pass over the shared decoded record stream.
 //!
@@ -55,7 +67,6 @@ use crate::jobspec::{JobError, JobSpec};
 use crate::json;
 use crate::metrics::ServerMetrics;
 use crate::queue::BoundedQueue;
-use crate::result_cache::ResultCache;
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -113,69 +124,293 @@ impl JobStatus {
             JobStatus::Cancelled => "cancelled",
         }
     }
-
-    fn is_terminal(self) -> bool {
-        matches!(self, JobStatus::Done | JobStatus::Failed | JobStatus::Cancelled)
-    }
 }
 
-struct JobState {
-    status: JobStatus,
-    result: Option<String>,
-    error: Option<String>,
-    started: Option<Instant>,
-    finished: Option<Instant>,
-}
-
-struct Job {
+/// One run of a canonical spec, shared by every job that asked for it.
+struct Execution {
     spec: JobSpec,
-    token: CancelToken,
-    submitted: Instant,
-    /// Full-spec memoization key; see [`JobSpec::canonical_key`].
+    /// Table key; see [`JobSpec::canonical_key`].
     canonical_key: String,
     /// Stream-grouping key; see [`JobSpec::source_key`].
     source_key: String,
-    state: Mutex<JobState>,
+    /// Trips at the latest deadline among the attached jobs.
+    token: CancelToken,
+    state: Mutex<ExecutionState>,
 }
 
-impl Job {
-    fn lock(&self) -> MutexGuard<'_, JobState> {
+struct ExecutionState {
+    started: Option<Instant>,
+    finished: Option<Instant>,
+    /// `None` while queued or running; the document is stored here once.
+    outcome: Option<Result<String, JobError>>,
+    /// Jobs waiting for the outcome; settling decides and clears them.
+    attached: Vec<JobClock>,
+}
+
+impl Execution {
+    fn new(spec: JobSpec, canonical_key: String, clock: JobClock) -> Execution {
+        Execution {
+            source_key: spec.source_key(),
+            spec,
+            canonical_key,
+            token: CancelToken::with_deadline(clock.deadline),
+            state: Mutex::new(ExecutionState {
+                started: None,
+                finished: None,
+                outcome: None,
+                attached: vec![clock],
+            }),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, ExecutionState> {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Attaches a job to this queued or running execution, moving the
+    /// execution's deadline out to the job's. `false` once the token
+    /// has tripped: the job needs a fresh execution.
+    fn attach(&self, clock: JobClock) -> bool {
+        let live = self.token.extend_deadline(clock.deadline);
+        if live {
+            self.lock().attached.push(clock);
+        }
+        live
     }
 }
 
-/// Jobs coalesced onto one execution of a canonical spec: the primary
-/// is queued (or running); followers were accepted but never queued —
-/// they are settled with the primary's outcome when it finishes.
-struct Inflight {
-    primary: u64,
-    followers: Vec<u64>,
+impl ExecutionState {
+    fn status(&self) -> JobStatus {
+        match (&self.outcome, self.started) {
+            (None, None) => JobStatus::Queued,
+            (None, Some(_)) => JobStatus::Running,
+            (Some(Ok(_)), _) => JobStatus::Done,
+            (Some(Err(JobError::Failed(_))), _) => JobStatus::Failed,
+            (Some(Err(JobError::Cancelled)), _) => JobStatus::Cancelled,
+        }
+    }
+}
+
+/// One job's own submission time and deadline.
+#[derive(Clone, Copy)]
+struct JobClock {
+    submitted: Instant,
+    deadline: Instant,
+}
+
+impl JobClock {
+    /// This job's status: the execution's, decided by [`settle_rule`]
+    /// once the execution has settled.
+    fn status(self, execution: &ExecutionState) -> JobStatus {
+        let status = execution.status();
+        match execution.finished {
+            Some(finished) => settle_rule(status, finished, self.deadline),
+            None => status,
+        }
+    }
+
+    /// Queue wait and (once settled) run time, both measured from this
+    /// job's own submission: an execution that started earlier counts
+    /// as starting then, so the queue wait saturates at zero. `None`
+    /// until the execution starts.
+    fn timings(self, execution: &ExecutionState) -> Option<(Duration, Option<Duration>)> {
+        let start = execution.started?.max(self.submitted);
+        let ran = execution.finished.map(|finished| finished.saturating_duration_since(start));
+        Some((start - self.submitted, ran))
+    }
+}
+
+/// The settle rule: a job whose deadline passed before its execution
+/// settled at `finished` is cancelled; every other job takes the
+/// execution's `outcome`. A job is `done` only if its result arrived
+/// before its deadline.
+fn settle_rule(outcome: JobStatus, finished: Instant, deadline: Instant) -> JobStatus {
+    if deadline < finished {
+        JobStatus::Cancelled
+    } else {
+        outcome
+    }
+}
+
+/// A job id's entry in the job table.
+#[derive(Clone)]
+struct Job {
+    execution: Arc<Execution>,
+    clock: JobClock,
+}
+
+struct Slot {
+    execution: Arc<Execution>,
+    /// Recency stamp once done; `None` while queued or running.
+    used: Option<u64>,
+}
+
+/// Canonical key → the one execution of that spec; see the module docs.
+struct ExecutionTable {
+    /// Most done executions kept (`0` disables memoization).
+    capacity: usize,
+    slots: HashMap<String, Slot>,
+    /// Done slots, at most `capacity`.
+    memoized: usize,
+    /// Monotonic use counter backing the recency stamps.
+    clock: u64,
+}
+
+impl ExecutionTable {
+    fn new(capacity: usize) -> ExecutionTable {
+        ExecutionTable { capacity, slots: HashMap::new(), memoized: 0, clock: 0 }
+    }
+
+    /// The execution filed under `key` and whether it is done; a done
+    /// one counts as used.
+    fn lookup(&mut self, key: &str) -> Option<(Arc<Execution>, bool)> {
+        let slot = self.slots.get_mut(key)?;
+        if slot.used.is_some() {
+            self.clock += 1;
+            slot.used = Some(self.clock);
+        }
+        Some((Arc::clone(&slot.execution), slot.used.is_some()))
+    }
+
+    /// Files a settled execution: a done one stays as a memoized result,
+    /// evicting the least recently used done one beyond `capacity`;
+    /// anything else leaves. An execution no longer in its slot (a fresh
+    /// one replaced it) changes nothing. Returns the evictions.
+    fn settle(&mut self, execution: &Arc<Execution>, done: bool) -> u64 {
+        let key = &execution.canonical_key;
+        let Some(slot) =
+            self.slots.get_mut(key).filter(|slot| Arc::ptr_eq(&slot.execution, execution))
+        else {
+            return 0;
+        };
+        if !done || self.capacity == 0 {
+            self.slots.remove(key);
+            return 0;
+        }
+        self.clock += 1;
+        slot.used = Some(self.clock);
+        self.memoized += 1;
+        let mut evicted = 0;
+        while self.memoized > self.capacity {
+            let Some(oldest) = self
+                .slots
+                .iter()
+                .filter_map(|(key, slot)| Some((slot.used?, key)))
+                .min()
+                .map(|(_, key)| key.clone())
+            else {
+                break;
+            };
+            self.slots.remove(&oldest);
+            self.memoized -= 1;
+            evicted += 1;
+        }
+        evicted
+    }
 }
 
 struct Shared {
     config: ServerConfig,
-    queue: BoundedQueue<(u64, String)>,
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
-    /// canonical key → the execution duplicates attach to.
-    inflight: Mutex<HashMap<String, Inflight>>,
+    queue: BoundedQueue<Arc<Execution>>,
+    jobs: Mutex<HashMap<u64, Job>>,
+    table: Mutex<ExecutionTable>,
     next_id: AtomicU64,
     metrics: ServerMetrics,
     cache: ArtifactCache,
-    result_cache: ResultCache,
     door: Door,
 }
 
 impl Shared {
-    fn job(&self, id: u64) -> Option<Arc<Job>> {
+    fn new(config: ServerConfig) -> Shared {
+        Shared {
+            queue: BoundedQueue::new(config.queue_depth),
+            table: Mutex::new(ExecutionTable::new(config.result_cache_entries)),
+            config,
+            jobs: Mutex::new(HashMap::new()),
+            next_id: AtomicU64::new(1),
+            metrics: ServerMetrics::default(),
+            cache: ArtifactCache::with_spill(None),
+            door: Door::default(),
+        }
+    }
+
+    fn job(&self, id: u64) -> Option<Job> {
         self.jobs_lock().get(&id).cloned()
     }
 
-    fn jobs_lock(&self) -> MutexGuard<'_, HashMap<u64, Arc<Job>>> {
+    fn jobs_lock(&self) -> MutexGuard<'_, HashMap<u64, Job>> {
         self.jobs.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn inflight_lock(&self) -> MutexGuard<'_, HashMap<String, Inflight>> {
-        self.inflight.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn table(&self) -> MutexGuard<'_, ExecutionTable> {
+        self.table.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Files job `id`: onto the done execution of its spec (born
+    /// `Done`), onto a queued or running one (attached), or onto a new
+    /// one pushed while the table lock is held, so nothing can attach
+    /// to an execution the queue refused. `None` when it refused.
+    fn admit(&self, id: u64, spec: JobSpec) -> Option<JobStatus> {
+        let key = spec.canonical_key();
+        let mut table = self.table();
+        let submitted = Instant::now();
+        let clock = JobClock { submitted, deadline: submitted + self.config.job_timeout };
+        let (execution, status) = match table.lookup(&key) {
+            Some((execution, true)) => {
+                self.metrics.note_cache_hit();
+                self.metrics.note_completed(Duration::ZERO, Duration::ZERO);
+                (execution, JobStatus::Done)
+            }
+            Some((execution, false)) if execution.attach(clock) => {
+                self.metrics.note_cache_miss();
+                self.metrics.note_coalesced();
+                (execution, JobStatus::Queued)
+            }
+            _ => {
+                self.metrics.note_cache_miss();
+                let execution = Arc::new(Execution::new(spec, key.clone(), clock));
+                if self.queue.try_push(Arc::clone(&execution)).is_err() {
+                    self.metrics.note_rejected();
+                    return None;
+                }
+                table.slots.insert(key, Slot { execution: Arc::clone(&execution), used: None });
+                (execution, JobStatus::Queued)
+            }
+        };
+        drop(table);
+        self.metrics.note_accepted();
+        self.jobs_lock().insert(id, Job { execution, clock });
+        Some(status)
+    }
+
+    /// Stores `outcome` on `execution`, decides every attached job by
+    /// the settle rule, and files the execution in the table.
+    fn settle(
+        &self,
+        execution: &Arc<Execution>,
+        outcome: Result<String, JobError>,
+        finished: Instant,
+    ) {
+        let done = outcome.is_ok();
+        let mut table = self.table();
+        {
+            let mut state = execution.lock();
+            state.finished = Some(finished);
+            state.outcome = Some(outcome);
+            for clock in std::mem::take(&mut state.attached) {
+                match (clock.status(&state), clock.timings(&state)) {
+                    (JobStatus::Done, Some((queued, Some(ran)))) => {
+                        self.metrics.note_completed(queued, ran)
+                    }
+                    (JobStatus::Failed, Some((queued, Some(ran)))) => {
+                        self.metrics.note_failed(queued, ran)
+                    }
+                    _ => self.metrics.note_cancelled(),
+                }
+            }
+        }
+        let evicted = table.settle(execution, done);
+        self.metrics.note_evicted(evicted);
     }
 }
 
@@ -197,26 +432,12 @@ impl Service for Shared {
     fn begin_shutdown(&self, abort: bool) {
         self.door.drain();
         if abort {
-            let mut doomed: Vec<u64> =
-                self.queue.close_and_drain().into_iter().map(|(id, _)| id).collect();
-            // Followers never sit in the queue; drain the in-flight map so
-            // they are not stranded waiting for a primary that will report
-            // cancellation (or was itself just drained).
-            for (_, entry) in self.inflight_lock().drain() {
-                doomed.extend(entry.followers);
+            let now = Instant::now();
+            for execution in self.queue.close_and_drain() {
+                self.settle(&execution, Err(JobError::Cancelled), now);
             }
-            for id in doomed {
-                if let Some(job) = self.job(id) {
-                    let mut state = job.lock();
-                    if !state.status.is_terminal() {
-                        state.status = JobStatus::Cancelled;
-                        state.finished = Some(Instant::now());
-                        self.metrics.note_cancelled();
-                    }
-                }
-            }
-            for job in self.jobs_lock().values() {
-                job.token.cancel();
+            for slot in self.table().slots.values().filter(|slot| slot.used.is_none()) {
+                slot.execution.token.cancel();
             }
         } else {
             self.queue.close();
@@ -224,7 +445,7 @@ impl Service for Shared {
     }
 
     fn metrics_json(&self) -> String {
-        self.metrics.export(self.queue.len(), self.result_cache.stats()).to_json()
+        self.metrics.export(self.queue.len()).to_json()
     }
 }
 
@@ -241,17 +462,7 @@ impl Server {
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let worker_count = config.workers.max(1);
-        let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_depth),
-            result_cache: ResultCache::new(config.result_cache_entries),
-            config,
-            jobs: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-            metrics: ServerMetrics::default(),
-            cache: ArtifactCache::with_spill(None),
-            door: Door::default(),
-        });
+        let shared = Arc::new(Shared::new(config));
         let workers = (0..worker_count)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -317,94 +528,12 @@ fn submit(request: &Request, shared: &Shared) -> Response {
         Ok((_, spec)) => spec,
         Err(response) => return response,
     };
-    let canonical_key = spec.canonical_key();
-    let source_key = spec.source_key();
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-    let submitted = Instant::now();
-
-    // Fast path 1: the exact spec already finished — answer from the
-    // result cache with a job born `Done`. The memoized document is the
-    // byte-identical output of the original execution.
-    if let Some(document) = shared.result_cache.get(&canonical_key) {
-        let job = Arc::new(Job {
-            spec,
-            token: CancelToken::new(),
-            submitted,
-            canonical_key,
-            source_key,
-            state: Mutex::new(JobState {
-                status: JobStatus::Done,
-                result: Some(document),
-                error: None,
-                started: Some(submitted),
-                finished: Some(submitted),
-            }),
-        });
-        shared.jobs_lock().insert(id, job);
-        shared.metrics.note_accepted();
-        shared.metrics.note_completed(Duration::ZERO, Duration::ZERO);
-        return Response::json(202, format!("{{\"id\":{id},\"status\":\"done\"}}"));
-    }
-
-    let job = Arc::new(Job {
-        spec,
-        token: CancelToken::with_deadline(submitted + shared.config.job_timeout),
-        submitted,
-        canonical_key: canonical_key.clone(),
-        source_key: source_key.clone(),
-        state: Mutex::new(JobState {
-            status: JobStatus::Queued,
-            result: None,
-            error: None,
-            started: None,
-            finished: None,
-        }),
-    });
-    // The job must be visible in the table before it can appear in the
-    // in-flight map: a worker settling followers looks ids up there.
-    shared.jobs_lock().insert(id, job);
-
-    // Fast path 2: the same spec is already queued or running — attach
-    // to that execution as a follower instead of queueing a duplicate.
-    {
-        let mut inflight = shared.inflight_lock();
-        match inflight.get_mut(&canonical_key) {
-            Some(entry) => {
-                entry.followers.push(id);
-                drop(inflight);
-                shared.metrics.note_accepted();
-                shared.metrics.note_coalesced();
-                return Response::json(202, format!("{{\"id\":{id},\"status\":\"queued\"}}"));
-            }
-            None => {
-                inflight
-                    .insert(canonical_key.clone(), Inflight { primary: id, followers: Vec::new() });
-            }
+    match shared.admit(id, spec) {
+        Some(status) => {
+            Response::json(202, format!("{{\"id\":{id},\"status\":\"{}\"}}", status.as_str()))
         }
-    }
-
-    if shared.queue.try_push((id, source_key)).is_err() {
-        shared.jobs_lock().remove(&id);
-        // Duplicates may have attached in the window before the push
-        // failed; give one of them a chance to take the execution.
-        let followers = remove_inflight_entry(shared, &canonical_key, id);
-        promote_followers(shared, followers);
-        shared.metrics.note_rejected();
-        return Response::error(429, "queue full").with_header("retry-after", "1");
-    }
-    shared.metrics.note_accepted();
-    Response::json(202, format!("{{\"id\":{id},\"status\":\"queued\"}}"))
-}
-
-/// Removes the in-flight entry for `key` if `id` is still its primary,
-/// returning any followers that had attached to it.
-fn remove_inflight_entry(shared: &Shared, key: &str, id: u64) -> Vec<u64> {
-    let mut inflight = shared.inflight_lock();
-    match inflight.get(key) {
-        Some(entry) if entry.primary == id => {
-            inflight.remove(key).map(|entry| entry.followers).unwrap_or_default()
-        }
-        _ => Vec::new(),
+        None => Response::error(429, "queue full").with_header("retry-after", "1"),
     }
 }
 
@@ -446,216 +575,200 @@ fn job_endpoint(id_text: &str, want_result: bool, shared: &Shared) -> Response {
 }
 
 fn job_result(id: u64, job: &Job) -> Response {
-    let state = job.lock();
-    match state.status {
-        JobStatus::Done => Response::json(200, state.result.clone().unwrap_or_default()),
-        JobStatus::Failed => {
+    let state = job.execution.lock();
+    match (job.clock.status(&state), &state.outcome) {
+        (JobStatus::Done, Some(Ok(document))) => Response::json(200, document.clone()),
+        (JobStatus::Failed, Some(Err(JobError::Failed(message)))) => {
             let mut body = format!("{{\"id\":{id},\"status\":\"failed\",\"error\":");
-            json::write_string(&mut body, state.error.as_deref().unwrap_or("job failed"));
+            json::write_string(&mut body, message);
             body.push('}');
             Response::json(409, body)
         }
-        JobStatus::Cancelled => Response::json(
+        (JobStatus::Cancelled, _) => Response::json(
             409,
             format!("{{\"id\":{id},\"status\":\"cancelled\",\"error\":\"job was cancelled\"}}"),
         ),
-        JobStatus::Queued | JobStatus::Running => Response::json(
+        (status, _) => Response::json(
             409,
             format!(
                 "{{\"id\":{id},\"status\":\"{}\",\"error\":\"job not finished\"}}",
-                state.status.as_str()
+                status.as_str()
             ),
         ),
     }
 }
 
 fn job_status_json(id: u64, job: &Job) -> String {
-    let state = job.lock();
-    let mut body = format!("{{\"id\":{id},\"status\":\"{}\"", state.status.as_str());
-    if let Some(started) = state.started {
-        let queued_ms = started.duration_since(job.submitted).as_millis();
-        body.push_str(&format!(",\"queue_ms\":{queued_ms}"));
-        if let Some(finished) = state.finished {
-            let run_ms = finished.duration_since(started).as_millis();
-            body.push_str(&format!(",\"run_ms\":{run_ms}"));
+    let state = job.execution.lock();
+    let status = job.clock.status(&state);
+    let mut body = format!("{{\"id\":{id},\"status\":\"{}\"", status.as_str());
+    if let Some((queued, ran)) = job.clock.timings(&state) {
+        body.push_str(&format!(",\"queue_ms\":{}", queued.as_millis()));
+        if let Some(ran) = ran {
+            body.push_str(&format!(",\"run_ms\":{}", ran.as_millis()));
         }
     }
-    if let Some(error) = &state.error {
+    if let (JobStatus::Failed, Some(Err(JobError::Failed(message)))) = (status, &state.outcome) {
         body.push_str(",\"error\":");
-        json::write_string(&mut body, error);
+        json::write_string(&mut body, message);
     }
     body.push('}');
     body
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some((id, source_key)) = shared.queue.pop() {
-        // Batch planner: claim co-queued jobs that decode the same
-        // record stream, so one pass feeds every config.
-        let mut ids = vec![id];
-        if shared.config.max_batch > 1 {
-            let claimed = shared
-                .queue
-                .drain_matching(|(_, key)| key == &source_key, shared.config.max_batch - 1);
-            ids.extend(claimed.into_iter().map(|(id, _)| id));
-        }
-        run_batch(&ids, shared);
+fn worker_loop(shared: &Shared) {
+    while let Some(first) = shared.queue.pop() {
+        // Batch planner: claim co-queued executions that decode the
+        // same record stream, so one pass feeds every config.
+        let limit = shared.config.max_batch.saturating_sub(1);
+        let claimed =
+            shared.queue.drain_matching(|other| other.source_key == first.source_key, limit);
+        run_batch(std::iter::once(first).chain(claimed).collect(), shared);
     }
 }
 
-fn run_batch(ids: &[u64], shared: &Arc<Shared>) {
+fn run_batch(executions: Vec<Arc<Execution>>, shared: &Shared) {
     let started = Instant::now();
-    // Admit each claimed job into the pass: skip terminal ones, settle
-    // already-cancelled ones (their followers included), run the rest.
-    let mut live: Vec<(u64, Arc<Job>)> = Vec::with_capacity(ids.len());
-    for &id in ids {
-        let Some(job) = shared.job(id) else { continue };
-        {
-            let mut state = job.lock();
-            if state.status.is_terminal() {
-                continue;
-            }
-            if job.token.is_cancelled() {
-                state.status = JobStatus::Cancelled;
-                state.finished = Some(started);
-                shared.metrics.note_cancelled();
-            } else {
-                state.status = JobStatus::Running;
-                state.started = Some(started);
-                live.push((id, Arc::clone(&job)));
-                continue;
-            }
+    // Admit each claimed execution into the pass; one whose token has
+    // already tripped settles as cancelled without running.
+    let mut live = Vec::with_capacity(executions.len());
+    for execution in executions {
+        if execution.token.is_cancelled() {
+            shared.settle(&execution, Err(JobError::Cancelled), started);
+        } else {
+            execution.lock().started = Some(started);
+            live.push(execution);
         }
-        let followers = remove_inflight_entry(shared, &job.canonical_key, id);
-        promote_followers(shared, followers);
     }
     if live.is_empty() {
         return;
     }
     shared.metrics.note_batch(live.len());
     let batch: Vec<(&JobSpec, &CancelToken)> =
-        live.iter().map(|(_, job)| (&job.spec, &job.token)).collect();
+        live.iter().map(|execution| (&execution.spec, &execution.token)).collect();
     let outcomes = JobSpec::execute_batch(&batch, &shared.cache);
     let finished = Instant::now();
-    let ran = finished.duration_since(started);
-    for ((id, job), outcome) in live.iter().zip(outcomes) {
-        let queued = started.duration_since(job.submitted);
-        {
-            let mut state = job.lock();
-            state.finished = Some(finished);
-            match &outcome {
-                Ok(document) => {
-                    state.status = JobStatus::Done;
-                    state.result = Some(document.clone());
-                    shared.metrics.note_completed(queued, ran);
-                }
-                Err(JobError::Cancelled) => {
-                    state.status = JobStatus::Cancelled;
-                    shared.metrics.note_cancelled();
-                }
-                Err(JobError::Failed(message)) => {
-                    state.status = JobStatus::Failed;
-                    state.error = Some(message.clone());
-                    shared.metrics.note_failed(queued, ran);
-                }
-            }
-        }
-        let followers = remove_inflight_entry(shared, &job.canonical_key, *id);
-        match outcome {
-            Ok(document) => {
-                shared.result_cache.insert(job.canonical_key.clone(), document.clone());
-                settle_followers(shared, followers, finished, &document);
-            }
-            Err(JobError::Failed(message)) => {
-                fail_followers(shared, followers, finished, &message);
-            }
-            Err(JobError::Cancelled) => {
-                // Only this job's deadline tripped; duplicates keep
-                // their own deadlines — hand the execution to one.
-                promote_followers(shared, followers);
-            }
-        }
+    for (execution, outcome) in live.iter().zip(outcomes) {
+        shared.settle(execution, outcome, finished);
     }
 }
 
-/// Delivers the primary's finished document to its followers.
-fn settle_followers(shared: &Shared, followers: Vec<u64>, finished: Instant, document: &str) {
-    for id in followers {
-        let Some(job) = shared.job(id) else { continue };
-        let mut state = job.lock();
-        if state.status.is_terminal() {
-            continue;
-        }
-        state.status = JobStatus::Done;
-        state.result = Some(document.to_owned());
-        state.started = Some(finished);
-        state.finished = Some(finished);
-        shared.metrics.note_completed(finished.duration_since(job.submitted), Duration::ZERO);
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Delivers the primary's failure to its followers (the same spec
-/// would fail the same way).
-fn fail_followers(shared: &Shared, followers: Vec<u64>, finished: Instant, message: &str) {
-    for id in followers {
-        let Some(job) = shared.job(id) else { continue };
-        let mut state = job.lock();
-        if state.status.is_terminal() {
-            continue;
-        }
-        state.status = JobStatus::Failed;
-        state.error = Some(message.to_owned());
-        state.started = Some(finished);
-        state.finished = Some(finished);
-        shared.metrics.note_failed(finished.duration_since(job.submitted), Duration::ZERO);
+    fn shared(result_cache_entries: usize) -> Shared {
+        Shared::new(ServerConfig { result_cache_entries, ..ServerConfig::default() })
     }
-}
 
-/// A primary went away without a result (its own deadline or a refused
-/// enqueue): hand the execution to the first follower that is still
-/// live by re-enqueueing it as a new primary carrying the rest. If the
-/// queue refuses (closed or full), nobody is stranded — everyone left
-/// is cancelled.
-fn promote_followers(shared: &Shared, followers: Vec<u64>) {
-    let mut rest = followers.into_iter();
-    while let Some(id) = rest.next() {
-        let Some(job) = shared.job(id) else { continue };
-        if job.token.is_cancelled() {
-            cancel_job(shared, &job);
-            continue;
-        }
-        let remaining: Vec<u64> = rest.collect();
-        {
-            let mut inflight = shared.inflight_lock();
-            if let Some(entry) = inflight.get_mut(&job.canonical_key) {
-                // A newer submission already became primary for this
-                // spec; attach everyone to it instead.
-                entry.followers.push(id);
-                entry.followers.extend(remaining);
-                return;
-            }
-            inflight
-                .insert(job.canonical_key.clone(), Inflight { primary: id, followers: remaining });
-        }
-        if shared.queue.try_push((id, job.source_key.clone())).is_ok() {
-            return;
-        }
-        let stranded = remove_inflight_entry(shared, &job.canonical_key, id);
-        cancel_job(shared, &job);
-        for id in stranded {
-            if let Some(job) = shared.job(id) {
-                cancel_job(shared, &job);
-            }
-        }
-        return;
+    fn spec(seed: u64) -> JobSpec {
+        JobSpec::parse(&format!(r#"{{"workload": {{"kind": "crypto", "seed": {seed}}}}}"#)).unwrap()
     }
-}
 
-fn cancel_job(shared: &Shared, job: &Job) {
-    let mut state = job.lock();
-    if !state.status.is_terminal() {
-        state.status = JobStatus::Cancelled;
-        state.finished = Some(Instant::now());
-        shared.metrics.note_cancelled();
+    /// Submits the spec for `seed` under `id`, as `POST /jobs` does.
+    fn submit_seed(shared: &Shared, id: u64, seed: u64) -> JobStatus {
+        shared.admit(id, spec(seed)).expect("the queue has room")
+    }
+
+    /// Runs the next queued execution to `document`, as a worker does.
+    fn finish_next(shared: &Shared, document: &str) {
+        let execution = shared.queue.pop().expect("a queued execution");
+        execution.lock().started = Some(Instant::now());
+        shared.settle(&execution, Ok(document.to_owned()), Instant::now());
+    }
+
+    fn counter(shared: &Shared, name: &str) -> u64 {
+        shared.metrics.export(shared.queue.len()).counter_value(name)
+    }
+
+    fn document(shared: &Shared, id: u64) -> Option<String> {
+        match &shared.job(id)?.execution.lock().outcome {
+            Some(Ok(document)) => Some(document.clone()),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn settle_rule_cancels_jobs_whose_deadline_passed_first() {
+        let finished = Instant::now();
+        let before = finished - Duration::from_millis(5);
+        let after = finished + Duration::from_millis(5);
+        for outcome in [JobStatus::Done, JobStatus::Failed, JobStatus::Cancelled] {
+            assert_eq!(settle_rule(outcome, finished, before), JobStatus::Cancelled);
+            assert_eq!(settle_rule(outcome, finished, after), outcome);
+            assert_eq!(settle_rule(outcome, finished, finished), outcome, "not yet passed");
+        }
+    }
+
+    #[test]
+    fn settle_decides_each_attached_job_by_its_own_deadline() {
+        let shared = shared(4);
+        let execution = Arc::new(Execution::new(spec(1), spec(1).canonical_key(), {
+            let submitted = Instant::now() - Duration::from_secs(2);
+            JobClock { submitted, deadline: submitted + Duration::from_secs(1) }
+        }));
+        let submitted = Instant::now();
+        let late = JobClock { submitted, deadline: submitted + Duration::from_secs(60) };
+        assert!(execution.attach(late));
+        execution.lock().started = Some(submitted);
+        shared.settle(&execution, Ok("doc".to_owned()), Instant::now());
+        let state = execution.lock();
+        assert_eq!(late.status(&state), JobStatus::Done);
+        assert_eq!(counter(&shared, "server.jobs.completed"), 1);
+        assert_eq!(counter(&shared, "server.jobs.cancelled"), 1, "the first deadline passed");
+    }
+
+    #[test]
+    fn hit_returns_the_stored_document() {
+        let shared = shared(4);
+        assert_eq!(submit_seed(&shared, 1, 1), JobStatus::Queued);
+        finish_next(&shared, "doc-a");
+        assert_eq!(submit_seed(&shared, 2, 1), JobStatus::Done, "born done");
+        assert_eq!(document(&shared, 2).as_deref(), Some("doc-a"));
+        assert!(Arc::ptr_eq(&shared.job(1).unwrap().execution, &shared.job(2).unwrap().execution));
+        assert_eq!(counter(&shared, "server.result_cache.hits"), 1);
+        assert_eq!(counter(&shared, "server.result_cache.misses"), 1);
+        assert_eq!(counter(&shared, "server.result_cache.evictions"), 0);
+    }
+
+    #[test]
+    fn eviction_drops_the_least_recently_used() {
+        let shared = shared(2);
+        submit_seed(&shared, 1, 1);
+        finish_next(&shared, "1");
+        submit_seed(&shared, 2, 2);
+        finish_next(&shared, "2");
+        assert_eq!(submit_seed(&shared, 3, 1), JobStatus::Done, "refresh 1 so 2 is the LRU");
+        submit_seed(&shared, 4, 3);
+        finish_next(&shared, "3");
+        assert_eq!(counter(&shared, "server.result_cache.evictions"), 1);
+        assert_eq!(submit_seed(&shared, 5, 2), JobStatus::Queued, "2 was evicted");
+        assert_eq!(submit_seed(&shared, 6, 1), JobStatus::Done);
+        assert_eq!(submit_seed(&shared, 7, 3), JobStatus::Done);
+        assert_eq!(shared.table().memoized, 2);
+    }
+
+    #[test]
+    fn zero_capacity_disables_the_cache() {
+        let shared = shared(0);
+        submit_seed(&shared, 1, 1);
+        finish_next(&shared, "doc");
+        assert!(shared.table().slots.is_empty());
+        assert_eq!(submit_seed(&shared, 2, 1), JobStatus::Queued, "runs again");
+        assert_eq!(counter(&shared, "server.result_cache.hits"), 0);
+        assert_eq!(counter(&shared, "server.result_cache.misses"), 2);
+    }
+
+    #[test]
+    fn duplicates_attach_until_the_token_trips() {
+        let shared = shared(4);
+        submit_seed(&shared, 1, 1);
+        assert_eq!(submit_seed(&shared, 2, 1), JobStatus::Queued);
+        assert_eq!(counter(&shared, "server.jobs.coalesced"), 1);
+        assert_eq!(shared.queue.len(), 1, "the queue counts executions");
+        shared.job(1).unwrap().execution.token.cancel();
+        submit_seed(&shared, 3, 1);
+        assert_eq!(counter(&shared, "server.jobs.coalesced"), 1, "a tripped token takes no jobs");
+        assert_eq!(shared.queue.len(), 2, "a fresh execution");
     }
 }

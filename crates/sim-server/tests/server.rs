@@ -63,6 +63,12 @@ fn metric_count(doc: &str, name: &str) -> u64 {
     doc.metric(name).and_then(Value::as_u64).unwrap_or_else(|| panic!("no count {name}"))
 }
 
+/// Reads a job's status with one poll.
+fn poll_status(conn: &mut Connection, id: &str) -> String {
+    let body = conn.send("GET", &format!("/jobs/{id}"), "").unwrap().text();
+    Value::parse(&body).unwrap().get("status").and_then(Value::as_str).unwrap().to_owned()
+}
+
 /// The correctness anchor: a trace job fetched over HTTP is
 /// byte-identical to what `champsim-run --metrics` computes locally for
 /// the same trace and options, for both flat and block-compressed
@@ -262,6 +268,39 @@ fn truncated_store_job_fails_with_diagnostic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A failed execution is not memoized: resubmitting the truncated-store
+/// job runs it again and fails with the same diagnostic.
+#[test]
+fn resubmitted_failed_job_runs_again() {
+    let dir = scratch_dir("truncated-again");
+    let store = dir.join("cut.champsimz");
+    write_store(&store, &sample_records(2_000));
+    let bytes = std::fs::read(&store).unwrap();
+    std::fs::write(&store, &bytes[..bytes.len() / 2]).unwrap();
+
+    let server = start_server(4, 1, Duration::from_secs(60));
+    let addr = server.local_addr().to_string();
+    let mut conn = Connection::connect(&addr).unwrap();
+    let body = format!("{{\"trace\": \"{}\"}}", store.to_str().unwrap());
+    let diagnostics: Vec<String> = (0..2)
+        .map(|_| {
+            let id = conn.submit(&body).unwrap();
+            assert_eq!(conn.wait(&id, Duration::from_secs(30)).unwrap(), "failed");
+            let result = conn.send("GET", &format!("/jobs/{id}/result"), "").unwrap();
+            assert_eq!(result.status, 409);
+            let error = Value::parse(&result.text()).unwrap();
+            error.get("error").and_then(Value::as_str).unwrap().to_owned()
+        })
+        .collect();
+    assert!(diagnostics[0].contains("cut.champsimz"), "{}", diagnostics[0]);
+    assert_eq!(diagnostics[0], diagnostics[1], "the rerun fails the same way");
+    let metrics = conn.send("GET", "/metrics", "").unwrap().text();
+    assert_eq!(metric_count(&metrics, "server.jobs.failed"), 2, "{metrics}");
+    assert_eq!(metric_count(&metrics, "server.result_cache.hits"), 0, "{metrics}");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Protocol-level error paths: malformed bodies, bad ids, unknown
 /// endpoints, wrong methods.
 #[test]
@@ -365,6 +404,7 @@ fn duplicate_submissions_coalesce_onto_one_execution() {
         "both duplicates must coalesce: {metrics}"
     );
     assert_eq!(metric_count(&metrics, "server.jobs.completed"), 3, "everyone still completes");
+    assert_eq!(metric_count(&metrics, "server.batch.passes"), 1, "one simulation: {metrics}");
     server.join();
 }
 
@@ -398,8 +438,17 @@ fn client_run_backs_off_through_an_overloaded_server() {
     let addr = server.local_addr().to_string();
     let mut conn = Connection::connect(&addr).unwrap();
     // A slow job occupies the worker and a second fills the queue, so
-    // the next submission is refused until the worker catches up.
-    conn.submit(r#"{"workload": {"kind": "crypto", "seed": 7, "length": 50000}}"#).unwrap();
+    // the next submission is refused until the worker catches up. The
+    // queue only frees its slot once the worker pops the first job, so
+    // wait for that before filling it.
+    let first =
+        conn.submit(r#"{"workload": {"kind": "crypto", "seed": 7, "length": 50000}}"#).unwrap();
+    let mut status = poll_status(&mut conn, &first);
+    while status == "queued" {
+        std::thread::sleep(Duration::from_millis(1));
+        status = poll_status(&mut conn, &first);
+    }
+    assert_eq!(status, "running", "the worker must hold the first job");
     conn.submit(r#"{"workload": {"kind": "crypto", "seed": 8, "length": 3000}}"#).unwrap();
     let refused = conn
         .send("POST", "/jobs", r#"{"workload": {"kind": "crypto", "seed": 9, "length": 3000}}"#)

@@ -17,7 +17,7 @@
 //!
 //! [`SimReport`]: crate::SimReport
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,18 +27,51 @@ use std::time::Instant;
 /// cancellation latency to well under a millisecond of host time.
 pub const CHECK_INTERVAL: u64 = 8_192;
 
-#[derive(Debug, Default)]
+/// [`Inner::word`] once the token has tripped.
+const TRIPPED: u64 = u64::MAX;
+/// [`Inner::word`] of a live token without a deadline.
+const NO_DEADLINE: u64 = u64::MAX - 1;
+
+#[derive(Debug)]
 struct Inner {
-    cancelled: AtomicBool,
-    deadline: Option<Instant>,
+    /// Zero point of the deadline encoding.
+    origin: Instant,
+    /// The whole token state in one atomic word, so that moving the
+    /// deadline and tripping it can never interleave: [`TRIPPED`],
+    /// [`NO_DEADLINE`], or the deadline in nanoseconds after `origin`.
+    word: AtomicU64,
+}
+
+impl Inner {
+    fn new(deadline: Option<Instant>) -> Inner {
+        let mut inner = Inner { origin: Instant::now(), word: AtomicU64::new(NO_DEADLINE) };
+        if let Some(deadline) = deadline {
+            *inner.word.get_mut() = inner.offset(deadline);
+        }
+        inner
+    }
+
+    /// `at` as nanoseconds after `origin` (saturating at both ends).
+    fn offset(&self, at: Instant) -> u64 {
+        let nanos = at.saturating_duration_since(self.origin).as_nanos();
+        u64::try_from(nanos).unwrap_or(u64::MAX).min(NO_DEADLINE - 1)
+    }
+}
+
+impl Default for Inner {
+    fn default() -> Inner {
+        Inner::new(None)
+    }
 }
 
 /// A clonable cancellation handle, optionally carrying a deadline.
 ///
 /// [`cancel`](CancelToken::cancel) requests a stop explicitly; a token
 /// built with [`with_deadline`](CancelToken::with_deadline) also trips
-/// itself the first time it is polled past the deadline. Once
-/// cancelled, a token stays cancelled — create a fresh token per run.
+/// itself the first time it is polled past the deadline, which
+/// [`extend_deadline`](CancelToken::extend_deadline) may push out until
+/// then. Once cancelled, a token stays cancelled — create a fresh token
+/// per run.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Arc<Inner>,
@@ -53,29 +86,40 @@ impl CancelToken {
 
     /// A token that additionally trips once `deadline` has passed.
     pub fn with_deadline(deadline: Instant) -> CancelToken {
-        CancelToken {
-            inner: Arc::new(Inner { cancelled: AtomicBool::new(false), deadline: Some(deadline) }),
-        }
+        CancelToken { inner: Arc::new(Inner::new(Some(deadline))) }
     }
 
     /// Requests cancellation. Idempotent; visible to every clone.
     pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Release);
+        self.inner.word.store(TRIPPED, Ordering::Release);
+    }
+
+    /// Moves the deadline out to `deadline`; never moves it in, and a
+    /// token without a deadline keeps none. Returns `false` once the
+    /// token has tripped — by [`cancel`](CancelToken::cancel) or by a
+    /// poll past the old deadline — and `true` otherwise: a past-due
+    /// token that nobody has polled yet is still live and extends.
+    pub fn extend_deadline(&self, deadline: Instant) -> bool {
+        let target = self.inner.offset(deadline);
+        let moved = self.inner.word.fetch_update(Ordering::AcqRel, Ordering::Acquire, |word| {
+            (word != TRIPPED && word < target).then_some(target)
+        });
+        moved != Err(TRIPPED)
     }
 
     /// Whether the token is cancelled, tripping the deadline if one was
     /// set and has passed.
     pub fn is_cancelled(&self) -> bool {
-        if self.inner.cancelled.load(Ordering::Acquire) {
-            return true;
+        match self.inner.word.load(Ordering::Acquire) {
+            TRIPPED => return true,
+            NO_DEADLINE => return false,
+            _ => {}
         }
-        match self.inner.deadline {
-            Some(deadline) if Instant::now() >= deadline => {
-                self.cancel();
-                true
-            }
-            _ => false,
-        }
+        let now = self.inner.offset(Instant::now());
+        let tripped = self.inner.word.fetch_update(Ordering::AcqRel, Ordering::Acquire, |word| {
+            (word <= now).then_some(TRIPPED)
+        });
+        matches!(tripped, Ok(_) | Err(TRIPPED))
     }
 }
 
@@ -104,5 +148,50 @@ mod tests {
     fn future_deadline_does_not_trip() {
         let token = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(!token.is_cancelled());
+    }
+
+    #[test]
+    fn extend_deadline_moves_a_future_deadline_out() {
+        let now = Instant::now();
+        let token = CancelToken::with_deadline(now + Duration::from_millis(30));
+        assert!(token.extend_deadline(now + Duration::from_secs(3600)));
+        std::thread::sleep(Duration::from_millis(60));
+        assert!(!token.is_cancelled(), "the extended deadline governs");
+    }
+
+    #[test]
+    fn extend_deadline_never_shortens() {
+        let now = Instant::now();
+        let token = CancelToken::with_deadline(now + Duration::from_secs(3600));
+        assert!(token.extend_deadline(now - Duration::from_millis(1)), "live token accepts");
+        assert!(!token.is_cancelled(), "an earlier deadline is ignored");
+        let open = CancelToken::new();
+        assert!(open.extend_deadline(now - Duration::from_millis(1)));
+        assert!(!open.is_cancelled(), "a token without a deadline gains none");
+    }
+
+    #[test]
+    fn extend_deadline_revives_an_unpolled_past_due_token() {
+        let now = Instant::now();
+        let token = CancelToken::with_deadline(now - Duration::from_millis(1));
+        assert!(token.extend_deadline(now + Duration::from_secs(3600)));
+        assert!(!token.is_cancelled(), "no poll tripped the old deadline");
+        assert!(!token.is_cancelled(), "and the token stays live");
+    }
+
+    #[test]
+    fn extend_deadline_fails_after_cancel() {
+        let token = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
+        token.cancel();
+        assert!(!token.extend_deadline(Instant::now() + Duration::from_secs(7200)));
+        assert!(token.is_cancelled());
+    }
+
+    #[test]
+    fn extend_deadline_fails_after_a_poll_tripped_the_deadline() {
+        let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
+        assert!(token.is_cancelled());
+        assert!(!token.extend_deadline(Instant::now() + Duration::from_secs(3600)));
+        assert!(token.is_cancelled(), "a tripped token stays tripped");
     }
 }
