@@ -89,13 +89,6 @@ impl ReturnAddressStack {
         Some(self.entries[idx])
     }
 
-    /// Clears all entries (pipeline flush in some designs; exposed for
-    /// experiments). Counters survive the flush.
-    pub fn clear(&mut self) {
-        self.top = 0;
-        self.occupied = 0;
-    }
-
     /// Pushes performed (calls seen).
     pub fn pushes(&self) -> u64 {
         self.pushes
@@ -171,15 +164,6 @@ mod tests {
         let stolen = ras.pop(); // `blr x30` misconverted as return
         assert_eq!(stolen, Some(0x1004));
         // The genuine return now finds an empty stack → misprediction.
-        assert_eq!(ras.pop(), None);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut ras = ReturnAddressStack::new(4);
-        ras.push(1);
-        ras.clear();
-        assert!(ras.is_empty());
         assert_eq!(ras.pop(), None);
     }
 

@@ -30,12 +30,6 @@ impl SaturatingCounter {
         SaturatingCounter { value: c.max / 2, ..c }
     }
 
-    /// A counter initialized to the weakly-taken midpoint.
-    pub fn weak_high(bits: u8) -> SaturatingCounter {
-        let c = SaturatingCounter::new(bits, 0);
-        SaturatingCounter { value: c.max / 2 + 1, ..c }
-    }
-
     /// Current raw value.
     pub fn value(self) -> u8 {
         self.value
@@ -49,11 +43,6 @@ impl SaturatingCounter {
     /// `true` in the upper half of the range.
     pub fn is_high(self) -> bool {
         self.value > self.max / 2
-    }
-
-    /// `true` at either saturation point (a "confident" counter).
-    pub fn is_saturated(self) -> bool {
-        self.value == 0 || self.value == self.max
     }
 
     /// Increments toward saturation.
@@ -77,16 +66,6 @@ impl SaturatingCounter {
         } else {
             self.decrement();
         }
-    }
-
-    /// Resets to zero.
-    pub fn clear(&mut self) {
-        self.value = 0;
-    }
-
-    /// Halves the value (used by periodic useful-bit decay in TAGE).
-    pub fn halve(&mut self) {
-        self.value /= 2;
     }
 }
 
@@ -113,7 +92,6 @@ mod tests {
         }
         assert_eq!(c.value(), 3);
         assert!(c.is_high());
-        assert!(c.is_saturated());
     }
 
     #[test]
@@ -122,19 +100,8 @@ mod tests {
         assert!(!c.is_high());
         c.train(true);
         assert!(c.is_high());
-        let mut c = SaturatingCounter::weak_high(3);
-        assert!(c.is_high());
         c.train(false);
         assert!(!c.is_high());
-    }
-
-    #[test]
-    fn halve_decays() {
-        let mut c = SaturatingCounter::new(3, 7);
-        c.halve();
-        assert_eq!(c.value(), 3);
-        c.clear();
-        assert_eq!(c.value(), 0);
     }
 
     #[test]

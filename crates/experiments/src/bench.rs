@@ -1,5 +1,5 @@
 //! Minimal micro-benchmark harness for the `benches/` targets, and the
-//! baseline gate of the bench binaries.
+//! one front door of the `BENCH_*.json` producers.
 //!
 //! The workspace builds offline, so Criterion is not available; this
 //! std-only harness keeps the bench targets runnable under
@@ -7,15 +7,42 @@
 //! closure until a time budget is spent and reports the mean wall-clock
 //! per iteration.
 //!
-//! [`gate`] is the one rule behind every `--check` flag (`sim_bench`,
-//! `convert_bench`, `server_bench`): both the committed `BENCH_*.json`
-//! baseline and the document this run wrote go through the
-//! [`telemetry::json`] parser, and each gated higher-is-better field
-//! must reach `base × (1 − tolerance/100)`.
+//! The bench binaries (`sim_bench`, `convert_bench`, `server_bench`)
+//! keep only their own measurements; everything around them lives here:
+//!
+//! * [`Bench::args`] parses the five shared flags, `--scale
+//!   smoke|test|paper` (default `paper`), `--out <path>`, `--metrics
+//!   <path>` (not `server_bench`), `--check <baseline.json>` and
+//!   `--tolerance <pct>`, with each tool's default `--out` and
+//!   `--tolerance`; a tool-supplied closure takes its own extra flags
+//!   (`server_bench --shards`).
+//! * Each tool writes its document with the [`telemetry::json::object`]
+//!   writer; [`Bench::finish`] writes it to `--out`, writes the
+//!   telemetry registry to `--metrics`, then runs the `--check` gate.
+//! * [`gate`] is the one `--check` rule: both the committed
+//!   `BENCH_*.json` baseline and the document this run wrote go through
+//!   the [`telemetry::json`] parser, and each gated higher-is-better
+//!   field (the tool's [`Bench::gated`] list) must reach
+//!   `base × (1 − tolerance/100)`.
+//! * [`Cli::fail`] is the one exit rule, shared with the `experiments`
+//!   binary: status **1** when a check fails (a `--check` regression or
+//!   a tool's hard threshold, such as the `.etrace` 3x compression
+//!   floor or `server_bench`'s 2x fan-out), status **2** for a usage
+//!   error (the usage line follows the message) or an I/O error (a file
+//!   that cannot be read or written, a server that cannot be started or
+//!   reached). The message starts with the tool's name.
 
+use std::path::Path;
 use std::time::{Duration, Instant};
 
+use cvp_trace::CvpInstruction;
+use etrace::{Program, TraceItem};
 use telemetry::json::Value;
+use telemetry::Registry;
+use trace_store::rv_items_to_cvp;
+use workloads::{RvTraceSpec, RvWorkloadKind, TraceSpec, WorkloadKind};
+
+use crate::runner::ExperimentScale;
 
 /// Per-measurement time budget once warmed up.
 const BUDGET: Duration = Duration::from_millis(300);
@@ -68,7 +95,8 @@ pub fn measure<T>(mut f: impl FnMut() -> T) -> (f64, u32) {
 }
 
 /// Gates a bench run against its baseline: `current` is the document
-/// this run wrote, `baseline` the committed one.
+/// this run wrote, `baseline` the committed one, `fields` the tool's
+/// [`Bench::gated`] list.
 ///
 /// Every number in `current` stored under a key listed in `fields` is
 /// compared with the baseline value at the same place and must be at
@@ -88,31 +116,258 @@ pub fn gate(baseline: &str, current: &str, fields: &[&str], tolerance_pct: f64) 
     gate.failures
 }
 
-/// The `--check` step of a bench binary: reads the baseline at
-/// `baseline_path`, [`gate`]s `current` against it, and exits with
-/// status 1 after listing any failures (2 if the baseline is
-/// unreadable).
-pub fn check_baseline(
-    tool: &str,
-    baseline_path: &str,
-    current: &str,
-    fields: &[&str],
-    tolerance_pct: f64,
-) {
-    let baseline = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("error: could not read baseline {baseline_path}: {e}");
-        std::process::exit(2);
-    });
-    let failures = gate(&baseline, current, fields, tolerance_pct);
-    if failures.is_empty() {
-        eprintln!("[{tool}] within {tolerance_pct}% of baseline {baseline_path}");
-        return;
+/// How a front door exits on failure (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exit {
+    /// A check failed: a `--check` regression or a hard threshold
+    /// (status 1).
+    Check,
+    /// Bad arguments (status 2); the usage line follows the message.
+    Usage,
+    /// A file, directory or service could not be used (status 2).
+    Io,
+}
+
+/// A command-line tool's name and usage line.
+#[derive(Debug)]
+pub struct Cli {
+    /// Binary name; it starts every diagnostic.
+    pub name: &'static str,
+    /// Usage line, printed after a usage error.
+    pub usage: &'static str,
+}
+
+impl Cli {
+    /// Prints `<name>: <message>` (plus the usage line for
+    /// [`Exit::Usage`]) and exits: 1 for [`Exit::Check`], 2 otherwise.
+    pub fn fail(&self, exit: Exit, message: &str) -> ! {
+        eprintln!("{}: {message}", self.name);
+        if exit == Exit::Usage {
+            eprintln!("usage: {}", self.usage);
+        }
+        std::process::exit(if exit == Exit::Check { 1 } else { 2 })
     }
-    eprintln!("error: regression beyond {tolerance_pct}% tolerance against {baseline_path}:");
-    for failure in &failures {
-        eprintln!("  {failure}");
+
+    /// Writes `contents` to `path`, or fails with [`Exit::Io`] naming
+    /// the path.
+    pub fn write(&self, path: impl AsRef<Path>, contents: &str) {
+        let path = path.as_ref();
+        match std::fs::write(path, contents) {
+            Ok(()) => eprintln!("[{}] wrote {}", self.name, path.display()),
+            Err(e) => self.fail(Exit::Io, &format!("could not write {}: {e}", path.display())),
+        }
     }
-    std::process::exit(1);
+}
+
+/// One `BENCH_*.json` producer: its command line and the defaults and
+/// gated fields of the shared flags.
+#[derive(Debug)]
+pub struct Bench {
+    /// Name and usage line.
+    pub cli: Cli,
+    /// Default `--out` path.
+    pub out: &'static str,
+    /// Default `--tolerance`, in percent.
+    pub tolerance_pct: f64,
+    /// The higher-is-better fields `--check` gates.
+    pub gated: &'static [&'static str],
+    /// Whether the tool takes `--metrics`.
+    pub metrics: bool,
+}
+
+/// `sim_bench`: simulator MIPS per workload family.
+pub const SIM_BENCH: Bench = Bench {
+    cli: Cli {
+        name: "sim_bench",
+        usage: "sim_bench [--scale smoke|test|paper] [--out <path>] [--metrics <path>] \
+                [--check <baseline.json>] [--tolerance <pct>]",
+    },
+    out: "BENCH_sim.json",
+    tolerance_pct: 20.0,
+    gated: &["mips", "aggregate_mips"],
+    metrics: true,
+};
+
+/// `convert_bench`: trace-store encode/decode MB/s and compression.
+pub const CONVERT_BENCH: Bench = Bench {
+    cli: Cli {
+        name: "convert_bench",
+        usage: "convert_bench [--scale smoke|test|paper] [--out <path>] [--metrics <path>] \
+                [--check <baseline.json>] [--tolerance <pct>]",
+    },
+    out: "BENCH_io.json",
+    tolerance_pct: 25.0,
+    gated: &["encode_mbps", "decode_mbps", "ratio"],
+    metrics: true,
+};
+
+/// `server_bench`: job-service, fan-out and router throughput.
+pub const SERVER_BENCH: Bench = Bench {
+    cli: Cli {
+        name: "server_bench",
+        usage: "server_bench [--scale smoke|test|paper] [--shards N] [--out <path>] \
+                [--check <baseline.json>] [--tolerance <pct>]",
+    },
+    out: "BENCH_server.json",
+    tolerance_pct: 30.0,
+    gated: &["jobs_per_sec", "fanout_jobs_per_sec", "router_jobs_per_sec"],
+    metrics: false,
+};
+
+/// The shared flags of one bench run, as [`Bench::parse`] read them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchArgs {
+    /// `--scale` name: `smoke`, `test` or `paper`.
+    pub scale_name: String,
+    /// The scale `scale_name` names.
+    pub scale: ExperimentScale,
+    /// `--out` path.
+    pub out: String,
+    /// `--metrics` path, if given.
+    pub metrics: Option<String>,
+    /// `--check` baseline path, if given.
+    pub check: Option<String>,
+    /// `--tolerance` percentage, in (0, 100).
+    pub tolerance_pct: f64,
+}
+
+impl Bench {
+    /// Parses `args` (without the program name). `extra` sees every
+    /// flag that is not a shared one, with the remaining arguments to
+    /// take its value from, and returns whether it was the tool's own;
+    /// a flag neither knows is an error. Every error names the flag.
+    pub fn parse(
+        &self,
+        args: impl IntoIterator<Item = String>,
+        mut extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+    ) -> Result<BenchArgs, String> {
+        let mut args = args.into_iter();
+        let mut parsed = BenchArgs {
+            scale_name: "paper".to_owned(),
+            scale: ExperimentScale::paper(),
+            out: self.out.to_owned(),
+            metrics: None,
+            check: None,
+            tolerance_pct: self.tolerance_pct,
+        };
+        while let Some(flag) = args.next() {
+            let mut value = |what: &str| args.next().ok_or_else(|| format!("{flag} needs {what}"));
+            match flag.as_str() {
+                "--scale" => {
+                    let name = value("a value")?;
+                    parsed.scale = ExperimentScale::from_name(&name)
+                        .ok_or_else(|| format!("--scale must be smoke|test|paper, got {name:?}"))?;
+                    parsed.scale_name = name;
+                }
+                "--out" => parsed.out = value("a path")?,
+                "--metrics" if self.metrics => parsed.metrics = Some(value("a path")?),
+                "--check" => parsed.check = Some(value("a path")?),
+                "--tolerance" => {
+                    let raw = value("a percentage")?;
+                    parsed.tolerance_pct =
+                        raw.parse().ok().filter(|t: &f64| *t > 0.0 && *t < 100.0).ok_or_else(
+                            || format!("--tolerance needs a percentage in (0, 100), got {raw:?}"),
+                        )?;
+                }
+                other => {
+                    if !extra(other, &mut args)? {
+                        return Err(format!("unknown argument {other:?}"));
+                    }
+                }
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// [`Bench::parse`] over the process arguments; an error exits with
+    /// [`Exit::Usage`].
+    pub fn args(
+        &self,
+        extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+    ) -> BenchArgs {
+        self.parse(std::env::args().skip(1), extra)
+            .unwrap_or_else(|e| self.cli.fail(Exit::Usage, &e))
+    }
+
+    /// The tail of every bench run: writes `document` (plus a newline)
+    /// to `--out` and `metrics` to `--metrics`, then, with `--check`,
+    /// [`gate`]s `document` against the baseline and fails with
+    /// [`Exit::Check`] listing every regressed field.
+    pub fn finish(&self, args: &BenchArgs, document: &str, metrics: Option<&Registry>) {
+        self.cli.write(&args.out, &format!("{document}\n"));
+        if let (Some(path), Some(registry)) = (&args.metrics, metrics) {
+            self.cli.write(path, &registry.to_json());
+        }
+        let Some(path) = &args.check else { return };
+        let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            self.cli.fail(Exit::Io, &format!("could not read baseline {path}: {e}"))
+        });
+        let tolerance = args.tolerance_pct;
+        let failures = gate(&baseline, document, self.gated, tolerance);
+        if !failures.is_empty() {
+            let list = failures.join("\n  ");
+            let message =
+                format!("regression beyond {tolerance}% tolerance against {path}:\n  {list}");
+            self.cli.fail(Exit::Check, &message);
+        }
+        eprintln!("[{}] within {tolerance}% of baseline {path}", self.cli.name);
+    }
+}
+
+/// One benched workload family: a synthetic ARM workload kind, or a
+/// RISC-V kind that goes through the E-Trace packet frontend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// A synthetic CVP-1 workload, named as in `WorkloadKind::to_string`.
+    Arm(WorkloadKind),
+    /// A RISC-V E-Trace workload, named as in `RvWorkloadKind::to_string`.
+    RiscV(RvWorkloadKind),
+}
+
+/// The families `sim_bench` and `convert_bench` measure: every
+/// synthetic workload kind, then the RISC-V kinds.
+pub const FAMILIES: [Family; 9] = [
+    Family::Arm(WorkloadKind::PointerChase),
+    Family::Arm(WorkloadKind::Streaming),
+    Family::Arm(WorkloadKind::Crypto),
+    Family::Arm(WorkloadKind::BranchyInt),
+    Family::Arm(WorkloadKind::Server),
+    Family::Arm(WorkloadKind::FpKernel),
+    Family::RiscV(RvWorkloadKind::IntLoop),
+    Family::RiscV(RvWorkloadKind::StreamKernel),
+    Family::RiscV(RvWorkloadKind::Dispatch),
+];
+
+/// One family's generated bench trace.
+pub struct FamilyTrace {
+    /// The family name (`crypto`, `rv-int`, ...).
+    pub name: String,
+    /// The trace as CVP-1 records; for a RISC-V family, the packet
+    /// stream's reconstruction.
+    pub cvp: Vec<CvpInstruction>,
+    /// A RISC-V family's program and packet items.
+    pub etrace: Option<(Program, Vec<TraceItem>)>,
+}
+
+impl Family {
+    /// Generates this family's `length`-instruction trace, named
+    /// `bench_<family>` with seed `0xb1a5`.
+    pub fn generate(self, length: usize) -> FamilyTrace {
+        match self {
+            Family::Arm(kind) => {
+                let name = kind.to_string();
+                let spec = TraceSpec::new(format!("bench_{name}"), kind, 0xb1a5);
+                FamilyTrace { cvp: spec.with_length(length).generate(), name, etrace: None }
+            }
+            Family::RiscV(kind) => {
+                let name = kind.to_string();
+                let spec = RvTraceSpec::new(format!("bench_{name}"), kind, 0xb1a5);
+                let (program, items) = spec.with_length(length).generate();
+                let cvp = rv_items_to_cvp(&program, &items);
+                FamilyTrace { name, cvp, etrace: Some((program, items)) }
+            }
+        }
+    }
 }
 
 struct Gate<'a> {
@@ -240,6 +495,107 @@ mod tests {
             ["results[rv-int].mips: missing from baseline", "jobs_per_sec: missing from baseline"]
         );
         assert!(gate("{\"mips\": }", run, &["mips"], 20.0)[0].starts_with("baseline: "));
+    }
+
+    fn parse(bench: &Bench, args: &[&str]) -> Result<BenchArgs, String> {
+        bench.parse(args.iter().map(|a| a.to_string()), |flag, rest| match flag {
+            "--shards" if bench.cli.name == "server_bench" => {
+                rest.next().map(|_| true).ok_or_else(|| "--shards needs a count".to_owned())
+            }
+            _ => Ok(false),
+        })
+    }
+
+    #[test]
+    fn parser_applies_each_tools_defaults_and_reads_the_shared_flags() {
+        let defaults = parse(&CONVERT_BENCH, &[]).unwrap();
+        assert_eq!(
+            (defaults.scale_name.as_str(), defaults.out.as_str()),
+            ("paper", "BENCH_io.json")
+        );
+        assert_eq!((defaults.tolerance_pct, defaults.metrics, defaults.check), (25.0, None, None));
+        let args = [
+            "--scale",
+            "smoke",
+            "--out",
+            "o.json",
+            "--metrics",
+            "m.json",
+            "--check",
+            "b.json",
+            "--tolerance",
+            "40",
+        ];
+        let parsed = parse(&SIM_BENCH, &args).unwrap();
+        assert_eq!(parsed.scale, ExperimentScale::smoke());
+        assert_eq!(parsed.out, "o.json");
+        assert_eq!(parsed.metrics.as_deref(), Some("m.json"));
+        assert_eq!(parsed.check.as_deref(), Some("b.json"));
+        assert_eq!(parsed.tolerance_pct, 40.0);
+        assert_eq!(parse(&SERVER_BENCH, &["--shards", "3"]).unwrap().tolerance_pct, 30.0);
+    }
+
+    #[test]
+    fn parser_errors_name_the_flag() {
+        let cases: [(&Bench, &[&str], &str); 10] = [
+            (&SIM_BENCH, &["--bogus"], "unknown argument \"--bogus\""),
+            (&SIM_BENCH, &["--out"], "--out needs a path"),
+            (&SIM_BENCH, &["--scale"], "--scale needs a value"),
+            (
+                &SIM_BENCH,
+                &["--tolerance", "0"],
+                "--tolerance needs a percentage in (0, 100), got \"0\"",
+            ),
+            (
+                &CONVERT_BENCH,
+                &["--tolerance", "100"],
+                "--tolerance needs a percentage in (0, 100), got \"100\"",
+            ),
+            (
+                &SERVER_BENCH,
+                &["--tolerance", "abc"],
+                "--tolerance needs a percentage in (0, 100), got \"abc\"",
+            ),
+            (
+                &CONVERT_BENCH,
+                &["--scale", "huge"],
+                "--scale must be smoke|test|paper, got \"huge\"",
+            ),
+            (&SIM_BENCH, &["--shards", "2"], "unknown argument \"--shards\""),
+            (&SERVER_BENCH, &["--metrics", "m.json"], "unknown argument \"--metrics\""),
+            (&SERVER_BENCH, &["--shards"], "--shards needs a count"),
+        ];
+        for (bench, args, message) in cases {
+            assert_eq!(parse(bench, args), Err(message.to_owned()), "{} {args:?}", bench.cli.name);
+        }
+    }
+
+    /// Each committed baseline passes its own gate and holds every
+    /// field its tool gates, so `--check` against it can pass.
+    #[test]
+    fn committed_baselines_gate_against_themselves() {
+        let baselines = [
+            (&SIM_BENCH, include_str!("../../../BENCH_sim.json")),
+            (&CONVERT_BENCH, include_str!("../../../BENCH_io.json")),
+            (&SERVER_BENCH, include_str!("../../../BENCH_server.json")),
+        ];
+        for (bench, baseline) in baselines {
+            assert_eq!(gate(baseline, baseline, bench.gated, 1.0), Vec::<String>::new());
+            for field in bench.gated {
+                let key = format!("\"{field}\":");
+                assert!(baseline.contains(&key), "{} baseline lacks {field}", bench.cli.name);
+            }
+        }
+    }
+
+    #[test]
+    fn families_cover_both_frontends_under_their_display_names() {
+        let names: Vec<String> = FAMILIES.iter().map(|f| f.generate(50).name).collect();
+        assert_eq!(names[..3], ["pointer-chase", "streaming", "crypto"]);
+        assert_eq!(names[6..], ["rv-int", "rv-stream", "rv-dispatch"]);
+        let rv = Family::RiscV(RvWorkloadKind::IntLoop).generate(200);
+        assert!(rv.etrace.is_some() && !rv.cvp.is_empty());
+        assert!(FAMILIES[0].generate(200).etrace.is_none());
     }
 
     #[test]

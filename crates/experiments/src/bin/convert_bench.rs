@@ -23,9 +23,10 @@
 //! `encode_mbps`, `decode_mbps` and compression `ratio` must reach the
 //! baseline value less `--tolerance` percent (default 25); a
 //! regression, or a gated field the baseline lacks, fails the run
-//! (exit 1) and names the field. `--metrics`
-//! writes the aggregate `store.*` volume counters of the benched
-//! encodes as one telemetry document.
+//! (exit 1) and names the field, as does an `.etrace` ratio under the
+//! floor; usage and I/O errors exit 2. `--metrics` writes the
+//! aggregate `store.*` volume counters of the benched encodes as one
+//! telemetry document.
 
 use std::io::Cursor;
 use std::time::Instant;
@@ -34,30 +35,12 @@ use champsim_trace::{ChampsimRecord, RECORD_BYTES};
 use converter::{Converter, ImprovementSet};
 use cvp_trace::CvpInstruction;
 use etrace::{EtraceReader, EtraceWriter, Program, TraceItem};
-use experiments::bench::{check_baseline, measure};
-use experiments::runner::ExperimentScale;
-use telemetry::catalog;
-use trace_store::{
-    rv_items_to_cvp, ChampsimzReader, ChampsimzWriter, CvpzReader, CvpzWriter, StoreStats,
-};
-use workloads::{RvTraceSpec, RvWorkloadKind, TraceSpec, WorkloadKind};
-
-/// The benched families, named as in `WorkloadKind::to_string`.
-const FAMILIES: [WorkloadKind; 6] = [
-    WorkloadKind::PointerChase,
-    WorkloadKind::Streaming,
-    WorkloadKind::Crypto,
-    WorkloadKind::BranchyInt,
-    WorkloadKind::Server,
-    WorkloadKind::FpKernel,
-];
-
-/// The benched RISC-V families, named as in `RvWorkloadKind::to_string`.
-const RV_FAMILIES: [RvWorkloadKind; 3] =
-    [RvWorkloadKind::IntLoop, RvWorkloadKind::StreamKernel, RvWorkloadKind::Dispatch];
+use experiments::bench::{measure, Exit, CONVERT_BENCH, FAMILIES};
+use telemetry::{catalog, json};
+use trace_store::{ChampsimzReader, ChampsimzWriter, CvpzReader, CvpzWriter, StoreStats};
 
 /// The `.etrace` format's advertised compression floor over flat
-/// per-instruction records; a bench run under it is a hard failure.
+/// per-instruction records; a bench run under it is a failed check.
 const ETRACE_RATIO_FLOOR: f64 = 3.0;
 
 /// One stream kind's measurements on one family.
@@ -77,103 +60,41 @@ struct FamilyResult {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut scale_name = "paper".to_string();
-    let mut scale = ExperimentScale::paper();
-    let mut out_path = "BENCH_io.json".to_string();
-    let mut metrics_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut tolerance_pct = 25.0f64;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => {
-                scale_name = args.next().unwrap_or_else(|| fail("--scale needs a value"));
-                scale = match scale_name.as_str() {
-                    "smoke" => ExperimentScale::smoke(),
-                    "test" => ExperimentScale::test(),
-                    "paper" => ExperimentScale::paper(),
-                    other => fail(&format!("--scale must be smoke|test|paper, got {other:?}")),
-                };
-            }
-            "--out" => out_path = args.next().unwrap_or_else(|| fail("--out needs a path")),
-            "--metrics" => {
-                metrics_path = Some(args.next().unwrap_or_else(|| fail("--metrics needs a path")));
-            }
-            "--check" => {
-                baseline_path = Some(args.next().unwrap_or_else(|| fail("--check needs a path")));
-            }
-            "--tolerance" => {
-                tolerance_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t: &f64| *t > 0.0 && *t < 100.0)
-                    .unwrap_or_else(|| fail("--tolerance needs a percentage in (0, 100)"));
-            }
-            other => fail(&format!("unknown argument {other:?}")),
-        }
-    }
-
+    let args = CONVERT_BENCH.args(|_, _| Ok(false));
     let mut results = Vec::new();
     let mut totals = StoreStats::default();
-    for kind in FAMILIES {
-        let family = kind.to_string();
-        let spec =
-            TraceSpec::new(format!("bench_{family}"), kind, 0xb1a5).with_length(scale.trace_length);
+    for family in FAMILIES {
         let start = Instant::now();
-        let cvp = spec.generate();
-        let records = Converter::new(ImprovementSet::all()).convert_all(cvp.iter());
+        let trace = family.generate(args.scale.trace_length);
+        let records = Converter::new(ImprovementSet::all()).convert_all(trace.cvp.iter());
         let prep = start.elapsed().as_secs_f64();
 
-        let cvpz = bench_cvpz(&cvp, &mut totals);
-        let champsimz = bench_champsimz(&records, &mut totals);
-        report_family(&family, &[("cvpz", &cvpz), ("champsimz", &champsimz)], prep);
-        results.push(FamilyResult { family, streams: [("cvpz", cvpz), ("champsimz", champsimz)] });
-    }
-    for kind in RV_FAMILIES {
-        let family = kind.to_string();
-        let spec = RvTraceSpec::new(format!("bench_{family}"), kind, 0xb1a5)
-            .with_length(scale.trace_length);
-        let start = Instant::now();
-        let (program, items) = spec.generate();
-        let records = Converter::new(ImprovementSet::all())
-            .convert_all(rv_items_to_cvp(&program, &items).iter());
-        let prep = start.elapsed().as_secs_f64();
-
-        let etrace = bench_etrace(&program, &items);
-        if etrace.ratio <= ETRACE_RATIO_FLOOR {
-            eprintln!(
-                "error: {family} .etrace compression {:.2}x is under the {ETRACE_RATIO_FLOOR}x floor",
-                etrace.ratio
-            );
-            std::process::exit(1);
-        }
-        let champsimz = bench_champsimz(&records, &mut totals);
-        report_family(&family, &[("etrace", &etrace), ("champsimz", &champsimz)], prep);
-        results
-            .push(FamilyResult { family, streams: [("etrace", etrace), ("champsimz", champsimz)] });
+        let source = match &trace.etrace {
+            None => ("cvpz", bench_cvpz(&trace.cvp, &mut totals)),
+            Some((program, items)) => {
+                let etrace = bench_etrace(program, items);
+                if etrace.ratio <= ETRACE_RATIO_FLOOR {
+                    let message = format!(
+                        "{} .etrace compression {:.2}x is under the {ETRACE_RATIO_FLOOR}x floor",
+                        trace.name, etrace.ratio
+                    );
+                    CONVERT_BENCH.cli.fail(Exit::Check, &message);
+                }
+                ("etrace", etrace)
+            }
+        };
+        let streams = [source, ("champsimz", bench_champsimz(&records, &mut totals))];
+        report_family(&trace.name, &streams, prep);
+        results.push(FamilyResult { family: trace.name, streams });
     }
 
-    let json = to_json(&scale_name, &results);
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => eprintln!("[convert_bench] wrote {out_path}"),
-        Err(e) => fail(&format!("could not write {out_path}: {e}")),
-    }
-    if let Some(path) = &metrics_path {
-        let mut registry = telemetry::Registry::new();
-        registry.label("scale", &scale_name);
-        registry.counter(&catalog::STORE_BLOCKS_WRITTEN, totals.blocks_written);
-        registry.counter(&catalog::STORE_BYTES_RAW, totals.bytes_raw);
-        registry.counter(&catalog::STORE_BYTES_COMPRESSED, totals.bytes_compressed);
-        registry.gauge(&catalog::STORE_COMPRESSION_RATIO, totals.compression_ratio());
-        match std::fs::write(path, registry.to_json()) {
-            Ok(()) => eprintln!("[convert_bench] wrote {path}"),
-            Err(e) => fail(&format!("could not write {path}: {e}")),
-        }
-    }
-    if let Some(path) = &baseline_path {
-        let fields = ["encode_mbps", "decode_mbps", "ratio"];
-        check_baseline("convert_bench", path, &json, &fields, tolerance_pct);
-    }
+    let mut registry = telemetry::Registry::new();
+    registry.label("scale", &args.scale_name);
+    registry.counter(&catalog::STORE_BLOCKS_WRITTEN, totals.blocks_written);
+    registry.counter(&catalog::STORE_BYTES_RAW, totals.bytes_raw);
+    registry.counter(&catalog::STORE_BYTES_COMPRESSED, totals.bytes_compressed);
+    registry.gauge(&catalog::STORE_COMPRESSION_RATIO, totals.compression_ratio());
+    CONVERT_BENCH.finish(&args, &document(&args.scale_name, &results), Some(&registry));
 }
 
 /// Measures the `.cvpz` store on one trace: in-memory encode, decode of
@@ -273,7 +194,7 @@ fn bench_etrace(program: &Program, items: &[TraceItem]) -> StreamResult {
     }
 }
 
-fn report_family(family: &str, streams: &[(&str, &StreamResult)], prep: f64) {
+fn report_family(family: &str, streams: &[(&str, StreamResult)], prep: f64) {
     let mut line = format!("[convert_bench] {family}:");
     for (i, (kind, s)) in streams.iter().enumerate() {
         if i > 0 {
@@ -291,38 +212,56 @@ fn mbps(raw_bytes: u64, seconds: f64) -> f64 {
     raw_bytes as f64 / 1e6 / seconds
 }
 
-fn stream_json(s: &StreamResult) -> String {
-    format!(
-        "{{\"raw_bytes\":{},\"encode_mbps\":{:.3},\"decode_mbps\":{:.3},\"ratio\":{:.3}}}",
-        s.raw_bytes, s.encode_mbps, s.decode_mbps, s.ratio
-    )
+fn document(scale: &str, results: &[FamilyResult]) -> String {
+    json::object(|o| {
+        o.str("scale", scale).objects("results", results, |row, r| {
+            row.str("family", &r.family);
+            for (key, s) in &r.streams {
+                row.object(key, |o| {
+                    o.u64("raw_bytes", s.raw_bytes)
+                        .f64("encode_mbps", s.encode_mbps)
+                        .f64("decode_mbps", s.decode_mbps)
+                        .f64("ratio", s.ratio);
+                });
+            }
+        });
+    })
 }
 
-fn to_json(scale: &str, results: &[FamilyResult]) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!("\"scale\":\"{scale}\",\"results\":["));
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"family\":\"{}\",\"{}\":{},\"{}\":{}}}",
-            r.family,
-            r.streams[0].0,
-            stream_json(&r.streams[0].1),
-            r.streams[1].0,
-            stream_json(&r.streams[1].1)
-        ));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use telemetry::json::Value;
+
+    /// Rows read back from the committed baseline, ARM (`cvpz`) and
+    /// RISC-V (`etrace`) alike, write a document equal to it.
+    #[test]
+    fn document_reproduces_the_committed_baseline() {
+        let committed = Value::parse(include_str!("../../../../BENCH_io.json")).unwrap();
+        let Some(Value::Array(rows)) = committed.get("results") else { panic!("results") };
+        let stream = |row: &Value, key: &'static str| {
+            let s = row.get(key).unwrap();
+            let number = |field: &str| s.get(field).and_then(Value::as_f64).unwrap();
+            let result = StreamResult {
+                raw_bytes: number("raw_bytes") as u64,
+                encode_mbps: number("encode_mbps"),
+                decode_mbps: number("decode_mbps"),
+                ratio: number("ratio"),
+            };
+            (key, result)
+        };
+        let results: Vec<FamilyResult> = rows
+            .iter()
+            .map(|row| FamilyResult {
+                family: row.get("family").and_then(Value::as_str).unwrap().to_owned(),
+                streams: [
+                    stream(row, if row.get("etrace").is_some() { "etrace" } else { "cvpz" }),
+                    stream(row, "champsimz"),
+                ],
+            })
+            .collect();
+        assert!(results.iter().any(|r| r.streams[0].0 == "etrace"));
+        let scale = committed.get("scale").and_then(Value::as_str).unwrap();
+        assert_eq!(Value::parse(&document(scale, &results)).unwrap(), committed);
     }
-    out.push_str("]}\n");
-    out
-}
-
-fn fail(message: &str) -> ! {
-    eprintln!("error: {message}");
-    eprintln!(
-        "usage: convert_bench [--scale smoke|test|paper] [--out <path>] [--metrics <path>] \
-         [--check <baseline.json>] [--tolerance <pct>]"
-    );
-    std::process::exit(2);
 }

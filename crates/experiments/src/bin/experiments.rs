@@ -11,9 +11,10 @@
 //! `paper` scale (default) runs each synthetic trace at 120k
 //! instructions; `test` runs a quick sanity pass and `smoke` an even
 //! smaller CI pass. Worker threads default to the machine's parallelism
-//! (`--threads` / `EXPERIMENTS_THREADS` override). Scheduled runs append
-//! their timing + cache report to `BENCH_experiments.json`; `--stats`
-//! also prints the reports plus the per-improvement attribution table.
+//! (`--threads` / `EXPERIMENTS_THREADS` override). Scheduled runs write
+//! their timing + cache reports to `BENCH_experiments.json`, replacing
+//! the file; `--stats` also prints the reports plus the
+//! per-improvement attribution table.
 //! `--metrics <path>` writes the telemetry document (see METRICS.md):
 //! per-configuration grid aggregates, table 3/4 speedups, and the
 //! attribution table, byte-identical across `--threads` values (and
@@ -25,7 +26,14 @@
 //! accepted), least-recently-used artifacts are compressed into block
 //! stores under `<dir>` and reloaded on demand instead of being
 //! recomputed. Spill files are removed as they are consumed.
+//!
+//! Usage errors exit 2 with the usage line; so does a `--metrics`,
+//! `BENCH_experiments.json` or directory path that cannot be written,
+//! with one line naming the path.
 
+use std::path::PathBuf;
+
+use experiments::bench::{Cli, Exit};
 use experiments::figures::{
     figure1, figure2, figure3, figure4, figure5, render_figure1, render_figure2, render_figure3,
     render_figure4, render_figure5, Grid,
@@ -36,29 +44,88 @@ use experiments::tables::{
     table1, table2, table3_with_report, table4_decoupled_with_report,
 };
 
+const CLI: Cli = Cli {
+    name: "experiments",
+    usage: "experiments [--fig 1|2|3|4|5] [--table 1|2|3|4] [--stats] [--all] \
+            [--scale smoke|test|paper] [--csv <dir>] [--threads <n>] [--metrics <path>] \
+            [--cache-dir <dir>] [--cache-mem-budget <bytes>]",
+};
+
+/// What the command line asks for.
 #[derive(Default)]
 struct Selection {
     figs: Vec<u8>,
     tables: Vec<u8>,
     stats: bool,
-    csv_dir: Option<std::path::PathBuf>,
-    metrics_path: Option<std::path::PathBuf>,
+    scale: Option<ExperimentScale>,
+    threads: Option<usize>,
+    csv_dir: Option<PathBuf>,
+    metrics_path: Option<PathBuf>,
+    cache_dir: Option<PathBuf>,
+    cache_budget: Option<u64>,
+}
+
+/// Parses the arguments after the program name. No selection flag, or
+/// `--all`, selects everything; every error names its flag.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Selection, String> {
+    let mut s = Selection::default();
+    let mut all = false;
+    while let Some(flag) = args.next() {
+        let mut value = |what: &str| args.next().ok_or_else(|| format!("{flag} needs {what}"));
+        match flag.as_str() {
+            "--fig" => select(&mut s.figs, "--fig", value("a number")?, 5)?,
+            "--table" => select(&mut s.tables, "--table", value("a number")?, 4)?,
+            "--stats" => s.stats = true,
+            "--all" => all = true,
+            "--csv" => s.csv_dir = Some(value("a directory")?.into()),
+            "--scale" => {
+                let name = value("a value")?;
+                let scale = ExperimentScale::from_name(&name).ok_or_else(|| {
+                    format!("--scale must be `smoke`, `test` or `paper`, got {name:?}")
+                })?;
+                s.scale = Some(scale);
+            }
+            "--metrics" => s.metrics_path = Some(value("a path")?.into()),
+            "--threads" => {
+                let n = value("a positive number")?.parse().ok().filter(|n: &usize| *n > 0);
+                s.threads = Some(n.ok_or("--threads needs a positive number")?);
+            }
+            "--cache-dir" => s.cache_dir = Some(value("a directory")?.into()),
+            "--cache-mem-budget" => {
+                let raw = value("a size")?;
+                s.cache_budget = Some(parse_bytes(&raw).ok_or_else(|| {
+                    format!(
+                        "--cache-mem-budget {raw:?} is not a byte count (suffixes K/M/G accepted)"
+                    )
+                })?);
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    if s.cache_budget.is_some() && s.cache_dir.is_none() {
+        return Err("--cache-mem-budget requires --cache-dir".to_owned());
+    }
+    if all || (s.figs.is_empty() && s.tables.is_empty() && !s.stats) {
+        s.figs = vec![1, 2, 3, 4, 5];
+        s.tables = vec![1, 2, 3, 4];
+        s.stats = true;
+    }
+    Ok(s)
 }
 
 /// Parses and validates one `--fig`/`--table` operand: numeric, in
 /// range, and not already selected.
-fn select(seen: &mut Vec<u8>, flag: &str, value: Option<String>, max: u8) -> u8 {
-    let raw = value.unwrap_or_else(|| fail(&format!("{flag} needs a number")));
+fn select(seen: &mut Vec<u8>, flag: &str, raw: String, max: u8) -> Result<(), String> {
     let n: u8 = raw
         .parse()
         .ok()
         .filter(|n| (1..=max).contains(n))
-        .unwrap_or_else(|| fail(&format!("{flag} {raw:?} is not in 1..={max}")));
+        .ok_or_else(|| format!("{flag} {raw:?} is not in 1..={max}"))?;
     if seen.contains(&n) {
-        fail(&format!("{flag} {n} given twice"));
+        return Err(format!("{flag} {n} given twice"));
     }
     seen.push(n);
-    n
+    Ok(())
 }
 
 /// Parses a byte count with an optional `K`/`M`/`G` suffix (powers of
@@ -76,86 +143,24 @@ fn parse_bytes(raw: &str) -> Option<u64> {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut selection = Selection::default();
-    let mut scale = ExperimentScale::paper();
-    let mut all = false;
-    let mut cache_dir: Option<std::path::PathBuf> = None;
-    let mut cache_budget: Option<u64> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fig" => {
-                select(&mut selection.figs, "--fig", args.next(), 5);
-            }
-            "--table" => {
-                select(&mut selection.tables, "--table", args.next(), 4);
-            }
-            "--stats" => selection.stats = true,
-            "--csv" => {
-                let dir: std::path::PathBuf =
-                    args.next().unwrap_or_else(|| fail("--csv needs a directory")).into();
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    fail(&format!("cannot create csv directory {}: {e}", dir.display()));
-                }
-                selection.csv_dir = Some(dir);
-            }
-            "--all" => all = true,
-            "--scale" => match args.next().as_deref() {
-                Some("smoke") => scale = ExperimentScale::smoke(),
-                Some("test") => scale = ExperimentScale::test(),
-                Some("paper") => scale = ExperimentScale::paper(),
-                other => fail(&format!(
-                    "--scale must be `smoke`, `test` or `paper`, got {}",
-                    other.map_or("nothing".into(), |o| format!("{o:?}"))
-                )),
-            },
-            "--metrics" => {
-                selection.metrics_path =
-                    Some(args.next().unwrap_or_else(|| fail("--metrics needs a path")).into());
-            }
-            "--threads" => {
-                let n: usize = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| fail("--threads needs a positive number"));
-                experiments::runner::set_threads(n);
-            }
-            "--cache-dir" => {
-                cache_dir = Some(
-                    args.next().unwrap_or_else(|| fail("--cache-dir needs a directory")).into(),
-                );
-            }
-            "--cache-mem-budget" => {
-                let raw = args.next().unwrap_or_else(|| fail("--cache-mem-budget needs a size"));
-                cache_budget = Some(parse_bytes(&raw).unwrap_or_else(|| {
-                    fail(&format!(
-                        "--cache-mem-budget {raw:?} is not a byte count (suffixes K/M/G accepted)"
-                    ))
-                }));
-            }
-            other => fail(&format!("unknown argument {other:?}")),
+    let selection =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|e| CLI.fail(Exit::Usage, &e));
+    let scale = selection.scale.unwrap_or_else(ExperimentScale::paper);
+    if let Some(threads) = selection.threads {
+        experiments::runner::set_threads(threads);
+    }
+    for dir in [&selection.csv_dir, &selection.cache_dir].into_iter().flatten() {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            CLI.fail(Exit::Io, &format!("cannot create directory {}: {e}", dir.display()));
         }
     }
-    match (cache_dir, cache_budget) {
-        (Some(dir), budget) => {
-            if let Err(e) = std::fs::create_dir_all(&dir) {
-                fail(&format!("cannot create cache directory {}: {e}", dir.display()));
-            }
-            // Default budget: 256 MiB of resident artifacts.
-            let mem_budget = budget.unwrap_or(256 << 20);
-            experiments::cache::set_spill(Some(experiments::cache::SpillConfig {
-                dir,
-                mem_budget,
-            }));
-        }
-        (None, Some(_)) => fail("--cache-mem-budget requires --cache-dir"),
-        (None, None) => {}
-    }
-    if all || (selection.figs.is_empty() && selection.tables.is_empty() && !selection.stats) {
-        selection.figs = vec![1, 2, 3, 4, 5];
-        selection.tables = vec![1, 2, 3, 4];
-        selection.stats = true;
+    if let Some(dir) = &selection.cache_dir {
+        // Default budget: 256 MiB of resident artifacts.
+        let mem_budget = selection.cache_budget.unwrap_or(256 << 20);
+        experiments::cache::set_spill(Some(experiments::cache::SpillConfig {
+            dir: dir.clone(),
+            mem_budget,
+        }));
     }
     let mut reports: Vec<SchedulerReport> = Vec::new();
     let mut metrics = telemetry::Registry::new();
@@ -269,26 +274,9 @@ fn main() {
             .as_ref()
             .map(|rows| vec![("attribution", experiments::metrics::attribution_json(rows))])
             .unwrap_or_default();
-        match std::fs::write(path, metrics.to_json_with_sections(&sections)) {
-            Ok(()) => eprintln!("[experiments] wrote {}", path.display()),
-            Err(e) => eprintln!("[experiments] could not write {}: {e}", path.display()),
-        }
+        CLI.write(path, &metrics.to_json_with_sections(&sections));
     }
     if !reports.is_empty() {
-        let path = "BENCH_experiments.json";
-        match std::fs::write(path, reports_to_json(&reports)) {
-            Ok(()) => eprintln!("[experiments] wrote {path}"),
-            Err(e) => eprintln!("[experiments] could not write {path}: {e}"),
-        }
+        CLI.write("BENCH_experiments.json", &reports_to_json(&reports));
     }
-}
-
-fn fail(message: &str) -> ! {
-    eprintln!("error: {message}");
-    eprintln!(
-        "usage: experiments [--fig 1|2|3|4|5] [--table 1|2|3|4] [--stats] [--all] \
-         [--scale smoke|test|paper] [--csv <dir>] [--threads <n>] [--metrics <path>] \
-         [--cache-dir <dir>] [--cache-mem-budget <bytes>]"
-    );
-    std::process::exit(2);
 }

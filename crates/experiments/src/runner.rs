@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 
 use converter::{ConversionStats, Converter, ImprovementSet};
 use sim::{CoreConfig, RunOptions, SimReport, Simulator};
+use telemetry::json;
 use workloads::TraceSpec;
 
 use crate::cache::{ArtifactCache, CacheCounters};
@@ -54,6 +55,16 @@ impl ExperimentScale {
     /// experiments).
     pub fn paper() -> ExperimentScale {
         ExperimentScale { trace_length: 120_000, warmup: 30_000 }
+    }
+
+    /// The scale a `--scale` flag names: `smoke`, `test` or `paper`.
+    pub fn from_name(name: &str) -> Option<ExperimentScale> {
+        match name {
+            "smoke" => Some(ExperimentScale::smoke()),
+            "test" => Some(ExperimentScale::test()),
+            "paper" => Some(ExperimentScale::paper()),
+            _ => None,
+        }
     }
 }
 
@@ -321,40 +332,35 @@ impl SchedulerReport {
         )
     }
 
-    /// One JSON object (hand-rolled: the workspace has no serializer
-    /// dependency).
-    pub fn to_json(&self) -> String {
+    /// Writes this report as one `BENCH_experiments.json` row.
+    fn write_json(&self, row: &mut json::Object<'_>) {
         let c = &self.counters;
-        format!(
-            "{{\"label\":\"{}\",\"threads\":{},\"jobs\":{},\"wall_seconds\":{:.6},\
-             \"generate_seconds\":{:.6},\"convert_seconds\":{:.6},\"simulate_seconds\":{:.6},\
-             \"trace_hits\":{},\"trace_misses\":{},\"trace_hit_rate\":{:.6},\
-             \"convert_hits\":{},\"convert_misses\":{},\"convert_hit_rate\":{:.6},\
-             \"spills\":{},\"disk_hits\":{},\"peak_resident_bytes\":{}}}",
-            self.label,
-            self.threads,
-            self.jobs,
-            self.wall.as_secs_f64(),
-            c.generate_ns as f64 / 1e9,
-            c.convert_ns as f64 / 1e9,
-            c.simulate_ns as f64 / 1e9,
-            c.trace_hits,
-            c.trace_misses,
-            c.trace_hit_rate(),
-            c.convert_hits,
-            c.convert_misses,
-            c.convert_hit_rate(),
-            c.spills,
-            c.disk_hits,
-            c.peak_resident_bytes,
-        )
+        row.str("label", &self.label)
+            .u64("threads", self.threads as u64)
+            .u64("jobs", self.jobs as u64)
+            .f64("wall_seconds", self.wall.as_secs_f64())
+            .f64("generate_seconds", c.generate_ns as f64 / 1e9)
+            .f64("convert_seconds", c.convert_ns as f64 / 1e9)
+            .f64("simulate_seconds", c.simulate_ns as f64 / 1e9)
+            .u64("trace_hits", c.trace_hits)
+            .u64("trace_misses", c.trace_misses)
+            .f64("trace_hit_rate", c.trace_hit_rate())
+            .u64("convert_hits", c.convert_hits)
+            .u64("convert_misses", c.convert_misses)
+            .f64("convert_hit_rate", c.convert_hit_rate())
+            .u64("spills", c.spills)
+            .u64("disk_hits", c.disk_hits)
+            .u64("peak_resident_bytes", c.peak_resident_bytes);
     }
 }
 
 /// The `BENCH_experiments.json` document for a set of scheduled runs.
 pub fn reports_to_json(reports: &[SchedulerReport]) -> String {
-    let body: Vec<String> = reports.iter().map(SchedulerReport::to_json).collect();
-    format!("{{\"reports\":[{}]}}\n", body.join(","))
+    let mut doc = json::object(|o| {
+        o.objects("reports", reports, |row, report| report.write_json(row));
+    });
+    doc.push('\n');
+    doc
 }
 
 /// Geometric mean of strictly positive values.

@@ -327,11 +327,7 @@ pub fn render_table3(t: &Table3) -> String {
 /// Extension (the paper's §4.4 recommendation, executed): the same
 /// prefetcher study on the **modern decoupled core**, quantifying how a
 /// fetch-directed front-end deflates dedicated instruction prefetchers.
-pub fn table4_decoupled(scale: ExperimentScale) -> Table3 {
-    table4_decoupled_with_report(scale).0
-}
-
-/// [`table4_decoupled`] plus the scheduler report.
+/// Returns the table and the scheduler report.
 pub fn table4_decoupled_with_report(scale: ExperimentScale) -> (Table3, SchedulerReport) {
     let mut core = CoreConfig::iiswc_main();
     // Ideal targets keep the study comparable to Table 3; the decoupled

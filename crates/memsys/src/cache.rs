@@ -61,11 +61,6 @@ impl CacheConfig {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         CacheConfig { sets, ways, latency, replacement: ReplacementPolicy::Lru }
     }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        (self.sets * self.ways) as u64 * CACHELINE_BYTES
-    }
 }
 
 /// Per-cache statistics.
@@ -330,7 +325,6 @@ mod tests {
     #[test]
     fn size_constructor_math() {
         let c = CacheConfig::with_size_kib(32, 8, 4);
-        assert_eq!(c.capacity_bytes(), 32 * 1024);
         assert_eq!(c.sets, 64);
     }
 

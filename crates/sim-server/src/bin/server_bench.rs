@@ -47,7 +47,10 @@
 //! `--tolerance` percent (default 30); a regression, or a gated field
 //! the baseline lacks, fails the run (exit 1) and names the field.
 //! Latency tails are reported but not gated; they are too
-//! host-sensitive for CI.
+//! host-sensitive for CI. Every hard check above (no 429s, fan-out
+//! under 2x, nothing coalesced or cached, router under 1.7x, documents
+//! that differ) also exits 1; usage errors and a server that cannot be
+//! started or reached exit 2.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -56,12 +59,17 @@ use std::time::{Duration, Instant};
 
 use champsim_trace::ChampsimRecord;
 use converter::{Converter, ImprovementSet};
-use experiments::bench::check_baseline;
-use sim_server::json::Value;
+use experiments::bench::{Cli, Exit, SERVER_BENCH};
+use sim_server::json::{self, Value};
 use sim_server::ring::DEFAULT_VNODES;
 use sim_server::{Connection, HashRing, JobSpec, Router, RouterConfig, Server, ServerConfig};
-use trace_store::ChampsimzWriter;
+use trace_store::{ChampsimzWriter, StoreError};
 use workloads::{TraceSpec, WorkloadKind};
+
+const CLI: &Cli = &SERVER_BENCH.cli;
+
+/// Every server's job timeout, and every client's wait for one job.
+const JOB_TIMEOUT: Duration = Duration::from_secs(120);
 
 struct Scale {
     name: &'static str,
@@ -148,54 +156,27 @@ struct Results {
 }
 
 fn main() {
-    let mut scale = &SCALES[2];
-    let mut out_path = "BENCH_server.json".to_string();
-    let mut baseline_path: Option<String> = None;
-    let mut tolerance_pct = 30.0f64;
     let mut shards = 2usize;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let name = args.next().unwrap_or_else(|| fail("--scale needs a value"));
-                scale = SCALES.iter().find(|s| s.name == name).unwrap_or_else(|| {
-                    fail(&format!("--scale must be smoke|test|paper, got {name:?}"))
-                });
-            }
-            "--shards" => {
-                shards = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n: &usize| (1..=16).contains(n))
-                    .unwrap_or_else(|| fail("--shards needs a count in 1..=16"));
-            }
-            "--out" => out_path = args.next().unwrap_or_else(|| fail("--out needs a path")),
-            "--check" => {
-                baseline_path = Some(args.next().unwrap_or_else(|| fail("--check needs a path")));
-            }
-            "--tolerance" => {
-                tolerance_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t: &f64| *t > 0.0 && *t < 100.0)
-                    .unwrap_or_else(|| fail("--tolerance needs a percentage in (0, 100)"));
-            }
-            other => fail(&format!("unknown argument {other:?}")),
+    let args = SERVER_BENCH.args(|flag, rest| {
+        if flag != "--shards" {
+            return Ok(false);
         }
-    }
+        shards = rest
+            .next()
+            .and_then(|v| v.parse().ok())
+            .filter(|n: &usize| (1..=16).contains(n))
+            .ok_or("--shards needs a count in 1..=16")?;
+        Ok(true)
+    });
+    let scale = SCALES
+        .iter()
+        .find(|s| s.name == args.scale_name)
+        .expect("the parser accepts only smoke|test|paper, the names of SCALES");
 
     let (total_jobs, jobs_per_sec, p50, p99) = throughput_phase(scale);
     let (rejected, rejection_rate, drain_ms) = overload_phase(scale);
     let (fanout_sequential_jobs_per_sec, fanout_jobs_per_sec, fanout_stream_passes) =
         fanout_phase(scale);
-    let fanout_speedup = fanout_jobs_per_sec / fanout_sequential_jobs_per_sec;
-    if fanout_speedup < 2.0 {
-        fail(&format!(
-            "fan-out batching speedup {fanout_speedup:.2}x is below the required 2x \
-             ({fanout_jobs_per_sec:.2} vs {fanout_sequential_jobs_per_sec:.2} jobs/s)"
-        ));
-    }
     let (dup_jobs_per_sec, dup_coalesced, dup_cache_hits) = duplicate_phase(scale);
     let (router_solo_jobs_per_sec, router_jobs_per_sec, router_speedup) =
         router_phase(scale, shards);
@@ -210,7 +191,7 @@ fn main() {
         drain_ms,
         fanout_sequential_jobs_per_sec,
         fanout_jobs_per_sec,
-        fanout_speedup,
+        fanout_speedup: fanout_jobs_per_sec / fanout_sequential_jobs_per_sec,
         fanout_stream_passes,
         dup_jobs_per_sec,
         dup_coalesced,
@@ -220,75 +201,120 @@ fn main() {
         router_jobs_per_sec,
         router_speedup,
     };
-    let json = to_json(scale, &results);
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => eprintln!("[server_bench] wrote {out_path}"),
-        Err(e) => fail(&format!("could not write {out_path}: {e}")),
-    }
-
-    if let Some(path) = &baseline_path {
-        let fields = ["jobs_per_sec", "fanout_jobs_per_sec", "router_jobs_per_sec"];
-        check_baseline("server_bench", path, &json, &fields, tolerance_pct);
-    }
+    SERVER_BENCH.finish(&args, &document(scale, &results), None);
 }
 
-/// Per-client workload body; distinct seeds keep the closed loops from
-/// coalescing onto each other's executions.
-fn client_body(scale: &Scale, client: usize) -> String {
-    format!(
-        "{{\"workload\": {{\"kind\": \"crypto\", \"seed\": {}, \"length\": {}}}, \
-         \"improvements\": \"All_imps\"}}",
-        100 + client,
-        scale.length
-    )
+/// A `crypto` workload job body: `length` instructions from `seed`,
+/// converted with `improvements`.
+fn workload_body(seed: usize, length: u64, improvements: &str) -> String {
+    json::object(|o| {
+        o.object("workload", |w| {
+            w.str("kind", "crypto").u64("seed", seed as u64).u64("length", length);
+        })
+        .str("improvements", improvements);
+    })
+}
+
+/// A fan-out job body: `trace` with 200 warm-up records, simulated
+/// with `prefetcher` attached (`None`: the baseline front-end).
+fn fanout_body(trace: &str, prefetcher: Option<&str>) -> String {
+    json::object(|o| {
+        o.str("trace", trace).u64("warmup", 200);
+        if let Some(name) = prefetcher {
+            o.str("prefetcher", name);
+        }
+    })
+}
+
+/// Starts an in-process server on an ephemeral port and returns it with
+/// its address. `max_batch: None` keeps the service's batching and
+/// result-cache defaults; `Some(n)` fuses at most `n` jobs per pass and
+/// turns the result cache off, so every job actually simulates.
+fn start_server(queue_depth: usize, workers: usize, max_batch: Option<usize>) -> (Server, String) {
+    let mut config =
+        ServerConfig { queue_depth, workers, job_timeout: JOB_TIMEOUT, ..ServerConfig::default() };
+    if let Some(max_batch) = max_batch {
+        config.max_batch = max_batch;
+        config.result_cache_entries = 0;
+    }
+    let server = Server::start(config)
+        .unwrap_or_else(|e| CLI.fail(Exit::Io, &format!("cannot start server: {e}")));
+    let addr = server.local_addr().to_string();
+    (server, addr)
+}
+
+fn connect(addr: &str) -> Connection {
+    Connection::connect(addr)
+        .unwrap_or_else(|e| CLI.fail(Exit::Io, &format!("cannot connect to {addr}: {e}")))
+}
+
+/// Submits, waits for and fetches one job; `what` names it in errors.
+fn run(conn: &mut Connection, body: &str, what: &str) -> String {
+    conn.run(body, JOB_TIMEOUT).unwrap_or_else(|e| CLI.fail(Exit::Io, &format!("{what}: {e}")))
+}
+
+fn submit(conn: &mut Connection, body: &str, what: &str) -> String {
+    conn.submit(body).unwrap_or_else(|e| CLI.fail(Exit::Io, &format!("{what} submit: {e}")))
+}
+
+/// Waits for job `id` and fetches its document; a job that settles
+/// other than `done` fails the check.
+fn wait_and_fetch(conn: &mut Connection, id: &str, what: &str) -> String {
+    let status = conn
+        .wait(id, JOB_TIMEOUT)
+        .unwrap_or_else(|e| CLI.fail(Exit::Io, &format!("{what} wait: {e}")));
+    if status != "done" {
+        CLI.fail(Exit::Check, &format!("{what} job {id} finished {status}"));
+    }
+    conn.fetch(id).unwrap_or_else(|e| CLI.fail(Exit::Io, &format!("{what} fetch: {e}")))
+}
+
+/// The closed-loop client driver of the throughput and sharding
+/// phases. Warms the service behind `addr` with one run of each body,
+/// so the measurement is job-service overhead plus simulation rather
+/// than one-time generation and conversion; then runs one client per
+/// body, each `jobs` jobs back to back on one connection. Returns every
+/// timed job's latency in ms and the wall-clock seconds of the loop.
+fn closed_loop(addr: &str, bodies: &[String], jobs: usize) -> (Vec<f64>, f64) {
+    for body in bodies {
+        run(&mut connect(addr), body, "warm-up job");
+    }
+    let wall = Instant::now();
+    let latencies_ms = std::thread::scope(|scope| {
+        let clients: Vec<_> = bodies
+            .iter()
+            .map(|body| {
+                scope.spawn(move || {
+                    let mut conn = connect(addr);
+                    (0..jobs)
+                        .map(|_| {
+                            let start = Instant::now();
+                            run(&mut conn, body, "job");
+                            start.elapsed().as_secs_f64() * 1e3
+                        })
+                        .collect::<Vec<f64>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|client| client.join().expect("client threads do not panic"))
+            .collect::<Vec<f64>>()
+    });
+    (latencies_ms, wall.elapsed().as_secs_f64())
 }
 
 // ---- Phase 1: closed-loop throughput and latency ----
 fn throughput_phase(scale: &Scale) -> (usize, f64, f64, f64) {
-    let server = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        queue_depth: scale.clients * 2,
-        workers: scale.workers,
-        job_timeout: Duration::from_secs(120),
-        // Each job must actually simulate — memoized or fused runs
-        // would measure the caches, not the service.
-        max_batch: 1,
-        result_cache_entries: 0,
-    })
-    .unwrap_or_else(|e| fail(&format!("cannot start server: {e}")));
-    let addr = server.local_addr().to_string();
-
-    // Warm the artifact cache so the measurement is job-service
-    // overhead + simulation, not one-time generation/conversion.
-    for client in 0..scale.clients {
-        run_one(&addr, &client_body(scale, client));
-    }
-
-    let wall = Instant::now();
-    let handles: Vec<_> = (0..scale.clients)
-        .map(|client| {
-            let addr = addr.clone();
-            let body = client_body(scale, client);
-            let jobs = scale.jobs_per_client;
-            std::thread::spawn(move || {
-                let mut conn =
-                    Connection::connect(&addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
-                let mut latencies_ms = Vec::with_capacity(jobs);
-                for _ in 0..jobs {
-                    let start = Instant::now();
-                    conn.run(&body, Duration::from_secs(120))
-                        .unwrap_or_else(|e| fail(&format!("job failed: {e}")));
-                    latencies_ms.push(start.elapsed().as_secs_f64() * 1e3);
-                }
-                latencies_ms
-            })
-        })
+    // Each job must actually simulate — memoized or fused runs would
+    // measure the caches, not the service.
+    let (server, addr) = start_server(scale.clients * 2, scale.workers, Some(1));
+    // Distinct seeds keep the closed loops from coalescing onto each
+    // other's executions.
+    let bodies: Vec<String> = (0..scale.clients)
+        .map(|client| workload_body(100 + client, scale.length, "All_imps"))
         .collect();
-    let mut latencies_ms: Vec<f64> = Vec::new();
-    for handle in handles {
-        latencies_ms.extend(handle.join().unwrap_or_else(|_| fail("client thread panicked")));
-    }
-    let elapsed = wall.elapsed().as_secs_f64();
+    let (mut latencies_ms, elapsed) = closed_loop(&addr, &bodies, scale.jobs_per_client);
     server.join();
 
     let total_jobs = latencies_ms.len();
@@ -305,38 +331,21 @@ fn throughput_phase(scale: &Scale) -> (usize, f64, f64, f64) {
 
 // ---- Phase 2: overload (bounded queue) and drain ----
 fn overload_phase(scale: &Scale) -> (usize, f64, f64) {
-    let server = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        queue_depth: 1,
-        workers: 1,
-        job_timeout: Duration::from_secs(120),
-        ..ServerConfig::default()
-    })
-    .unwrap_or_else(|e| fail(&format!("cannot start overload server: {e}")));
-    let addr = server.local_addr().to_string();
-    let mut conn = Connection::connect(&addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
+    let (server, addr) = start_server(1, 1, None);
+    let mut conn = connect(&addr);
     let mut rejected = 0usize;
     for i in 0..scale.overload_jobs {
         // Distinct seeds: identical bodies would coalesce onto the
         // running job instead of exercising the bounded queue.
-        let body = format!(
-            "{{\"workload\": {{\"kind\": \"crypto\", \"seed\": {}, \"length\": {}}}, \
-             \"improvements\": \"All_imps\"}}",
-            200 + i,
-            scale.length
-        );
+        let body = workload_body(200 + i, scale.length, "All_imps");
         let response = conn
             .send("POST", "/jobs", &body)
-            .unwrap_or_else(|e| fail(&format!("overload submit: {e}")));
+            .unwrap_or_else(|e| CLI.fail(Exit::Io, &format!("overload submit: {e}")));
         match response.status {
             202 => {}
-            429 => {
-                if response.header("retry-after").is_none() {
-                    fail("429 without Retry-After header");
-                }
-                rejected += 1;
-            }
-            other => fail(&format!("overload submit: unexpected HTTP {other}")),
+            429 if response.header("retry-after").is_some() => rejected += 1,
+            429 => CLI.fail(Exit::Check, "429 without Retry-After header"),
+            other => CLI.fail(Exit::Check, &format!("overload submit: unexpected HTTP {other}")),
         }
     }
     let rejection_rate = rejected as f64 / scale.overload_jobs as f64;
@@ -350,7 +359,7 @@ fn overload_phase(scale: &Scale) -> (usize, f64, f64) {
         rejection_rate * 100.0
     );
     if rejected == 0 {
-        fail("overload produced no 429s — the queue is not applying backpressure");
+        CLI.fail(Exit::Check, "overload produced no 429s — the queue is not applying backpressure");
     }
     (rejected, rejection_rate, drain_ms)
 }
@@ -359,151 +368,94 @@ fn overload_phase(scale: &Scale) -> (usize, f64, f64) {
 fn fanout_phase(scale: &Scale) -> (f64, f64, u64) {
     let dir = std::env::temp_dir().join(format!("server-bench-fanout-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| fail(&format!("scratch dir: {e}")));
+    std::fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| CLI.fail(Exit::Io, &format!("scratch dir {}: {e}", dir.display())));
     let trace = dir.join("fanout.champsimz");
-    write_trace(&trace, scale.length as usize);
-    let trace_text = trace.to_str().unwrap_or_else(|| fail("scratch path is not UTF-8"));
+    write_trace(&trace, scale.length as usize)
+        .unwrap_or_else(|e| CLI.fail(Exit::Io, &format!("fan-out trace {}: {e}", trace.display())));
+    let trace_text =
+        trace.to_str().unwrap_or_else(|| CLI.fail(Exit::Io, "scratch path is not UTF-8"));
 
     // Config 0 runs the baseline front-end; the rest attach contest
     // prefetchers — the same sweep shape as the paper's Table 3.
     let mut prefetchers: Vec<Option<&str>> = vec![None];
     prefetchers
         .extend(iprefetch::CONTEST_NAMES.iter().copied().map(Some).take(scale.fanout_configs - 1));
-    let bodies: Vec<String> = prefetchers
-        .iter()
-        .map(|prefetcher| {
-            let mut body = format!("{{\"trace\": \"{trace_text}\", \"warmup\": 200");
-            if let Some(name) = prefetcher {
-                body.push_str(&format!(", \"prefetcher\": \"{name}\""));
-            }
-            body.push('}');
-            body
-        })
-        .collect();
-
-    let start_server = |max_batch: usize| {
-        Server::start(ServerConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            queue_depth: bodies.len() + 1,
-            workers: 1,
-            job_timeout: Duration::from_secs(120),
-            max_batch,
-            result_cache_entries: 0,
-        })
-        .unwrap_or_else(|e| fail(&format!("cannot start fan-out server: {e}")))
-    };
+    let bodies: Vec<String> =
+        prefetchers.iter().map(|prefetcher| fanout_body(trace_text, *prefetcher)).collect();
 
     // Unbatched: one config at a time, each its own streaming pass.
-    let server = start_server(1);
-    let addr = server.local_addr().to_string();
-    let mut conn = Connection::connect(&addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
+    let (server, addr) = start_server(bodies.len() + 1, 1, Some(1));
+    let mut conn = connect(&addr);
     let wall = Instant::now();
-    let sequential_docs: Vec<String> = bodies
-        .iter()
-        .map(|body| {
-            conn.run(body, Duration::from_secs(120))
-                .unwrap_or_else(|e| fail(&format!("sequential fan-out job: {e}")))
-        })
-        .collect();
+    let sequential_docs: Vec<String> =
+        bodies.iter().map(|body| run(&mut conn, body, "sequential fan-out job")).collect();
     let sequential_elapsed = wall.elapsed().as_secs_f64();
     server.join();
 
     // Batched: a decoy job occupies the single worker while every
     // config queues up, so the planner claims them in one fused pass.
-    let server = start_server(bodies.len());
-    let addr = server.local_addr().to_string();
-    let mut conn = Connection::connect(&addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
-    let decoy = format!(
-        "{{\"workload\": {{\"kind\": \"crypto\", \"seed\": 777, \"length\": {}}}}}",
-        scale.length
-    );
-    conn.submit(&decoy).unwrap_or_else(|e| fail(&format!("decoy submit: {e}")));
+    let (server, addr) = start_server(bodies.len() + 1, 1, Some(bodies.len()));
+    let mut conn = connect(&addr);
+    submit(&mut conn, &workload_body(777, scale.length, "No_imp"), "decoy");
     let wall = Instant::now();
-    let ids: Vec<String> = bodies
-        .iter()
-        .map(|body| conn.submit(body).unwrap_or_else(|e| fail(&format!("fan-out submit: {e}"))))
-        .collect();
-    let batched_docs: Vec<String> = ids
-        .iter()
-        .map(|id| {
-            let status = conn
-                .wait(id, Duration::from_secs(120))
-                .unwrap_or_else(|e| fail(&format!("fan-out wait: {e}")));
-            if status != "done" {
-                fail(&format!("fan-out job {id} finished {status}"));
-            }
-            conn.fetch(id).unwrap_or_else(|e| fail(&format!("fan-out fetch: {e}")))
-        })
-        .collect();
+    let ids: Vec<String> = bodies.iter().map(|body| submit(&mut conn, body, "fan-out")).collect();
+    let batched_docs: Vec<String> =
+        ids.iter().map(|id| wait_and_fetch(&mut conn, id, "fan-out")).collect();
     let batched_elapsed = wall.elapsed().as_secs_f64();
-    let metrics =
-        conn.send("GET", "/metrics", "").unwrap_or_else(|e| fail(&format!("metrics: {e}"))).text();
+    let metrics = metrics_text(&mut conn);
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
 
     for (i, (sequential, batched)) in sequential_docs.iter().zip(&batched_docs).enumerate() {
         if sequential != batched {
-            fail(&format!("fan-out config {i}: batched document differs from sequential run"));
+            let message =
+                format!("fan-out config {i}: batched document differs from sequential run");
+            CLI.fail(Exit::Check, &message);
         }
     }
     // Total passes minus the decoy's own pass.
     let stream_passes = metric_count(&metrics, "server.batch.passes").saturating_sub(1);
     let sequential_jps = sequential_docs.len() as f64 / sequential_elapsed;
     let batched_jps = batched_docs.len() as f64 / batched_elapsed;
+    let speedup = batched_jps / sequential_jps;
     eprintln!(
         "[server_bench] fan-out: {} configs, sequential {sequential_jps:.2} jobs/s, \
-         batched {batched_jps:.2} jobs/s ({:.2}x, {stream_passes} stream passes)",
+         batched {batched_jps:.2} jobs/s ({speedup:.2}x, {stream_passes} stream passes)",
         bodies.len(),
-        batched_jps / sequential_jps
     );
+    if speedup < 2.0 {
+        CLI.fail(
+            Exit::Check,
+            &format!(
+                "fan-out batching speedup {speedup:.2}x is below the required 2x \
+                 ({batched_jps:.2} vs {sequential_jps:.2} jobs/s)"
+            ),
+        );
+    }
     (sequential_jps, batched_jps, stream_passes)
 }
 
 // ---- Phase 4: duplicate coalescing and the result cache ----
 fn duplicate_phase(scale: &Scale) -> (f64, u64, u64) {
-    let server = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        queue_depth: 4,
-        workers: 1,
-        job_timeout: Duration::from_secs(120),
-        ..ServerConfig::default()
-    })
-    .unwrap_or_else(|e| fail(&format!("cannot start duplicate-storm server: {e}")));
-    let addr = server.local_addr().to_string();
-    let mut conn = Connection::connect(&addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
+    let (server, addr) = start_server(4, 1, None);
+    let mut conn = connect(&addr);
     // Long enough that the first execution is still running while the
     // duplicates arrive and attach to it.
-    let body = format!(
-        "{{\"workload\": {{\"kind\": \"crypto\", \"seed\": 900, \"length\": {}}}, \
-         \"improvements\": \"All_imps\"}}",
-        scale.length * 25
-    );
+    let body = workload_body(900, scale.length * 25, "All_imps");
 
     let wall = Instant::now();
-    let ids: Vec<String> = (0..scale.dup_jobs)
-        .map(|_| conn.submit(&body).unwrap_or_else(|e| fail(&format!("duplicate submit: {e}"))))
-        .collect();
-    let mut docs = Vec::with_capacity(ids.len() + 1);
-    for id in &ids {
-        let status = conn
-            .wait(id, Duration::from_secs(120))
-            .unwrap_or_else(|e| fail(&format!("duplicate wait: {e}")));
-        if status != "done" {
-            fail(&format!("duplicate job {id} finished {status}"));
-        }
-        docs.push(conn.fetch(id).unwrap_or_else(|e| fail(&format!("duplicate fetch: {e}"))));
-    }
+    let ids: Vec<String> =
+        (0..scale.dup_jobs).map(|_| submit(&mut conn, &body, "duplicate")).collect();
+    let mut docs: Vec<String> =
+        ids.iter().map(|id| wait_and_fetch(&mut conn, id, "duplicate")).collect();
     // Resubmission after completion: answered from the result cache.
-    docs.push(
-        conn.run(&body, Duration::from_secs(120))
-            .unwrap_or_else(|e| fail(&format!("cached rerun: {e}"))),
-    );
+    docs.push(run(&mut conn, &body, "cached rerun"));
     let elapsed = wall.elapsed().as_secs_f64();
     if docs.windows(2).any(|pair| pair[0] != pair[1]) {
-        fail("coalesced/cached documents differ from the primary execution");
+        CLI.fail(Exit::Check, "coalesced/cached documents differ from the primary execution");
     }
-    let metrics =
-        conn.send("GET", "/metrics", "").unwrap_or_else(|e| fail(&format!("metrics: {e}"))).text();
+    let metrics = metrics_text(&mut conn);
     server.join();
 
     let coalesced = metric_count(&metrics, "server.jobs.coalesced");
@@ -515,10 +467,10 @@ fn duplicate_phase(scale: &Scale) -> (f64, u64, u64) {
         scale.dup_jobs
     );
     if coalesced == 0 {
-        fail("no submission coalesced onto the in-flight execution");
+        CLI.fail(Exit::Check, "no submission coalesced onto the in-flight execution");
     }
     if cache_hits == 0 {
-        fail("the resubmission was not answered from the result cache");
+        CLI.fail(Exit::Check, "the resubmission was not answered from the result cache");
     }
     (jobs_per_sec, coalesced, cache_hits)
 }
@@ -543,10 +495,13 @@ fn router_phase(scale: &Scale, shards: usize) -> (f64, f64, f64) {
          ({speedup:.2}x)"
     );
     if shards >= 2 && speedup < 1.7 {
-        fail(&format!(
-            "router sharding speedup {speedup:.2}x at {shards} shards is below the required 1.7x \
-             ({sharded:.2} vs {solo:.2} jobs/s)"
-        ));
+        CLI.fail(
+            Exit::Check,
+            &format!(
+                "router sharding speedup {speedup:.2}x at {shards} shards is below the required \
+                 1.7x ({sharded:.2} vs {solo:.2} jobs/s)"
+            ),
+        );
     }
     (solo, sharded, speedup)
 }
@@ -554,27 +509,15 @@ fn router_phase(scale: &Scale, shards: usize) -> (f64, f64, f64) {
 /// Starts `shards` backends behind a router and runs one closed-loop
 /// client per shard; returns fleet jobs/s.
 fn router_run(scale: &Scale, shards: usize) -> f64 {
-    let backends: Vec<Server> = (0..shards)
-        .map(|_| {
-            Server::start(ServerConfig {
-                addr: "127.0.0.1:0".to_owned(),
-                queue_depth: 8,
-                workers: 1,
-                job_timeout: Duration::from_secs(120),
-                // Every job must actually simulate on its shard.
-                max_batch: 1,
-                result_cache_entries: 0,
-            })
-            .unwrap_or_else(|e| fail(&format!("cannot start shard backend: {e}")))
-        })
-        .collect();
-    let addrs: Vec<String> = backends.iter().map(|b| b.local_addr().to_string()).collect();
+    // Every job must actually simulate on its shard.
+    let (backends, addrs): (Vec<Server>, Vec<String>) =
+        (0..shards).map(|_| start_server(8, 1, Some(1))).unzip();
     let router = Router::start(RouterConfig {
         addr: "127.0.0.1:0".to_owned(),
         backends: addrs.clone(),
         ..RouterConfig::default()
     })
-    .unwrap_or_else(|e| fail(&format!("cannot start router: {e}")));
+    .unwrap_or_else(|e| CLI.fail(Exit::Io, &format!("cannot start router: {e}")));
     let router_addr = router.local_addr().to_string();
 
     // Pin one record stream to each shard by predicting the router's
@@ -583,15 +526,9 @@ fn router_run(scale: &Scale, shards: usize) -> f64 {
     let mut bodies: Vec<Option<String>> = vec![None; shards];
     let mut missing = shards;
     for seed in 3000.. {
-        let body = format!(
-            "{{\"workload\": {{\"kind\": \"crypto\", \"seed\": {seed}, \"length\": {}}}, \
-             \"improvements\": \"All_imps\"}}",
-            scale.router_length
-        );
-        let spec =
-            JobSpec::parse(&body).unwrap_or_else(|e| fail(&format!("sharding phase spec: {e}")));
-        let home =
-            ring.route(&spec.source_key()).unwrap_or_else(|| fail("ring routed a spec nowhere"));
+        let body = workload_body(seed, scale.router_length, "All_imps");
+        let spec = JobSpec::parse(&body).expect("bench bodies are valid job specs");
+        let home = ring.route(&spec.source_key()).expect("a ring with backends routes every key");
         if bodies[home].is_none() {
             bodies[home] = Some(body);
             missing -= 1;
@@ -601,63 +538,26 @@ fn router_run(scale: &Scale, shards: usize) -> f64 {
         }
     }
     let bodies: Vec<String> = bodies.into_iter().map(Option::unwrap).collect();
-
-    // Warm each shard's artifact cache through the router so the
-    // measured loop is submit/poll/fetch + a short simulation.
-    for body in &bodies {
-        run_one(&router_addr, body);
-    }
-
-    let wall = Instant::now();
-    let handles: Vec<_> = bodies
-        .into_iter()
-        .map(|body| {
-            let addr = router_addr.clone();
-            let jobs = scale.router_jobs_per_client;
-            std::thread::spawn(move || {
-                let mut conn =
-                    Connection::connect(&addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
-                for _ in 0..jobs {
-                    conn.run(&body, Duration::from_secs(120))
-                        .unwrap_or_else(|e| fail(&format!("sharded job failed: {e}")));
-                }
-                jobs
-            })
-        })
-        .collect();
-    let mut total = 0usize;
-    for handle in handles {
-        total += handle.join().unwrap_or_else(|_| fail("shard client thread panicked"));
-    }
-    let elapsed = wall.elapsed().as_secs_f64();
+    let (latencies_ms, elapsed) = closed_loop(&router_addr, &bodies, scale.router_jobs_per_client);
 
     router.join();
     for backend in backends {
         backend.begin_shutdown(false);
         backend.join();
     }
-    total as f64 / elapsed
+    latencies_ms.len() as f64 / elapsed
 }
 
-fn write_trace(path: &Path, length: usize) {
+fn write_trace(path: &Path, length: usize) -> Result<(), StoreError> {
     let spec = TraceSpec::new("bench-fanout", WorkloadKind::Crypto, 0x77).with_length(length);
     let records: Vec<ChampsimRecord> =
         Converter::new(ImprovementSet::all()).convert_all(spec.generate().iter());
-    let mut writer =
-        ChampsimzWriter::with_block_records(BufWriter::new(File::create(path).unwrap()), 256)
-            .unwrap_or_else(|e| fail(&format!("trace writer: {e:?}")));
+    let mut writer = ChampsimzWriter::with_block_records(BufWriter::new(File::create(path)?), 256)?;
     for rec in &records {
-        writer.write(rec).unwrap_or_else(|e| fail(&format!("trace write: {e:?}")));
+        writer.write(rec)?;
     }
-    let (mut inner, _stats) =
-        writer.finish().unwrap_or_else(|e| fail(&format!("trace finish: {e:?}")));
-    inner.flush().unwrap_or_else(|e| fail(&format!("trace flush: {e}")));
-}
-
-fn run_one(addr: &str, body: &str) {
-    let mut conn = Connection::connect(addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
-    conn.run(body, Duration::from_secs(120))
-        .unwrap_or_else(|e| fail(&format!("warm-up job failed: {e}")));
+    let (mut inner, _stats) = writer.finish()?;
+    Ok(inner.flush()?)
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice.
@@ -669,53 +569,98 @@ fn percentile(sorted: &[f64], pct: f64) -> f64 {
     sorted[rank.min(sorted.len()) - 1]
 }
 
-fn to_json(scale: &Scale, r: &Results) -> String {
-    format!(
-        "{{\"scale\":\"{}\",\"workload_length\":{},\"clients\":{},\"jobs\":{},\
-         \"jobs_per_sec\":{:.3},\"p50_ms\":{:.3},\"p99_ms\":{:.3},\
-         \"overload_submitted\":{},\"overload_rejected\":{},\"rejection_rate\":{:.3},\
-         \"drain_ms\":{:.3},\
-         \"fanout_configs\":{},\"fanout_sequential_jobs_per_sec\":{:.3},\
-         \"fanout_jobs_per_sec\":{:.3},\"fanout_speedup\":{:.3},\"fanout_stream_passes\":{},\
-         \"dup_jobs\":{},\"dup_jobs_per_sec\":{:.3},\"dup_coalesced\":{},\"dup_cache_hits\":{},\
-         \"router_shards\":{},\"router_solo_jobs_per_sec\":{:.3},\
-         \"router_jobs_per_sec\":{:.3},\"router_speedup\":{:.3}}}\n",
-        scale.name,
-        scale.length,
-        scale.clients,
-        r.total_jobs,
-        r.jobs_per_sec,
-        r.p50,
-        r.p99,
-        scale.overload_jobs,
-        r.rejected,
-        r.rejection_rate,
-        r.drain_ms,
-        scale.fanout_configs,
-        r.fanout_sequential_jobs_per_sec,
-        r.fanout_jobs_per_sec,
-        r.fanout_speedup,
-        r.fanout_stream_passes,
-        scale.dup_jobs,
-        r.dup_jobs_per_sec,
-        r.dup_coalesced,
-        r.dup_cache_hits,
-        r.router_shards,
-        r.router_solo_jobs_per_sec,
-        r.router_jobs_per_sec,
-        r.router_speedup
-    )
+fn document(scale: &Scale, r: &Results) -> String {
+    json::object(|o| {
+        o.str("scale", scale.name)
+            .u64("workload_length", scale.length)
+            .u64("clients", scale.clients as u64)
+            .u64("jobs", r.total_jobs as u64)
+            .f64("jobs_per_sec", r.jobs_per_sec)
+            .f64("p50_ms", r.p50)
+            .f64("p99_ms", r.p99)
+            .u64("overload_submitted", scale.overload_jobs as u64)
+            .u64("overload_rejected", r.rejected as u64)
+            .f64("rejection_rate", r.rejection_rate)
+            .f64("drain_ms", r.drain_ms)
+            .u64("fanout_configs", scale.fanout_configs as u64)
+            .f64("fanout_sequential_jobs_per_sec", r.fanout_sequential_jobs_per_sec)
+            .f64("fanout_jobs_per_sec", r.fanout_jobs_per_sec)
+            .f64("fanout_speedup", r.fanout_speedup)
+            .u64("fanout_stream_passes", r.fanout_stream_passes)
+            .u64("dup_jobs", scale.dup_jobs as u64)
+            .f64("dup_jobs_per_sec", r.dup_jobs_per_sec)
+            .u64("dup_coalesced", r.dup_coalesced)
+            .u64("dup_cache_hits", r.dup_cache_hits)
+            .u64("router_shards", r.router_shards as u64)
+            .f64("router_solo_jobs_per_sec", r.router_solo_jobs_per_sec)
+            .f64("router_jobs_per_sec", r.router_jobs_per_sec)
+            .f64("router_speedup", r.router_speedup);
+    })
+}
+
+fn metrics_text(conn: &mut Connection) -> String {
+    let response = conn
+        .send("GET", "/metrics", "")
+        .unwrap_or_else(|e| CLI.fail(Exit::Io, &format!("GET /metrics: {e}")));
+    response.text()
 }
 
 /// Reads a counter value out of a `/metrics` registry document.
 fn metric_count(doc: &str, name: &str) -> u64 {
-    let doc = Value::parse(doc).unwrap_or_else(|e| fail(&format!("/metrics document: {e}")));
-    let value =
-        doc.metric(name).unwrap_or_else(|| fail(&format!("/metrics document has no {name}")));
-    value.as_u64().unwrap_or_else(|| fail(&format!("/metrics entry for {name} is not a count")))
+    let doc = Value::parse(doc)
+        .unwrap_or_else(|e| CLI.fail(Exit::Io, &format!("/metrics document: {e}")));
+    let value = doc
+        .metric(name)
+        .unwrap_or_else(|| CLI.fail(Exit::Io, &format!("/metrics document has no {name}")));
+    value
+        .as_u64()
+        .unwrap_or_else(|| CLI.fail(Exit::Io, &format!("/metrics entry for {name} is not a count")))
 }
 
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Numbers read back from the committed smoke baseline write a
+    /// document equal to it: same field names, order and values.
+    #[test]
+    fn document_reproduces_the_committed_baseline() {
+        let committed = Value::parse(include_str!("../../../../BENCH_server.json")).unwrap();
+        let number = |key: &str| committed.get(key).and_then(Value::as_f64).unwrap();
+        let results = Results {
+            total_jobs: number("jobs") as usize,
+            jobs_per_sec: number("jobs_per_sec"),
+            p50: number("p50_ms"),
+            p99: number("p99_ms"),
+            rejected: number("overload_rejected") as usize,
+            rejection_rate: number("rejection_rate"),
+            drain_ms: number("drain_ms"),
+            fanout_sequential_jobs_per_sec: number("fanout_sequential_jobs_per_sec"),
+            fanout_jobs_per_sec: number("fanout_jobs_per_sec"),
+            fanout_speedup: number("fanout_speedup"),
+            fanout_stream_passes: number("fanout_stream_passes") as u64,
+            dup_jobs_per_sec: number("dup_jobs_per_sec"),
+            dup_coalesced: number("dup_coalesced") as u64,
+            dup_cache_hits: number("dup_cache_hits") as u64,
+            router_shards: number("router_shards") as usize,
+            router_solo_jobs_per_sec: number("router_solo_jobs_per_sec"),
+            router_jobs_per_sec: number("router_jobs_per_sec"),
+            router_speedup: number("router_speedup"),
+        };
+        let smoke = &SCALES[0];
+        assert_eq!(committed.get("scale").and_then(Value::as_str), Some(smoke.name));
+        assert_eq!(Value::parse(&document(smoke, &results)).unwrap(), committed);
+    }
+
+    #[test]
+    fn request_bodies_parse_as_the_specs_they_name() {
+        let spec = JobSpec::parse(&workload_body(7, 2_000, "No_imp")).unwrap();
+        assert_eq!(spec.improvements, ImprovementSet::none());
+        assert!(matches!(spec.source, sim_server::JobSource::Workload(_)));
+        // A scratch path may hold any character JSON must escape.
+        let path = r#"C:\tmp\"fan out".champsimz"#;
+        let spec = JobSpec::parse(&fanout_body(path, Some("djolt"))).unwrap();
+        assert!(matches!(&spec.source, sim_server::JobSource::ChampsimTrace(p) if p == path));
+        assert_eq!((spec.warmup, spec.prefetcher.as_deref()), (200, Some("djolt")));
+    }
 }

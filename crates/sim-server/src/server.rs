@@ -491,12 +491,6 @@ impl Server {
         self.shared.begin_shutdown(abort);
     }
 
-    /// `true` once shutdown has been requested (signal handler, the
-    /// `/shutdown` endpoint, or [`Server::begin_shutdown`]).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.door.draining()
-    }
-
     /// The operational metrics document (same as `GET /metrics`).
     pub fn metrics_json(&self) -> String {
         self.shared.metrics_json()

@@ -476,7 +476,7 @@ fn shutdown_endpoint_triggers_drain() {
     let mut conn = Connection::connect(&addr).unwrap();
     let response = conn.send("POST", "/shutdown", "").unwrap();
     assert_eq!(response.status, 200);
-    assert!(server.shutdown_requested());
+    assert!(server.shutdown_handle().shutdown_requested());
     let refused = conn.send("POST", "/jobs", r#"{"workload": {"kind": "crypto"}}"#).unwrap();
     assert_eq!(refused.status, 503);
     server.join();

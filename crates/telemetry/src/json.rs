@@ -3,7 +3,9 @@
 //!
 //! Writing is two append helpers, [`write_string`] and [`write_f64`],
 //! that every exporter builds its documents from, so identical inputs
-//! give identical bytes. Reading is [`Value::parse`], which implements
+//! give identical bytes, and [`object`], which places the braces,
+//! commas and escaped keys of one object so a caller only names its
+//! members. Reading is [`Value::parse`], which implements
 //! just enough of RFC 8259 to read request bodies, registry documents
 //! and bench baselines strictly: all six value types, string escapes
 //! (including `\uXXXX`), and nothing else — no comments, no trailing
@@ -41,6 +43,92 @@ pub fn write_f64(out: &mut String, value: f64) {
         out.push_str(&format!("{value:.6}"));
     } else {
         out.push_str("0.000000");
+    }
+}
+
+/// Writes the object `fill` describes and returns it.
+///
+/// ```
+/// let doc = telemetry::json::object(|o| {
+///     o.str("scale", "smoke").objects("results", [1u64, 2], |row, n| {
+///         row.u64("n", n);
+///     });
+/// });
+/// assert_eq!(doc, r#"{"scale":"smoke","results":[{"n":1},{"n":2}]}"#);
+/// ```
+pub fn object(fill: impl FnOnce(&mut Object<'_>)) -> String {
+    let mut out = String::new();
+    write_object(&mut out, fill);
+    out
+}
+
+fn write_object(out: &mut String, fill: impl FnOnce(&mut Object<'_>)) {
+    out.push('{');
+    fill(&mut Object { out, empty: true });
+    out.push('}');
+}
+
+/// The members of one object being written by [`object`]. Each call
+/// appends one member after a comma where one is needed; keys and
+/// string values are escaped, floats take [`write_f64`]'s six decimals.
+pub struct Object<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl Object<'_> {
+    fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
+        }
+        write_string(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// Appends a string member.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        write_string(self.key(key), value);
+        self
+    }
+
+    /// Appends an integer member.
+    pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
+        let out = self.key(key);
+        out.push_str(&value.to_string());
+        self
+    }
+
+    /// Appends a float member with six decimals.
+    pub fn f64(&mut self, key: &str, value: f64) -> &mut Self {
+        write_f64(self.key(key), value);
+        self
+    }
+
+    /// Appends a nested object member that `fill` describes.
+    pub fn object(&mut self, key: &str, fill: impl FnOnce(&mut Object<'_>)) -> &mut Self {
+        write_object(self.key(key), fill);
+        self
+    }
+
+    /// Appends an array member holding one object per item, each
+    /// described by `fill`.
+    pub fn objects<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut fill: impl FnMut(&mut Object<'_>, T),
+    ) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_object(out, |row| fill(row, item));
+        }
+        out.push(']');
+        self
     }
 }
 
@@ -424,6 +512,27 @@ mod tests {
         assert_eq!(Value::Number(3.0).as_u64(), Some(3));
         assert_eq!(Value::Number(3.5).as_u64(), None);
         assert_eq!(Value::Number(-1.0).as_u64(), None);
+    }
+
+    #[test]
+    fn objects_place_commas_and_escape_keys_and_strings() {
+        let doc = object(|o| {
+            o.str("a\"b", "c\\d").object("empty", |_| {}).objects("rows", 0..3u64, |row, n| {
+                row.u64("n", n).f64("half", n as f64 / 2.0);
+            });
+        });
+        assert_eq!(
+            doc,
+            r#"{"a\"b":"c\\d","empty":{},"rows":[{"n":0,"half":0.000000},{"n":1,"half":0.500000},{"n":2,"half":1.000000}]}"#
+        );
+        let parsed = Value::parse(&doc).unwrap();
+        assert_eq!(parsed.get("a\"b").and_then(Value::as_str), Some("c\\d"));
+        assert_eq!(
+            object(|o| {
+                o.objects("none", Vec::<u64>::new(), |_, _| {});
+            }),
+            r#"{"none":[]}"#
+        );
     }
 
     #[test]

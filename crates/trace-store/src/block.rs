@@ -106,22 +106,6 @@ pub struct StoreIndex {
     pub total_records: u64,
 }
 
-impl StoreIndex {
-    /// Index of the block containing zero-based record `n`, along with
-    /// the number of records in the blocks before it.
-    pub fn block_for_record(&self, n: u64) -> Option<(usize, u64)> {
-        let mut skipped = 0u64;
-        for (i, e) in self.entries.iter().enumerate() {
-            let next = skipped + u64::from(e.records);
-            if n < next {
-                return Some((i, skipped));
-            }
-            skipped = next;
-        }
-        None
-    }
-}
-
 /// Writes a block store to any [`Write`] sink.
 ///
 /// Records are appended with [`push_record`](Self::push_record); the
@@ -568,10 +552,6 @@ mod tests {
         assert_eq!(index.entries.len(), 8); // 7 full + 1 partial
         assert_eq!(index.total_records, 37);
         assert_eq!(index.entries.iter().map(|e| u64::from(e.records)).sum::<u64>(), 37);
-        assert_eq!(index.block_for_record(0), Some((0, 0)));
-        assert_eq!(index.block_for_record(12), Some((2, 10)));
-        assert_eq!(index.block_for_record(36), Some((7, 35)));
-        assert_eq!(index.block_for_record(37), None);
     }
 
     #[test]
