@@ -1,15 +1,18 @@
-//! Runs a ChampSim trace through the core model and prints the report.
+//! Runs a trace through the core model and prints the report.
 //!
 //! ```text
-//! champsim-run <trace.champsimtrace> [--core iiswc|ipc1] [--warmup N]
+//! champsim-run <trace> [--core iiswc|ipc1] [--warmup N]
 //!              [--prefetcher <name>] [--max N] [--metrics <path>]
 //!              [--epochs N] [--improvements <set>]
 //! ```
 //!
-//! Accepts flat record files, block-compressed `.champsimz` stores, and
-//! packetized `.etrace` RISC-V branch traces — the latter are decoded
-//! and converted in memory (under `--improvements`, `No_imp` by
-//! default, matching the server) before simulation. The core presets
+//! Accepts ChampSim traces (flat `.champsimtrace` record files and
+//! block-compressed `.champsimz` stores), which run as they are, and
+//! CVP-family traces (flat `.cvp`, block-compressed `.cvpz` and
+//! packetized `.etrace` RISC-V branch traces), which are decoded and
+//! converted in memory under `--improvements` (`No_imp` by default,
+//! matching the server) before simulation; `--max` then counts
+//! converted records. The core presets
 //! match the paper's §4 setups; `--prefetcher` plugs one of the IPC-1
 //! instruction prefetchers into the L1I. `--metrics` writes the full
 //! `sim.*`/`memsys.*`/`bpred.*` telemetry document (see METRICS.md);
@@ -22,7 +25,7 @@ use std::process::ExitCode;
 use champsim_trace::ChampsimRecord;
 use converter::{Converter, ImprovementSet};
 use sim::{CoreConfig, RunOptions, Simulator};
-use trace_store::{is_etrace_path, ChampsimTraceReader, CvpTraceReader};
+use trace_store::{is_cvp_family_path, ChampsimTraceReader, CvpTraceReader};
 
 fn main() -> ExitCode {
     match run() {
@@ -36,8 +39,7 @@ fn main() -> ExitCode {
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let mut trace_path: Option<String> = None;
-    let mut core = CoreConfig::iiswc_main();
-    let mut core_name = "iiswc";
+    let mut core_name = "iiswc".to_owned();
     let mut warmup = 0u64;
     let mut prefetcher: Option<String> = None;
     let mut max_records = usize::MAX;
@@ -48,19 +50,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--core" => {
-                core = match args.next().as_deref() {
-                    Some("iiswc") => {
-                        core_name = "iiswc";
-                        CoreConfig::iiswc_main()
-                    }
-                    Some("ipc1") => {
-                        core_name = "ipc1";
-                        CoreConfig::ipc1()
-                    }
-                    other => return Err(format!("unknown core {other:?}").into()),
-                };
-            }
+            "--core" => match args.next() {
+                Some(name) if CoreConfig::by_name(&name).is_some() => core_name = name,
+                other => return Err(format!("unknown core {other:?}").into()),
+            },
             "--warmup" => warmup = args.next().ok_or("--warmup needs a count")?.parse()?,
             "--prefetcher" => prefetcher = Some(args.next().ok_or("--prefetcher needs a name")?),
             "--max" => max_records = args.next().ok_or("--max needs a count")?.parse()?,
@@ -78,8 +71,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
             "-h" | "--help" => {
                 eprintln!(
-                    "usage: champsim-run <trace.champsimtrace|trace.etrace> [--core iiswc|ipc1] \
-                     [--warmup N] [--prefetcher none|next-line|djolt|jip|mana|fnl+mma|pips|epi|barca|tap] \
+                    "usage: champsim-run <trace.champsimtrace|.champsimz|.cvp|.cvpz|.etrace> \
+                     [--core iiswc|ipc1] [--warmup N] [--prefetcher none|next-line|djolt|jip|mana|fnl+mma|pips|epi|barca|tap] \
                      [--max N] [--metrics <path>] [--epochs N] [--improvements <set>]"
                 );
                 return Ok(());
@@ -92,10 +85,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let trace_path = trace_path.ok_or("missing trace path")?;
-    let records: Vec<ChampsimRecord> = if is_etrace_path(Path::new(&trace_path)) {
-        // Decode the E-Trace packet stream to CVP instructions and
-        // convert them in memory — the same path the server takes for
-        // an `.etrace` job, which keeps the two documents identical.
+    let records: Vec<ChampsimRecord> = if is_cvp_family_path(Path::new(&trace_path)) {
+        // Decode the CVP records (or the E-Trace packet stream) and
+        // convert them in memory — the same path the server takes for a
+        // CVP-family job, which keeps an `.etrace` job's document
+        // identical to this one.
         let mut reader = CvpTraceReader::open(Path::new(&trace_path))
             .map_err(|e| format!("{trace_path}: {e}"))?;
         let mut converter = Converter::new(improvements.unwrap_or_else(ImprovementSet::none));
@@ -110,7 +104,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         records
     } else {
         if improvements.is_some() {
-            return Err("--improvements only applies to .etrace inputs".into());
+            return Err("--improvements only applies to .cvp, .cvpz and .etrace inputs".into());
         }
         let reader = ChampsimTraceReader::open(Path::new(&trace_path))
             .map_err(|e| format!("{trace_path}: {e}"))?;
@@ -135,10 +129,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let pf = iprefetch_by_name(&name)?;
         options = options.with_prefetcher(pf);
     }
+    let core = CoreConfig::by_name(&core_name).expect("--core validated the name");
     let report = Simulator::run_on(&core, &records, options);
     println!("{report}");
     if let Some(path) = metrics_path {
-        let registry = cli::champsim_run_registry(&report, core_name, &trace_path);
+        let registry = cli::champsim_run_registry(&report, &core_name, &trace_path);
         cli::write_metrics(&path, &registry)?;
     }
     Ok(())

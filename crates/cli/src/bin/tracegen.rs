@@ -43,18 +43,10 @@ enum Kind {
 }
 
 fn parse_kind(name: &str) -> Result<Kind, String> {
-    Ok(match name {
-        "pointer-chase" => Kind::Cvp(WorkloadKind::PointerChase),
-        "streaming" => Kind::Cvp(WorkloadKind::Streaming),
-        "crypto" => Kind::Cvp(WorkloadKind::Crypto),
-        "branchy-int" => Kind::Cvp(WorkloadKind::BranchyInt),
-        "server" => Kind::Cvp(WorkloadKind::Server),
-        "fp-kernel" => Kind::Cvp(WorkloadKind::FpKernel),
-        "rv-int" => Kind::Rv(RvWorkloadKind::IntLoop),
-        "rv-stream" => Kind::Rv(RvWorkloadKind::StreamKernel),
-        "rv-dispatch" => Kind::Rv(RvWorkloadKind::Dispatch),
-        other => return Err(format!("unknown kind {other:?}")),
-    })
+    name.parse()
+        .map(Kind::Cvp)
+        .or_else(|_| name.parse().map(Kind::Rv))
+        .map_err(|_| format!("unknown kind {name:?}"))
 }
 
 /// A resolved generation job for either family.

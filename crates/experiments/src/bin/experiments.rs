@@ -270,11 +270,7 @@ fn main() {
         println!("{}", render_section42(&section42(scale)));
     }
     if let Some(path) = &selection.metrics_path {
-        let sections: Vec<(&str, String)> = attribution_rows
-            .as_ref()
-            .map(|rows| vec![("attribution", experiments::metrics::attribution_json(rows))])
-            .unwrap_or_default();
-        CLI.write(path, &metrics.to_json_with_sections(&sections));
+        CLI.write(path, &experiments::metrics::document(&metrics, attribution_rows.as_deref()));
     }
     if !reports.is_empty() {
         CLI.write("BENCH_experiments.json", &reports_to_json(&reports));

@@ -397,21 +397,14 @@ impl ArtifactCache {
         value
     }
 
-    /// Fetches the CVP instruction stream for `spec` with an **open-ended
-    /// budget**: the entry stays cached for future fetches instead of
-    /// being evicted after a declared number of uses. A serving workload
-    /// cannot declare its fetch count up front — jobs arrive over the
-    /// process lifetime — so memory is bounded by the spill byte budget
-    /// (idle entries compress out under pressure) rather than by use
-    /// counts. Do not mix shared and budgeted fetches of one key: the
-    /// first fetch fixes the entry's budget.
-    pub fn trace_shared(&self, spec: &TraceSpec, length: usize) -> Arc<[CvpInstruction]> {
-        self.trace(spec, length, u64::MAX)
-    }
-
-    /// Fetches the converted record buffer for `spec` with an open-ended
-    /// budget; the shared-fetch twin of [`ArtifactCache::converted`]
-    /// (see [`ArtifactCache::trace_shared`] for the eviction contract).
+    /// Fetches the converted record buffer for `spec` with an
+    /// **open-ended budget**: the entry stays cached for future fetches
+    /// instead of being evicted after a declared number of uses. A
+    /// serving workload cannot declare its fetch count up front — jobs
+    /// arrive over the process lifetime — so memory is bounded by the
+    /// spill byte budget (idle entries compress out under pressure)
+    /// rather than by use counts. Do not mix shared and budgeted fetches
+    /// of one key: the first fetch fixes the entry's budget.
     pub fn converted_shared(
         &self,
         spec: &TraceSpec,
@@ -906,9 +899,9 @@ mod tests {
     fn shared_fetches_stay_cached_across_requests() {
         let cache = ArtifactCache::with_spill(None);
         let s = spec(30);
-        let first = cache.trace_shared(&s, 2_000);
+        let first = cache.trace(&s, 2_000, u64::MAX);
         for _ in 0..5 {
-            let again = cache.trace_shared(&s, 2_000);
+            let again = cache.trace(&s, 2_000, u64::MAX);
             assert!(Arc::ptr_eq(&first, &again), "every request shares one buffer");
         }
         let c = cache.counters();
@@ -939,12 +932,12 @@ mod tests {
         let dir = config.dir.clone();
         let cache = ArtifactCache::with_spill(Some(config));
         let (sa, sb) = (spec(32), spec(33));
-        let a: Vec<CvpInstruction> = cache.trace_shared(&sa, 2_000).to_vec();
+        let a: Vec<CvpInstruction> = cache.trace(&sa, 2_000, u64::MAX).to_vec();
         // The next key's budget pass finds the first entry idle and
         // spills it despite its open-ended budget.
-        cache.trace_shared(&sb, 2_000);
+        cache.trace(&sb, 2_000, u64::MAX);
         assert!(spill_files(&dir) > 0, "shared entries still honor the byte budget");
-        let back = cache.trace_shared(&sa, 2_000);
+        let back = cache.trace(&sa, 2_000, u64::MAX);
         assert_eq!(a, back[..].to_vec(), "disk reload returns identical instructions");
         let c = cache.counters();
         assert_eq!(c.trace_misses, 2, "the reload is not a recompute");

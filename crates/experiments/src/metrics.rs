@@ -197,36 +197,6 @@ pub fn attribution(grid: &Grid) -> Vec<AttributionRow> {
         .collect()
 }
 
-/// Serializes the attribution rows as a JSON array (the document's
-/// `"attribution"` section), keys in a fixed order.
-pub fn attribution_json(rows: &[AttributionRow]) -> String {
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"config\":\"{}\",\"ipc_delta_pct\":{:.6},\"rewrites\":{},\
-                 \"cycle_delta\":{},\"branch_mispredict_delta\":{},\
-                 \"direction_mispredict_delta\":{},\"target_mispredict_delta\":{},\
-                 \"mispredict_resolve_cycle_delta\":{},\"l1i_miss_delta\":{},\
-                 \"l1d_miss_delta\":{},\"llc_miss_delta\":{},\"split_record_delta\":{}}}",
-                r.config,
-                r.ipc_delta_pct,
-                r.rewrites,
-                r.cycle_delta,
-                r.branch_mispredict_delta,
-                r.direction_mispredict_delta,
-                r.target_mispredict_delta,
-                r.mispredict_resolve_cycle_delta,
-                r.l1i_miss_delta,
-                r.l1d_miss_delta,
-                r.llc_miss_delta,
-                r.split_record_delta,
-            )
-        })
-        .collect();
-    format!("[{}]", body.join(","))
-}
-
 /// Renders the attribution table as text (printed with `--stats` when
 /// the grid was computed).
 pub fn render_attribution(rows: &[AttributionRow]) -> String {
@@ -252,14 +222,27 @@ pub fn render_attribution(rows: &[AttributionRow]) -> String {
     out
 }
 
-/// The full metrics document for one computed grid: the registry export
-/// plus the attribution section. The `experiments` binary extends this
-/// with table 3/4 speedups when those are selected.
-pub fn grid_document(grid: &Grid) -> String {
-    let mut registry = Registry::new();
-    export_grid(grid, &mut registry);
-    let rows = attribution(grid);
-    registry.to_json_with_sections(&[("attribution", attribution_json(&rows))])
+/// The `--metrics` document: the registry export plus, when the grid
+/// was computed, its attribution table as an `"attribution"` section,
+/// one object per row with keys in a fixed order.
+pub fn document(registry: &Registry, attribution: Option<&[AttributionRow]>) -> String {
+    registry.to_json_with(|doc| {
+        let Some(rows) = attribution else { return };
+        doc.objects("attribution", rows, |row, r| {
+            row.str("config", &r.config)
+                .f64("ipc_delta_pct", r.ipc_delta_pct)
+                .u64("rewrites", r.rewrites)
+                .i64("cycle_delta", r.cycle_delta)
+                .i64("branch_mispredict_delta", r.branch_mispredict_delta)
+                .i64("direction_mispredict_delta", r.direction_mispredict_delta)
+                .i64("target_mispredict_delta", r.target_mispredict_delta)
+                .i64("mispredict_resolve_cycle_delta", r.mispredict_resolve_cycle_delta)
+                .i64("l1i_miss_delta", r.l1i_miss_delta)
+                .i64("l1d_miss_delta", r.l1d_miss_delta)
+                .i64("llc_miss_delta", r.llc_miss_delta)
+                .i64("split_record_delta", r.split_record_delta);
+        });
+    })
 }
 
 #[cfg(test)]
@@ -283,8 +266,13 @@ mod tests {
     #[test]
     fn metrics_json_is_byte_identical_across_thread_counts() {
         let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let serial = grid_document(&small_grid(1));
-        let parallel = grid_document(&small_grid(8));
+        let metrics_of = |grid: Grid| {
+            let mut registry = Registry::new();
+            export_grid(&grid, &mut registry);
+            document(&registry, Some(&attribution(&grid)))
+        };
+        let serial = metrics_of(small_grid(1));
+        let parallel = metrics_of(small_grid(8));
         assert_eq!(serial, parallel, "metrics must not depend on the schedule");
         assert!(serial.starts_with("{\"schema\":\"trace-rebase-metrics/v1\""));
         assert!(serial.contains("\"experiments.grid.No_imp.geomean_ipc\""), "{serial}");

@@ -333,7 +333,7 @@ impl SchedulerReport {
     }
 
     /// Writes this report as one `BENCH_experiments.json` row.
-    fn write_json(&self, row: &mut json::Object<'_>) {
+    fn write_row(&self, row: &mut json::Object<'_>) {
         let c = &self.counters;
         row.str("label", &self.label)
             .u64("threads", self.threads as u64)
@@ -357,7 +357,7 @@ impl SchedulerReport {
 /// The `BENCH_experiments.json` document for a set of scheduled runs.
 pub fn reports_to_json(reports: &[SchedulerReport]) -> String {
     let mut doc = json::object(|o| {
-        o.objects("reports", reports, |row, report| report.write_json(row));
+        o.objects("reports", reports, |row, report| report.write_row(row));
     });
     doc.push('\n');
     doc

@@ -509,10 +509,12 @@ impl Response {
 
     /// A JSON error response: `{"error":"<message>"}`.
     pub fn error(status: u16, message: &str) -> Response {
-        let mut body = String::from("{\"error\":");
-        json::write_string(&mut body, message);
-        body.push('}');
-        Response::json(status, body)
+        Response::json(
+            status,
+            json::object(|o| {
+                o.str("error", message);
+            }),
+        )
     }
 
     /// Adds a header field.

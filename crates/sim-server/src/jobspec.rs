@@ -38,7 +38,9 @@ use converter::{Converter, ImprovementSet};
 use cvp_trace::CvpInstruction;
 use experiments::cache::ArtifactCache;
 use sim::{CancelToken, CoreConfig, RunOptions, SimReport, Simulator};
-use trace_store::{ChampsimTraceReader, CvpTraceReader};
+use trace_store::{
+    is_cvp_family_path, is_etrace_path, ChampsimTraceReader, CvpTraceReader, CHAMPSIMZ_EXT,
+};
 use workloads::{TraceSpec, WorkloadKind};
 
 use crate::json::Value;
@@ -105,25 +107,21 @@ impl JobSpec {
             (None, None) => return Err("missing \"trace\" or \"workload\"".to_owned()),
             (Some(trace), None) => {
                 let path = trace.as_str().ok_or_else(|| "\"trace\" must be a string".to_owned())?;
-                match Path::new(path).extension().and_then(|e| e.to_str()) {
-                    Some(e)
-                        if e.eq_ignore_ascii_case("champsimtrace")
-                            || e.eq_ignore_ascii_case("champsimz") =>
-                    {
-                        JobSource::ChampsimTrace(path.to_owned())
-                    }
-                    Some(e) if e.eq_ignore_ascii_case("cvp") || e.eq_ignore_ascii_case("cvpz") => {
-                        JobSource::CvpTrace(path.to_owned())
-                    }
-                    Some(e) if e.eq_ignore_ascii_case("etrace") => {
-                        JobSource::Etrace(path.to_owned())
-                    }
-                    _ => {
-                        return Err(format!(
-                            "unrecognized trace extension in {path:?} (want .cvp, .cvpz, \
-                             .etrace, .champsimtrace or .champsimz)"
-                        ))
-                    }
+                let file = Path::new(path);
+                let ext = file.extension().and_then(|e| e.to_str()).unwrap_or("");
+                if is_etrace_path(file) {
+                    JobSource::Etrace(path.to_owned())
+                } else if is_cvp_family_path(file) {
+                    JobSource::CvpTrace(path.to_owned())
+                } else if ext.eq_ignore_ascii_case("champsimtrace")
+                    || ext.eq_ignore_ascii_case(CHAMPSIMZ_EXT)
+                {
+                    JobSource::ChampsimTrace(path.to_owned())
+                } else {
+                    return Err(format!(
+                        "unrecognized trace extension in {path:?} (want .cvp, .cvpz, \
+                         .etrace, .champsimtrace or .champsimz)"
+                    ));
                 }
             }
             (None, Some(workload)) => JobSource::Workload(parse_workload(workload)?),
@@ -139,7 +137,7 @@ impl JobSpec {
         let core_name = match value.get("core") {
             None => "iiswc".to_owned(),
             Some(v) => match v.as_str() {
-                Some(name @ ("iiswc" | "ipc1")) => name.to_owned(),
+                Some(name) if CoreConfig::by_name(name).is_some() => name.to_owned(),
                 _ => return Err("\"core\" must be \"iiswc\" or \"ipc1\"".to_owned()),
             },
         };
@@ -322,10 +320,7 @@ impl JobSpec {
 
     /// The resolved core configuration.
     pub fn core(&self) -> CoreConfig {
-        match self.core_name.as_str() {
-            "ipc1" => CoreConfig::ipc1(),
-            _ => CoreConfig::iiswc_main(),
-        }
+        CoreConfig::by_name(&self.core_name).unwrap_or_else(CoreConfig::iiswc_main)
     }
 
     fn server_labels(&self, extra: &[(&str, &str)]) -> telemetry::Registry {
@@ -420,14 +415,8 @@ fn read_cvp(path: &str) -> Result<Vec<CvpInstruction>, JobError> {
 }
 
 fn parse_workload(value: &Value) -> Result<TraceSpec, String> {
-    let kind = match value.get("kind").and_then(Value::as_str) {
-        Some("pointer-chase") => WorkloadKind::PointerChase,
-        Some("streaming") => WorkloadKind::Streaming,
-        Some("crypto") => WorkloadKind::Crypto,
-        Some("branchy-int") => WorkloadKind::BranchyInt,
-        Some("server") => WorkloadKind::Server,
-        Some("fp-kernel") => WorkloadKind::FpKernel,
-        Some(other) => return Err(format!("unknown workload kind {other:?}")),
+    let kind: WorkloadKind = match value.get("kind").and_then(Value::as_str) {
+        Some(name) => name.parse()?,
         None => return Err("workload needs a \"kind\" string".to_owned()),
     };
     let seed = match value.get("seed") {

@@ -218,7 +218,12 @@ impl Service for Shared {
             Endpoint::Metrics => Response::json(200, self.metrics_json()),
             Endpoint::Shutdown => {
                 self.door.drain();
-                Response::json(200, "{\"status\":\"shutting down\"}")
+                Response::json(
+                    200,
+                    json::object(|o| {
+                        o.str("status", "shutting down");
+                    }),
+                )
             }
             Endpoint::Job { id, result } => proxy_job_get(id, result, self),
         }
@@ -484,25 +489,23 @@ fn proxy_job_get(id_text: &str, want_result: bool, shared: &Shared) -> Response 
 }
 
 fn healthz(shared: &Shared) -> Response {
-    let draining = shared.door.draining();
-    let mut shards = String::from("[");
-    for (index, backend) in shared.backends.iter().enumerate() {
-        if index > 0 {
-            shards.push(',');
-        }
-        shards.push_str(&format!("{{\"shard\":\"s{index}\",\"addr\":"));
-        json::write_string(&mut shards, &backend.addr);
-        shards.push_str(&format!(",\"healthy\":{}}}", backend.healthy.load(Ordering::SeqCst)));
-    }
-    shards.push(']');
     Response::json(
         200,
-        format!(
-            "{{\"status\":\"{}\",\"backends\":{},\"healthy_backends\":{},\"shards\":{shards}}}",
-            if draining { "draining" } else { "ok" },
-            shared.backends.len(),
-            shared.healthy_count(),
-        ),
+        json::object(|o| {
+            o.str("status", if shared.door.draining() { "draining" } else { "ok" })
+                .u64("backends", shared.backends.len() as u64)
+                .u64("healthy_backends", shared.healthy_count() as u64)
+                .objects(
+                    "shards",
+                    shared.backends.iter().enumerate(),
+                    |shard, (index, backend)| {
+                        shard
+                            .str("shard", &format!("s{index}"))
+                            .str("addr", &backend.addr)
+                            .bool("healthy", backend.healthy.load(Ordering::SeqCst));
+                    },
+                );
+        }),
     )
 }
 

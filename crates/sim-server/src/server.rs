@@ -524,9 +524,12 @@ fn submit(request: &Request, shared: &Shared) -> Response {
     };
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
     match shared.admit(id, spec) {
-        Some(status) => {
-            Response::json(202, format!("{{\"id\":{id},\"status\":\"{}\"}}", status.as_str()))
-        }
+        Some(status) => Response::json(
+            202,
+            json::object(|o| {
+                o.u64("id", id).str("status", status.as_str());
+            }),
+        ),
         None => Response::error(429, "queue full").with_header("retry-after", "1"),
     }
 }
@@ -535,11 +538,11 @@ fn healthz(shared: &Shared) -> Response {
     let status = if shared.door.draining() { "draining" } else { "ok" };
     Response::json(
         200,
-        format!(
-            "{{\"status\":\"{status}\",\"queue_depth\":{},\"queue_capacity\":{}}}",
-            shared.queue.len(),
-            shared.queue.capacity()
-        ),
+        json::object(|o| {
+            o.str("status", status)
+                .u64("queue_depth", shared.queue.len() as u64)
+                .u64("queue_capacity", shared.queue.capacity() as u64);
+        }),
     )
 }
 
@@ -551,7 +554,12 @@ fn shutdown_endpoint(request: &Request, shared: &Shared) -> Response {
         .and_then(|v| v.get("abort").and_then(json::Value::as_bool))
         .unwrap_or(false);
     shared.begin_shutdown(abort);
-    Response::json(200, format!("{{\"status\":\"shutting down\",\"abort\":{abort}}}"))
+    Response::json(
+        200,
+        json::object(|o| {
+            o.str("status", "shutting down").bool("abort", abort);
+        }),
+    )
 }
 
 fn job_endpoint(id_text: &str, want_result: bool, shared: &Shared) -> Response {
@@ -570,44 +578,37 @@ fn job_endpoint(id_text: &str, want_result: bool, shared: &Shared) -> Response {
 
 fn job_result(id: u64, job: &Job) -> Response {
     let state = job.execution.lock();
-    match (job.clock.status(&state), &state.outcome) {
-        (JobStatus::Done, Some(Ok(document))) => Response::json(200, document.clone()),
-        (JobStatus::Failed, Some(Err(JobError::Failed(message)))) => {
-            let mut body = format!("{{\"id\":{id},\"status\":\"failed\",\"error\":");
-            json::write_string(&mut body, message);
-            body.push('}');
-            Response::json(409, body)
-        }
-        (JobStatus::Cancelled, _) => Response::json(
-            409,
-            format!("{{\"id\":{id},\"status\":\"cancelled\",\"error\":\"job was cancelled\"}}"),
-        ),
-        (status, _) => Response::json(
-            409,
-            format!(
-                "{{\"id\":{id},\"status\":\"{}\",\"error\":\"job not finished\"}}",
-                status.as_str()
-            ),
-        ),
-    }
+    let status = job.clock.status(&state);
+    let error = match (status, &state.outcome) {
+        (JobStatus::Done, Some(Ok(document))) => return Response::json(200, document.clone()),
+        (JobStatus::Failed, Some(Err(JobError::Failed(message)))) => message.as_str(),
+        (JobStatus::Cancelled, _) => "job was cancelled",
+        _ => "job not finished",
+    };
+    Response::json(
+        409,
+        json::object(|o| {
+            o.u64("id", id).str("status", status.as_str()).str("error", error);
+        }),
+    )
 }
 
 fn job_status_json(id: u64, job: &Job) -> String {
     let state = job.execution.lock();
     let status = job.clock.status(&state);
-    let mut body = format!("{{\"id\":{id},\"status\":\"{}\"", status.as_str());
-    if let Some((queued, ran)) = job.clock.timings(&state) {
-        body.push_str(&format!(",\"queue_ms\":{}", queued.as_millis()));
-        if let Some(ran) = ran {
-            body.push_str(&format!(",\"run_ms\":{}", ran.as_millis()));
+    json::object(|o| {
+        o.u64("id", id).str("status", status.as_str());
+        if let Some((queued, ran)) = job.clock.timings(&state) {
+            o.u64("queue_ms", queued.as_millis() as u64);
+            if let Some(ran) = ran {
+                o.u64("run_ms", ran.as_millis() as u64);
+            }
         }
-    }
-    if let (JobStatus::Failed, Some(Err(JobError::Failed(message)))) = (status, &state.outcome) {
-        body.push_str(",\"error\":");
-        json::write_string(&mut body, message);
-    }
-    body.push('}');
-    body
+        if let (JobStatus::Failed, Some(Err(JobError::Failed(message)))) = (status, &state.outcome)
+        {
+            o.str("error", message);
+        }
+    })
 }
 
 fn worker_loop(shared: &Shared) {

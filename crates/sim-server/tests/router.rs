@@ -338,3 +338,36 @@ fn ring_routes_specs_stably_across_restarts_and_spellings() {
         }
     }
 }
+
+/// The exact bytes of the bodies the router builds itself: `/healthz`
+/// before and after the drain, an error whose message quotes an id, and
+/// the `/shutdown` answer.
+#[test]
+fn router_bodies_keep_their_bytes() {
+    let backends = [start_backend(4, 1), start_backend(4, 1)];
+    let addrs: Vec<String> = backends.iter().map(|b| b.local_addr().to_string()).collect();
+    let router = start_router(addrs.clone());
+    let mut conn = Connection::connect(&router.local_addr().to_string()).unwrap();
+    let mut body = |method: &str, path: &str| {
+        let response = conn.send(method, path, "").unwrap();
+        (response.status, response.text())
+    };
+    let healthz = |status: &str| {
+        format!(
+            r#"{{"status":"{status}","backends":2,"healthy_backends":2,"shards":[{{"shard":"s0","addr":"{}","healthy":true}},{{"shard":"s1","addr":"{}","healthy":true}}]}}"#,
+            addrs[0], addrs[1]
+        )
+    };
+
+    assert_eq!(body("GET", "/healthz"), (200, healthz("ok")));
+    assert_eq!(
+        body("GET", "/jobs/bogus"),
+        (404, r#"{"error":"malformed job id (router job ids look like \"s0-17\")"}"#.to_owned())
+    );
+    assert_eq!(body("POST", "/shutdown"), (200, r#"{"status":"shutting down"}"#.to_owned()));
+    assert_eq!(body("GET", "/healthz"), (200, healthz("draining")));
+    router.join();
+    for backend in backends {
+        backend.join();
+    }
+}

@@ -481,3 +481,145 @@ fn shutdown_endpoint_triggers_drain() {
     assert_eq!(refused.status, 503);
     server.join();
 }
+
+/// `s` as the inside of a JSON string literal (`"` and `\` escaped).
+fn escaped(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// Replaces the digits of `"queue_ms"` and `"run_ms"` with `#`, the
+/// only host-timing values in a job body.
+fn mask_timings(body: &str) -> String {
+    let mut out = body.to_owned();
+    for key in ["\"queue_ms\":", "\"run_ms\":"] {
+        if let Some(at) = out.find(key) {
+            let start = at + key.len();
+            let digits = out[start..].chars().take_while(char::is_ascii_digit).count();
+            out.replace_range(start..start + digits, "#");
+        }
+    }
+    out
+}
+
+/// Sends one request and asserts its status and exact body bytes
+/// (timings masked).
+fn assert_body(conn: &mut Connection, method: &str, path: &str, body: &str, want: (u16, &str)) {
+    let response = conn.send(method, path, body).unwrap();
+    assert_eq!((response.status, mask_timings(&response.text()).as_str()), want, "{method} {path}");
+}
+
+/// The exact bytes of every response body the server builds itself:
+/// `/healthz` (ok and draining), the `202` submission, an error, the
+/// `/shutdown` answer, a job's status in each state and the three
+/// `409` result refusals (failed, not finished, cancelled). The failed
+/// job's diagnostic names a path holding `"` and `\`. A job reading a
+/// FIFO holds the one worker in `running` until the test releases it.
+#[cfg(unix)]
+#[test]
+fn response_bodies_keep_their_bytes() {
+    let dir = scratch_dir("bodies");
+    let server = start_server(8, 1, Duration::from_secs(60));
+    let addr = server.local_addr().to_string();
+    let mut conn = Connection::connect(&addr).unwrap();
+    let healthz = |conn: &mut Connection, want: &str| {
+        assert_body(conn, "GET", "/healthz", "", (200, want));
+    };
+
+    healthz(&mut conn, r#"{"status":"ok","queue_depth":0,"queue_capacity":8}"#);
+    assert_body(
+        &mut conn,
+        "POST",
+        "/jobs",
+        r#"{"workload": {"kind": "quantum"}}"#,
+        (400, r#"{"error":"unknown workload kind \"quantum\""}"#),
+    );
+    assert_body(&mut conn, "GET", "/jobs/7", "", (404, r#"{"error":"no such job"}"#));
+
+    let missing = dir.join("no \"such\" \\ trace.cvp");
+    let spec = format!(r#"{{"trace": "{}"}}"#, escaped(missing.to_str().unwrap()));
+    assert_body(&mut conn, "POST", "/jobs", &spec, (202, r#"{"id":1,"status":"queued"}"#));
+    assert_eq!(conn.wait("1", Duration::from_secs(30)).unwrap(), "failed");
+    let refusal = conn.send("GET", "/jobs/1/result", "").unwrap().text();
+    let message =
+        Value::parse(&refusal).unwrap().get("error").unwrap().as_str().unwrap().to_owned();
+    assert!(message.contains('"') && message.contains('\\'), "{message}");
+    let error = escaped(&message);
+    assert_body(
+        &mut conn,
+        "GET",
+        "/jobs/1",
+        "",
+        (
+            200,
+            &format!(r#"{{"id":1,"status":"failed","queue_ms":#,"run_ms":#,"error":"{error}"}}"#),
+        ),
+    );
+    assert_body(
+        &mut conn,
+        "GET",
+        "/jobs/1/result",
+        "",
+        (409, &format!(r#"{{"id":1,"status":"failed","error":"{error}"}}"#)),
+    );
+
+    let fifo = dir.join("held.champsimtrace");
+    let made = std::process::Command::new("mkfifo").arg(&fifo).status().unwrap();
+    assert!(made.success(), "mkfifo {}", fifo.display());
+    let spec = format!(r#"{{"trace": "{}"}}"#, escaped(fifo.to_str().unwrap()));
+    assert_body(&mut conn, "POST", "/jobs", &spec, (202, r#"{"id":2,"status":"queued"}"#));
+    loop {
+        match poll_status(&mut conn, "2").as_str() {
+            "running" => break,
+            "queued" => std::thread::sleep(Duration::from_millis(5)),
+            other => panic!("the held job must run, not end {other}"),
+        }
+    }
+    assert_body(
+        &mut conn,
+        "GET",
+        "/jobs/2",
+        "",
+        (200, r#"{"id":2,"status":"running","queue_ms":#}"#),
+    );
+    assert_body(
+        &mut conn,
+        "GET",
+        "/jobs/2/result",
+        "",
+        (409, r#"{"id":2,"status":"running","error":"job not finished"}"#),
+    );
+    let spec = r#"{"workload": {"kind": "crypto", "seed": 9, "length": 1000}}"#;
+    assert_body(&mut conn, "POST", "/jobs", spec, (202, r#"{"id":3,"status":"queued"}"#));
+    assert_body(&mut conn, "GET", "/jobs/3", "", (200, r#"{"id":3,"status":"queued"}"#));
+    assert_body(
+        &mut conn,
+        "GET",
+        "/jobs/3/result",
+        "",
+        (409, r#"{"id":3,"status":"queued","error":"job not finished"}"#),
+    );
+    healthz(&mut conn, r#"{"status":"ok","queue_depth":1,"queue_capacity":8}"#);
+
+    assert_body(
+        &mut conn,
+        "POST",
+        "/shutdown",
+        r#"{"abort": true}"#,
+        (200, r#"{"status":"shutting down","abort":true}"#),
+    );
+    assert_body(&mut conn, "GET", "/jobs/3", "", (200, r#"{"id":3,"status":"cancelled"}"#));
+    assert_body(
+        &mut conn,
+        "GET",
+        "/jobs/3/result",
+        "",
+        (409, r#"{"id":3,"status":"cancelled","error":"job was cancelled"}"#),
+    );
+    healthz(&mut conn, r#"{"status":"draining","queue_depth":0,"queue_capacity":8}"#);
+
+    // Opening the write end lets the held worker's open return; the
+    // empty stream then ends its job.
+    drop(std::fs::OpenOptions::new().write(true).open(&fifo).unwrap());
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

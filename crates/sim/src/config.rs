@@ -129,6 +129,16 @@ impl CoreConfig {
         }
     }
 
+    /// The named preset: `iiswc` ([`CoreConfig::iiswc_main`]) or
+    /// `ipc1` ([`CoreConfig::ipc1`]); `None` for any other name.
+    pub fn by_name(name: &str) -> Option<CoreConfig> {
+        match name {
+            "iiswc" => Some(CoreConfig::iiswc_main()),
+            "ipc1" => Some(CoreConfig::ipc1()),
+            _ => None,
+        }
+    }
+
     /// A scaled-down configuration for fast unit tests.
     pub fn test_small() -> CoreConfig {
         CoreConfig {
@@ -153,5 +163,13 @@ mod tests {
         assert_eq!(main.branch_rules, BranchRules::Patched);
         assert!(main.hierarchy.l1d_ip_stride && !ipc1.hierarchy.l1d_ip_stride);
         assert_eq!(main.btb_entries, 16 * 1024);
+    }
+
+    #[test]
+    fn presets_resolve_by_name() {
+        let debug = |config: Option<CoreConfig>| format!("{config:?}");
+        assert_eq!(debug(CoreConfig::by_name("iiswc")), debug(Some(CoreConfig::iiswc_main())));
+        assert_eq!(debug(CoreConfig::by_name("ipc1")), debug(Some(CoreConfig::ipc1())));
+        assert!(CoreConfig::by_name("zen5").is_none());
     }
 }

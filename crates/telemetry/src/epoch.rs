@@ -1,5 +1,3 @@
-use crate::json;
-
 /// Per-interval snapshots of a fixed set of counters.
 ///
 /// An `EpochSeries` is created with an epoch length (in retired
@@ -71,28 +69,9 @@ impl EpochSeries {
         self.names.iter().position(|n| *n == name).map(|i| self.columns[i].as_slice())
     }
 
-    /// Writes the `"epochs"` JSON object (without a key) into `out`.
-    pub(crate) fn write_json(&self, out: &mut String) {
-        out.push_str("{\"epoch_instructions\":");
-        out.push_str(&self.epoch_instructions.to_string());
-        out.push_str(",\"rows\":");
-        out.push_str(&self.rows().to_string());
-        out.push_str(",\"series\":{");
-        for (i, (name, column)) in self.names.iter().zip(&self.columns).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_string(out, name);
-            out.push_str(":[");
-            for (j, v) in column.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&v.to_string());
-            }
-            out.push(']');
-        }
-        out.push_str("}}");
+    /// Every column with its name, in column order.
+    pub(crate) fn columns(&self) -> impl Iterator<Item = (&'static str, &[u64])> {
+        self.names.iter().copied().zip(self.columns.iter().map(Vec::as_slice))
     }
 }
 
@@ -120,8 +99,14 @@ mod tests {
     fn json_shape() {
         let mut e = EpochSeries::new(50, &["cycles"]);
         e.push_row(&[7]);
-        let mut out = String::new();
-        e.write_json(&mut out);
-        assert_eq!(out, "{\"epoch_instructions\":50,\"rows\":1,\"series\":{\"cycles\":[7]}}");
+        let mut r = crate::Registry::new();
+        r.set_epochs(e);
+        let json = r.to_json();
+        assert!(
+            json.ends_with(
+                ",\"epochs\":{\"epoch_instructions\":50,\"rows\":1,\"series\":{\"cycles\":[7]}}}\n"
+            ),
+            "{json}"
+        );
     }
 }

@@ -1,11 +1,15 @@
-//! The workspace's one JSON module: a deterministic writer and a strict
-//! parser (the workspace carries no serializer dependency).
+//! The workspace's one JSON module: the one writer every document and
+//! response body is built with, and a strict parser (the workspace
+//! carries no serializer dependency).
 //!
-//! Writing is two append helpers, [`write_string`] and [`write_f64`],
-//! that every exporter builds its documents from, so identical inputs
-//! give identical bytes, and [`object`], which places the braces,
-//! commas and escaped keys of one object so a caller only names its
-//! members. Reading is [`Value::parse`], which implements
+//! Writing goes through [`object`]: a caller names the members of one
+//! object and [`Object`] places the braces, commas and escaped keys,
+//! escapes strings and gives floats a fixed six decimals, so identical
+//! inputs give identical bytes. Metrics documents
+//! ([`Registry::to_json`](crate::Registry::to_json)), bench baselines
+//! and every server and router response body are written this way;
+//! nothing outside this module frames JSON by hand. Reading is
+//! [`Value::parse`], which implements
 //! just enough of RFC 8259 to read request bodies, registry documents
 //! and bench baselines strictly: all six value types, string escapes
 //! (including `\uXXXX`), and nothing else — no comments, no trailing
@@ -14,22 +18,33 @@
 //! at the problem. [`Value::metric`] reads one metric back out of a
 //! parsed [`Registry`](crate::Registry) document.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Appends `s` as a JSON string literal (with escaping) to `out`.
-pub fn write_string(out: &mut String, s: &str) {
+///
+/// Every escaped character is ASCII, so each run between two of them
+/// ends on a character boundary and is copied whole.
+fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -38,12 +53,25 @@ pub fn write_string(out: &mut String, s: &str) {
 /// Non-finite values (which would not be valid JSON) are written as 0;
 /// every exporter in the stack guards its divisions, so this is a
 /// belt-and-braces rule, not an expected path.
-pub fn write_f64(out: &mut String, value: f64) {
-    if value.is_finite() {
-        out.push_str(&format!("{value:.6}"));
-    } else {
-        out.push_str("0.000000");
+fn write_f64(out: &mut String, value: f64) {
+    let value = if value.is_finite() { value } else { 0.0 };
+    let _ = write!(out, "{value:.6}");
+}
+
+/// Appends `[…]` holding `items`, each written by `write`.
+fn write_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(out, item);
     }
+    out.push(']');
 }
 
 /// Writes the object `fill` describes and returns it.
@@ -70,7 +98,7 @@ fn write_object(out: &mut String, fill: impl FnOnce(&mut Object<'_>)) {
 
 /// The members of one object being written by [`object`]. Each call
 /// appends one member after a comma where one is needed; keys and
-/// string values are escaped, floats take [`write_f64`]'s six decimals.
+/// string values are escaped, floats take six decimals.
 pub struct Object<'a> {
     out: &'a mut String,
     empty: bool,
@@ -92,16 +120,49 @@ impl Object<'_> {
         self
     }
 
-    /// Appends an integer member.
+    /// Appends an unsigned integer member.
     pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
-        let out = self.key(key);
-        out.push_str(&value.to_string());
+        let _ = write!(self.key(key), "{value}");
         self
     }
 
-    /// Appends a float member with six decimals.
+    /// Appends a signed integer member.
+    pub fn i64(&mut self, key: &str, value: i64) -> &mut Self {
+        let _ = write!(self.key(key), "{value}");
+        self
+    }
+
+    /// Appends a float member with six decimals (non-finite values are
+    /// written as 0).
     pub fn f64(&mut self, key: &str, value: f64) -> &mut Self {
         write_f64(self.key(key), value);
+        self
+    }
+
+    /// Appends a `true`/`false` member.
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Appends an array member of unsigned integers.
+    pub fn u64s(&mut self, key: &str, values: impl IntoIterator<Item = u64>) -> &mut Self {
+        write_array(self.key(key), values, |out, value| {
+            let _ = write!(out, "{value}");
+        });
+        self
+    }
+
+    /// Appends an array member of `[a,b,c]` integer triples, such as a
+    /// histogram's `[low, high, count]` buckets.
+    pub fn u64_triples(
+        &mut self,
+        key: &str,
+        triples: impl IntoIterator<Item = (u64, u64, u64)>,
+    ) -> &mut Self {
+        write_array(self.key(key), triples, |out, (a, b, c)| {
+            let _ = write!(out, "[{a},{b},{c}]");
+        });
         self
     }
 
@@ -119,15 +180,7 @@ impl Object<'_> {
         items: impl IntoIterator<Item = T>,
         mut fill: impl FnMut(&mut Object<'_>, T),
     ) -> &mut Self {
-        let out = self.key(key);
-        out.push('[');
-        for (i, item) in items.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_object(out, |row| fill(row, item));
-        }
-        out.push(']');
+        write_array(self.key(key), items, |out, item| write_object(out, |row| fill(row, item)));
         self
     }
 }
@@ -447,6 +500,7 @@ mod tests {
         assert_eq!(string("a\\b"), r#""a\\b""#);
         assert_eq!(string("a\nb"), r#""a\nb""#);
         assert_eq!(string("a\u{1}b"), "\"a\\u0001b\"");
+        assert_eq!(string("é\"ü\tß"), "\"é\\\"ü\\tß\"");
     }
 
     #[test]

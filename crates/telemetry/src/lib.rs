@@ -28,7 +28,7 @@
 //!             v                    METRICS.md (metrics_ref)
 //!   +-----------------------------------------------------+
 //!   |  telemetry::json                                     |
-//!   |    write: write_string / write_f64                   |
+//!   |    write: object (one Object writer)                 |
 //!   |    read:  Value::parse, Value::metric                |
 //!   +-----------------------------------------------------+
 //!             |                         ^
@@ -49,9 +49,11 @@
 //!   float formatting that depends on locale — identical inputs yield
 //!   identical bytes.
 //! * **One JSON module.** [`json`] holds the workspace's only JSON
-//!   code: the writer every exporter uses and the strict parser that
-//!   reads job specs, served registry documents and bench baselines
-//!   back. Nothing else in the workspace scrapes JSON text.
+//!   code: the one writer ([`json::object`]) that builds every metrics
+//!   document, bench baseline and server or router response body, and
+//!   the strict parser that reads job specs, served registry documents
+//!   and bench baselines back. Nothing else in the workspace frames or
+//!   scrapes JSON text.
 //! * **Zero dependencies.** Like the rest of the workspace, everything
 //!   (including the JSON writer and parser) is in-tree.
 //!

@@ -145,75 +145,51 @@ impl Registry {
 
     /// Serializes the registry as the schema-versioned JSON document.
     pub fn to_json(&self) -> String {
-        self.to_json_with_sections(&[])
+        self.to_json_with(|_| {})
     }
 
-    /// Like [`Registry::to_json`] but appending extra top-level
-    /// sections, each a `(key, already-serialized JSON value)` pair.
-    /// Section order follows the argument order; callers keep it
-    /// stable.
-    pub fn to_json_with_sections(&self, sections: &[(&str, String)]) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"schema\":");
-        json::write_string(&mut out, SCHEMA_VERSION);
-        out.push_str(",\"labels\":{");
-        for (i, (k, v)) in self.labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_string(&mut out, k);
-            out.push(':');
-            json::write_string(&mut out, v);
-        }
-        out.push_str("},\"metrics\":[");
-        for (i, m) in self.metrics.values().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            json::write_string(&mut out, &m.name);
-            out.push_str(",\"kind\":");
-            json::write_string(&mut out, m.desc.kind.as_str());
-            out.push_str(",\"unit\":");
-            json::write_string(&mut out, m.desc.unit.as_str());
-            out.push_str(",\"description\":");
-            json::write_string(&mut out, m.desc.description);
-            out.push_str(",\"value\":");
-            match &m.value {
-                MetricValue::Counter(v) => out.push_str(&v.to_string()),
-                MetricValue::Gauge(v) => json::write_f64(&mut out, *v),
-                MetricValue::Histogram(h) => {
-                    out.push_str("{\"count\":");
-                    out.push_str(&h.count().to_string());
-                    out.push_str(",\"mean\":");
-                    json::write_f64(&mut out, h.mean());
-                    out.push_str(",\"max\":");
-                    out.push_str(&h.max().to_string());
-                    out.push_str(",\"buckets\":[");
-                    for (j, (lo, hi, c)) in h.nonzero_buckets().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!("[{lo},{hi},{c}]"));
+    /// Like [`Registry::to_json`], with `extra` writing further
+    /// top-level members into the same document after `epochs`.
+    pub fn to_json_with(&self, extra: impl FnOnce(&mut json::Object<'_>)) -> String {
+        let mut doc = json::object(|doc| {
+            doc.str("schema", SCHEMA_VERSION)
+                .object("labels", |labels| {
+                    for (key, value) in &self.labels {
+                        labels.str(key, value);
                     }
-                    out.push_str("]}");
-                }
+                })
+                .objects("metrics", self.metrics.values(), |row, m| {
+                    row.str("name", &m.name)
+                        .str("kind", m.desc.kind.as_str())
+                        .str("unit", m.desc.unit.as_str())
+                        .str("description", m.desc.description);
+                    match &m.value {
+                        MetricValue::Counter(v) => row.u64("value", *v),
+                        MetricValue::Gauge(v) => row.f64("value", *v),
+                        MetricValue::Histogram(h) => row.object("value", |value| {
+                            value
+                                .u64("count", h.count())
+                                .f64("mean", h.mean())
+                                .u64("max", h.max())
+                                .u64_triples("buckets", h.nonzero_buckets());
+                        }),
+                    };
+                });
+            if let Some(epochs) = &self.epochs {
+                doc.object("epochs", |e| {
+                    e.u64("epoch_instructions", epochs.epoch_instructions())
+                        .u64("rows", epochs.rows() as u64)
+                        .object("series", |series| {
+                            for (name, column) in epochs.columns() {
+                                series.u64s(name, column.iter().copied());
+                            }
+                        });
+                });
             }
-            out.push('}');
-        }
-        out.push(']');
-        if let Some(epochs) = &self.epochs {
-            out.push_str(",\"epochs\":");
-            epochs.write_json(&mut out);
-        }
-        for (key, value) in sections {
-            out.push(',');
-            json::write_string(&mut out, key);
-            out.push(':');
-            out.push_str(value);
-        }
-        out.push_str("}\n");
-        out
+            extra(doc);
+        });
+        doc.push('\n');
+        doc
     }
 }
 
@@ -287,10 +263,63 @@ mod tests {
         assert!(a.to_json().contains("\"x\":\"y\""));
     }
 
+    /// The exact bytes of a document that takes every writer path: an
+    /// escaped label, a counter, a gauge, a templated instance, a
+    /// histogram with buckets, epochs and one extra top-level section.
+    #[test]
+    fn document_bytes_are_pinned() {
+        let mut r = Registry::new();
+        r.label("trace", "dir\\a \"b\".cvp");
+        r.label("core", "iiswc");
+        r.counter(&catalog::SIM_INSTRUCTIONS, 1_000);
+        r.gauge(&catalog::SIM_IPC, 1.25);
+        r.counter_at(&catalog::MEMSYS_DEMAND_MISSES, "l1i", 3);
+        let mut h = Log2Histogram::new();
+        for value in [0, 1, 3, 40, 40] {
+            h.record(value);
+        }
+        r.histogram(&catalog::SIM_ROB_OCCUPANCY, h);
+        let mut e = EpochSeries::new(500, &["cycles", "l1i_demand_misses"]);
+        e.push_row(&[400, 2]);
+        e.push_row(&[450, 0]);
+        r.set_epochs(e);
+        let document = concat!(
+            r#"{"schema":"trace-rebase-metrics/v1","#,
+            r#""labels":{"core":"iiswc","trace":"dir\\a \"b\".cvp"},"#,
+            r#""metrics":[{"name":"memsys.l1i.demand_misses","kind":"counter","unit":"count","#,
+            r#""description":"Demand misses at one cache level; {level} as in "#,
+            r#"memsys.{level}.demand_accesses","value":3},"#,
+            r#"{"name":"sim.instructions","kind":"counter","unit":"instructions","#,
+            r#""description":"Retired trace records in the measured (post-warm-up) window","#,
+            r#""value":1000},"#,
+            r#"{"name":"sim.ipc","kind":"gauge","unit":"ratio","#,
+            r#""description":"Instructions per cycle over the measured window","value":1.250000},"#,
+            r#"{"name":"sim.rob.occupancy","kind":"histogram","unit":"count","#,
+            r#""description":"Log2 histogram of ROB occupancy sampled at every dispatch","#,
+            r#""value":{"count":5,"mean":16.800000,"max":40,"#,
+            r#""buckets":[[0,1,1],[1,2,1],[2,4,1],[32,64,2]]}}],"#,
+            r#""epochs":{"epoch_instructions":500,"rows":2,"#,
+            r#""series":{"cycles":[400,450],"l1i_demand_misses":[2,0]}}}"#,
+            "\n"
+        );
+        assert_eq!(r.to_json(), document);
+        let section =
+            r#","attribution":[{"config":"flag-reg","ipc_delta_pct":-1.500000,"cycle_delta":-7}]"#;
+        let with_section = format!("{}{section}}}\n", &document[..document.len() - 2]);
+        let extended = r.to_json_with(|doc| {
+            doc.objects("attribution", ["flag-reg"], |row, config| {
+                row.str("config", config).f64("ipc_delta_pct", -1.5).i64("cycle_delta", -7);
+            });
+        });
+        assert_eq!(extended, with_section);
+    }
+
     #[test]
     fn extra_sections_append_in_order() {
         let r = Registry::new();
-        let json = r.to_json_with_sections(&[("attribution", "[1,2]".to_owned())]);
-        assert!(json.contains(",\"attribution\":[1,2]}"), "{json}");
+        let json = r.to_json_with(|doc| {
+            doc.u64s("attribution", [1, 2]).bool("complete", true);
+        });
+        assert!(json.ends_with(",\"attribution\":[1,2],\"complete\":true}\n"), "{json}");
     }
 }

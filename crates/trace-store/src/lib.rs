@@ -73,6 +73,6 @@ pub use cvpz::{CvpzReader, CvpzWriter};
 pub use error::StoreError;
 pub use etrace_cvp::{decoded_to_cvp, rv_items_to_cvp, EtraceCvpReader};
 pub use open::{
-    is_etrace_path, is_store_path, ChampsimTraceReader, ChampsimTraceWriter, CvpTraceReader,
-    CvpTraceWriter, CHAMPSIMZ_EXT, CVPZ_EXT, ETRACE_EXT,
+    is_cvp_family_path, is_etrace_path, is_store_path, ChampsimTraceReader, ChampsimTraceWriter,
+    CvpTraceReader, CvpTraceWriter, CHAMPSIMZ_EXT, CVPZ_EXT, ETRACE_EXT,
 };

@@ -45,6 +45,18 @@ pub fn is_etrace_path(path: &Path) -> bool {
     )
 }
 
+/// Whether `path` names a CVP-family trace (by extension): a flat
+/// `.cvp` stream, a `.cvpz` store or an `.etrace` branch trace, the
+/// inputs [`CvpTraceReader`] decodes to CVP instructions that must be
+/// converted before a ChampSim-model run.
+pub fn is_cvp_family_path(path: &Path) -> bool {
+    is_etrace_path(path)
+        || matches!(
+            path.extension().and_then(|e| e.to_str()),
+            Some(e) if e.eq_ignore_ascii_case("cvp") || e.eq_ignore_ascii_case(CVPZ_EXT)
+        )
+}
+
 fn champsim_store(e: StoreError) -> ChampsimTraceError {
     match e {
         StoreError::Io(io) => ChampsimTraceError::Io(io),
@@ -313,6 +325,16 @@ mod tests {
         assert!(!is_store_path(Path::new("trace.cvp")));
         assert!(!is_store_path(Path::new("trace.champsimtrace")));
         assert!(!is_store_path(Path::new("cvpz")));
+    }
+
+    #[test]
+    fn cvp_family_paths_are_detected_by_extension() {
+        for path in ["t.cvp", "a/t.CVP", "t.cvpz", "t.etrace"] {
+            assert!(is_cvp_family_path(Path::new(path)), "{path}");
+        }
+        for path in ["t.champsimtrace", "t.champsimz", "t.bin", "cvp"] {
+            assert!(!is_cvp_family_path(Path::new(path)), "{path}");
+        }
     }
 
     #[test]

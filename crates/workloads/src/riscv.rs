@@ -24,6 +24,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::str::FromStr;
 
 use etrace::{MetaInstr, MetaOp, Program, TraceItem, RV_REG_NONE};
 
@@ -55,6 +56,20 @@ impl fmt::Display for RvWorkloadKind {
             RvWorkloadKind::Dispatch => "rv-dispatch",
         };
         f.write_str(s)
+    }
+}
+
+impl FromStr for RvWorkloadKind {
+    type Err = String;
+
+    /// Parses the name [`Display`](fmt::Display) writes.
+    fn from_str(name: &str) -> Result<RvWorkloadKind, String> {
+        Ok(match name {
+            "rv-int" => RvWorkloadKind::IntLoop,
+            "rv-stream" => RvWorkloadKind::StreamKernel,
+            "rv-dispatch" => RvWorkloadKind::Dispatch,
+            other => return Err(format!("unknown RISC-V workload kind {other:?}")),
+        })
     }
 }
 

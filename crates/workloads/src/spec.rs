@@ -1,4 +1,5 @@
 use std::fmt;
+use std::str::FromStr;
 
 use cvp_trace::CvpInstruction;
 
@@ -37,6 +38,23 @@ impl fmt::Display for WorkloadKind {
             WorkloadKind::FpKernel => "fp-kernel",
         };
         f.write_str(s)
+    }
+}
+
+impl FromStr for WorkloadKind {
+    type Err = String;
+
+    /// Parses the name [`Display`](fmt::Display) writes.
+    fn from_str(name: &str) -> Result<WorkloadKind, String> {
+        Ok(match name {
+            "pointer-chase" => WorkloadKind::PointerChase,
+            "streaming" => WorkloadKind::Streaming,
+            "crypto" => WorkloadKind::Crypto,
+            "branchy-int" => WorkloadKind::BranchyInt,
+            "server" => WorkloadKind::Server,
+            "fp-kernel" => WorkloadKind::FpKernel,
+            other => return Err(format!("unknown workload kind {other:?}")),
+        })
     }
 }
 
