@@ -6,26 +6,27 @@
 //!              [--epochs N] [--improvements <set>]
 //! ```
 //!
-//! Accepts ChampSim traces (flat `.champsimtrace` record files and
-//! block-compressed `.champsimz` stores), which run as they are, and
-//! CVP-family traces (flat `.cvp`, block-compressed `.cvpz` and
-//! packetized `.etrace` RISC-V branch traces), which are decoded and
-//! converted in memory under `--improvements` (`No_imp` by default,
-//! matching the server) before simulation; `--max` then counts
-//! converted records. The core presets
-//! match the paper's §4 setups; `--prefetcher` plugs one of the IPC-1
-//! instruction prefetchers into the L1I. `--metrics` writes the full
-//! `sim.*`/`memsys.*`/`bpred.*` telemetry document (see METRICS.md);
+//! Accepts the five trace encodings the job server accepts, chosen by
+//! extension through `cli::TraceSource`: ChampSim traces (flat
+//! `.champsimtrace` record files and block-compressed `.champsimz`
+//! stores) run as they are; CVP-family traces (flat `.cvp`,
+//! block-compressed `.cvpz` and packetized `.etrace` RISC-V branch
+//! traces) are decoded and converted on the fly under `--improvements`
+//! (`No_imp` by default, matching the server), and `--max` then counts
+//! converted records. Any other extension is rejected. Records stream
+//! into the core model, so memory does not grow with trace length. The
+//! core presets match the paper's §4 setups; `--prefetcher` plugs one
+//! of the IPC-1 instruction prefetchers into the L1I. `--metrics`
+//! writes the full `sim.*`/`memsys.*`/`bpred.*` telemetry document (see
+//! METRICS.md), with an `improvements` label for converted inputs;
 //! `--epochs N` additionally samples cycles and miss counters every N
 //! instructions into the document's `epochs` section.
 
-use std::path::Path;
 use std::process::ExitCode;
 
-use champsim_trace::ChampsimRecord;
-use converter::{Converter, ImprovementSet};
+use cli::{TraceFormat, TraceSource};
+use converter::ImprovementSet;
 use sim::{CoreConfig, RunOptions, Simulator};
-use trace_store::{is_cvp_family_path, ChampsimTraceReader, CvpTraceReader};
 
 fn main() -> ExitCode {
     match run() {
@@ -54,16 +55,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 Some(name) if CoreConfig::by_name(&name).is_some() => core_name = name,
                 other => return Err(format!("unknown core {other:?}").into()),
             },
-            "--warmup" => warmup = args.next().ok_or("--warmup needs a count")?.parse()?,
+            "--warmup" => warmup = cli::flag_value("--warmup", "a count", args.next())?,
             "--prefetcher" => prefetcher = Some(args.next().ok_or("--prefetcher needs a name")?),
-            "--max" => max_records = args.next().ok_or("--max needs a count")?.parse()?,
+            "--max" => max_records = cli::flag_value("--max", "a count", args.next())?,
             "--metrics" => metrics_path = Some(args.next().ok_or("--metrics needs a path")?),
             "--epochs" => {
-                let n: u64 = args.next().ok_or("--epochs needs a count")?.parse()?;
-                if n == 0 {
-                    return Err("--epochs must be positive".into());
-                }
-                epochs = Some(n);
+                epochs = Some(cli::positive_flag_value("--epochs", "a count", args.next())?)
             }
             "--improvements" => {
                 improvements =
@@ -85,62 +82,29 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let trace_path = trace_path.ok_or("missing trace path")?;
-    let records: Vec<ChampsimRecord> = if is_cvp_family_path(Path::new(&trace_path)) {
-        // Decode the CVP records (or the E-Trace packet stream) and
-        // convert them in memory — the same path the server takes for a
-        // CVP-family job, which keeps an `.etrace` job's document
-        // identical to this one.
-        let mut reader = CvpTraceReader::open(Path::new(&trace_path))
-            .map_err(|e| format!("{trace_path}: {e}"))?;
-        let mut converter = Converter::new(improvements.unwrap_or_else(ImprovementSet::none));
-        let mut records = Vec::new();
-        while let Some(insn) = reader.read().map_err(|e| format!("{trace_path}: {e}"))? {
-            records.extend(converter.convert(&insn));
-            if records.len() >= max_records {
-                break;
-            }
-        }
-        records.truncate(max_records);
-        records
-    } else {
-        if improvements.is_some() {
-            return Err("--improvements only applies to .cvp, .cvpz and .etrace inputs".into());
-        }
-        let reader = ChampsimTraceReader::open(Path::new(&trace_path))
-            .map_err(|e| format!("{trace_path}: {e}"))?;
-        let mut records = Vec::new();
-        for rec in reader {
-            records.push(rec.map_err(|e| format!("{trace_path}: {e}"))?);
-            if records.len() >= max_records {
-                break;
-            }
-        }
-        records
-    };
-    if records.is_empty() {
-        return Err(format!("{trace_path}: trace contains no records").into());
+    let format = TraceFormat::of(&trace_path)?;
+    if improvements.is_some() && !format.converts() {
+        return Err("--improvements only applies to .cvp, .cvpz and .etrace inputs".into());
     }
+    let improvements = improvements.unwrap_or_default();
+    let mut source = TraceSource::open(&trace_path, format, improvements)?;
 
     let mut options = RunOptions::default().with_warmup(warmup);
     if let Some(n) = epochs {
         options = options.with_epochs(n);
     }
     if let Some(name) = prefetcher {
-        let pf = iprefetch_by_name(&name)?;
+        let pf = iprefetch::by_name(&name).ok_or_else(|| format!("unknown prefetcher {name:?}"))?;
         options = options.with_prefetcher(pf);
     }
     let core = CoreConfig::by_name(&core_name).expect("--core validated the name");
-    let report = Simulator::run_on(&core, &records, options);
+    let report = Simulator::new(core).run_iter(source.by_ref().take(max_records), options);
+    source.finish()?;
     println!("{report}");
     if let Some(path) = metrics_path {
-        let registry = cli::champsim_run_registry(&report, &core_name, &trace_path);
+        let label = format.converts().then_some(improvements);
+        let registry = cli::champsim_run_registry(&report, &core_name, &trace_path, label);
         cli::write_metrics(&path, &registry)?;
     }
     Ok(())
-}
-
-fn iprefetch_by_name(
-    name: &str,
-) -> Result<Box<dyn iprefetch::InstructionPrefetcher + Send>, String> {
-    iprefetch::by_name(name).ok_or_else(|| format!("unknown prefetcher {name:?}"))
 }

@@ -5,23 +5,25 @@
 //!              [--stats] [--metrics <path>]
 //! ```
 //!
-//! Reads a CVP-1 binary trace (flat `.cvp`, compressed `.cvpz`, or a
-//! RISC-V `.etrace` branch trace decoded to CVP records on the fly),
-//! converts it with the selected improvement set (`No_imp` by default,
-//! as in the original tool), and writes ChampSim 64-byte records to
-//! `-o` or standard output; an output path ending in `.champsimz`
-//! writes a block-compressed store. `--stats` prints the conversion
-//! statistics to standard error; `--metrics` writes the `convert.*`
-//! telemetry document (plus `store.*` counters in store mode; see
-//! METRICS.md).
+//! Streams a CVP-1 binary trace (compressed `.cvpz`, a RISC-V `.etrace`
+//! branch trace decoded to CVP records on the fly, or flat CVP-1 under
+//! any other name) through `cli::TraceSource`,
+//! converting it with the selected improvement set (`No_imp` by
+//! default, as in the original tool), and writes ChampSim 64-byte
+//! records to `-o` or standard output; an output path ending in
+//! `.champsimz` writes a block-compressed store. `--stats` prints the
+//! conversion statistics to standard error; `--metrics` writes the
+//! `convert.*` telemetry document (plus `store.*` counters in store
+//! mode; see METRICS.md).
 
 use std::io::{self, BufWriter};
 use std::path::Path;
 use std::process::ExitCode;
 
-use champsim_trace::{ChampsimRecord, ChampsimWriter};
-use converter::{Converter, ImprovementSet};
-use trace_store::{ChampsimTraceWriter, CvpTraceReader, StoreStats};
+use champsim_trace::ChampsimWriter;
+use cli::{TraceFormat, TraceSource};
+use converter::ImprovementSet;
+use trace_store::{ChampsimTraceWriter, StoreStats};
 
 fn main() -> ExitCode {
     match run() {
@@ -65,8 +67,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let trace_path = trace_path.ok_or("missing -t <trace.cvp>")?;
-    let mut reader =
-        CvpTraceReader::open(Path::new(&trace_path)).map_err(|e| format!("{trace_path}: {e}"))?;
+    let mut source = TraceSource::open(&trace_path, TraceFormat::Cvp, improvements)?;
 
     // `-o` dispatches on extension (`.champsimz` = compressed store);
     // standard output is always a flat record stream.
@@ -80,24 +81,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
         None => Sink::Stdout(ChampsimWriter::new(BufWriter::new(io::stdout()))),
     };
-    let mut write = |rec: &ChampsimRecord| -> Result<(), champsim_trace::ChampsimTraceError> {
+    for rec in source.by_ref() {
         match &mut sink {
-            Sink::File(w) => w.write(rec),
-            Sink::Stdout(w) => w.write(rec),
-        }
-    };
-    let mut converter = Converter::new(improvements);
-
-    let mut instructions = 0u64;
-    while let Some(insn) = reader.read().map_err(|e| format!("{trace_path}: {e}"))? {
-        instructions += 1;
-        for rec in converter.convert(&insn) {
-            write(&rec)?;
+            Sink::File(w) => w.write(&rec)?,
+            Sink::Stdout(w) => w.write(&rec)?,
         }
     }
-    if instructions == 0 {
-        return Err(format!("{trace_path}: trace contains no instructions").into());
-    }
+    let conversion = source.finish()?;
     let store_stats: Option<StoreStats> = match sink {
         Sink::File(w) => w.finish()?,
         Sink::Stdout(mut w) => {
@@ -107,7 +97,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     if show_stats {
-        eprintln!("{}", converter.stats());
+        eprintln!("{conversion}");
         if let Some(stats) = &store_stats {
             eprintln!("{}", cli::store_summary(stats));
         }
@@ -117,7 +107,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         registry.label("tool", "cvp2champsim");
         registry.label("trace", &trace_path);
         registry.label("improvements", &improvements.to_string());
-        converter.stats().export(improvements, &mut registry);
+        conversion.export(improvements, &mut registry);
         if let Some(stats) = &store_stats {
             cli::export_store_stats(stats, &mut registry);
         }

@@ -60,13 +60,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         CvpTraceReader::open(Path::new(&trace_path)).map_err(|e| format!("{trace_path}: {e}"))?;
     let mut stats = CvpTraceStats::new();
     let mut converter = Converter::new(improvements);
-    let mut instructions = 0u64;
     while let Some(insn) = reader.read().map_err(|e| format!("{trace_path}: {e}"))? {
-        instructions += 1;
         stats.record(&insn);
         converter.convert(&insn);
     }
-    if instructions == 0 {
+    if stats.total() == 0 {
         return Err(format!("{trace_path}: trace contains no instructions").into());
     }
     println!("instruction mix:\n{stats}\n");

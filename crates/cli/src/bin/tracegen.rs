@@ -71,8 +71,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             "--kind" => kind = Some(parse_kind(&args.next().ok_or("--kind needs a name")?)?),
             "--suite" => suite = Some(args.next().ok_or("--suite needs cvp1, ipc1 or rv")?),
             "--name" => name = Some(args.next().ok_or("--name needs a trace name")?),
-            "--seed" => seed = args.next().ok_or("--seed needs a value")?.parse()?,
-            "--length" => length = args.next().ok_or("--length needs a count")?.parse()?,
+            "--seed" => seed = cli::flag_value("--seed", "a value", args.next())?,
+            "--length" => length = cli::positive_flag_value("--length", "a count", args.next())?,
             "-o" | "--output" => out = Some(args.next().ok_or("-o needs a path")?),
             "--list" => list = true,
             "--metrics" => metrics_path = Some(args.next().ok_or("--metrics needs a path")?),
@@ -136,9 +136,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         _ => return Err("give either --kind, or --suite with --name".into()),
     };
 
-    if length == 0 {
-        return Err("--length must be positive".into());
-    }
     let out = out.ok_or("missing -o <out.cvp|out.etrace>")?;
     match job {
         Job::Cvp(spec) => {

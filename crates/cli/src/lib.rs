@@ -15,11 +15,24 @@
 //! the exporters the binaries share — most notably the `cvp.*` metrics
 //! for [`CvpTraceStats`], which live here because `cvp-trace` itself is
 //! dependency-free.
+//!
+//! It also holds the one trace-file reader: [`TraceSource`] streams any
+//! of the five accepted encodings as ChampSim records, converting
+//! CVP-family inputs on the fly. `champsim-run`, `cvp2champsim` and
+//! `sim-server`'s file jobs all read through it, and
+//! [`champsim_run_registry`] renders every file-backed document.
 
+mod source;
+
+use std::str::FromStr;
+
+use converter::ImprovementSet;
 use cvp_trace::{CvpClass, CvpTraceStats};
 use etrace::EtraceStats;
 use telemetry::{catalog, Registry};
 use trace_store::StoreStats;
+
+pub use source::{TraceFormat, TraceSource};
 
 /// Registers a CVP-1 trace characterization under `cvp.*`, including
 /// one `cvp.class.{class}.count` instance per instruction class that
@@ -86,18 +99,49 @@ pub fn store_summary(stats: &StoreStats) -> String {
 }
 
 /// Builds the deterministic `champsim-run --metrics` document for one
-/// simulation: the tool/core/trace labels followed by the report's
-/// `sim.*`/`memsys.*`/`bpred.*` export. The `champsim-run` binary and
-/// `sim-server` both build their documents through this function, which
-/// is what makes a server-fetched result for a trace job byte-identical
-/// to a local `champsim-run --metrics` of the same configuration.
-pub fn champsim_run_registry(report: &sim::SimReport, core_name: &str, trace: &str) -> Registry {
+/// simulation: the tool/core/trace labels, an `improvements` label when
+/// the trace was converted (`Some` for CVP-family inputs), then the
+/// report's `sim.*`/`memsys.*`/`bpred.*` export. The `champsim-run`
+/// binary and `sim-server` build every file-backed document through
+/// this function, which is what makes a server-fetched result for a
+/// trace job byte-identical to a local `champsim-run --metrics` of the
+/// same configuration.
+pub fn champsim_run_registry(
+    report: &sim::SimReport,
+    core_name: &str,
+    trace: &str,
+    improvements: Option<ImprovementSet>,
+) -> Registry {
     let mut registry = Registry::new();
     registry.label("tool", "champsim-run");
     registry.label("core", core_name);
     registry.label("trace", trace);
+    if let Some(improvements) = improvements {
+        registry.label("improvements", &improvements.to_string());
+    }
     report.export(&mut registry);
     registry
+}
+
+/// Parses the value that follows `flag` on a command line, naming the
+/// flag on failure: `--warmup needs a count` when the value is missing,
+/// `--warmup needs a count, got "abc"` when it does not parse.
+pub fn flag_value<T: FromStr>(flag: &str, what: &str, value: Option<String>) -> Result<T, String> {
+    let raw = value.ok_or_else(|| format!("{flag} needs {what}"))?;
+    raw.parse().map_err(|_| format!("{flag} needs {what}, got {raw:?}"))
+}
+
+/// [`flag_value`] for a count or duration that must not be zero:
+/// `--workers 0` fails with `--workers must be positive`.
+pub fn positive_flag_value<T>(flag: &str, what: &str, value: Option<String>) -> Result<T, String>
+where
+    T: FromStr + Default + PartialEq,
+{
+    let n: T = flag_value(flag, what, value)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be positive"));
+    }
+    Ok(n)
 }
 
 /// Writes the registry's JSON document to `path` and prints a

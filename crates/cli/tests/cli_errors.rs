@@ -82,6 +82,7 @@ fn empty_traces_are_rejected_not_silently_processed() {
         &["cvp2champsim:", cvp_text, "no instructions"],
     );
     assert_diagnostic(&run(TRACE_STATS, &[cvp_text]), &[cvp_text, "no instructions"]);
+    assert_diagnostic(&run(CHAMPSIM_RUN, &[cvp_text]), &[cvp_text, "no instructions"]);
     assert_diagnostic(&run(CHAMPSIM_RUN, &[champ_text]), &[champ_text, "no records"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -120,6 +121,16 @@ fn truncated_stores_report_path_and_block() {
     let cvpz_text = cvpz.to_str().unwrap();
     assert_diagnostic(&run(CVP2CHAMPSIM, &["-t", cvpz_text]), &[cvpz_text, "block"]);
     assert_diagnostic(&run(TRACE_STATS, &[cvpz_text]), &[cvpz_text, "block"]);
+    assert_diagnostic(&run(CHAMPSIM_RUN, &[cvpz_text]), &["champsim-run:", cvpz_text, "block"]);
+
+    let cvp = sample_cvp(&dir);
+    let champz = dir.join("sample.champsimz");
+    let champz_text = champz.to_str().unwrap();
+    let out = run(CVP2CHAMPSIM, &["-t", cvp.to_str().unwrap(), "-o", champz_text]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let bytes = std::fs::read(&champz).unwrap();
+    std::fs::write(&champz, &bytes[..bytes.len() / 2]).unwrap();
+    assert_diagnostic(&run(CHAMPSIM_RUN, &[champz_text]), &["champsim-run:", champz_text, "block"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -162,6 +173,18 @@ fn garbage_etrace_is_rejected_with_magic_diagnostic() {
 fn malformed_arguments_fail_with_usage_hints() {
     assert_diagnostic(&run(CVP2CHAMPSIM, &["-t", "x.cvp", "-i", "imp_bogus"]), &["cvp2champsim:"]);
     assert_diagnostic(&run(CHAMPSIM_RUN, &["x.champsimtrace", "--core", "zen5"]), &["zen5"]);
+    assert_diagnostic(
+        &run(CHAMPSIM_RUN, &["x.champsimz", "--warmup", "abc"]),
+        &["champsim-run: --warmup needs a count, got \"abc\""],
+    );
+    assert_diagnostic(
+        &run(CHAMPSIM_RUN, &["x.champsimz", "--max", "-1"]),
+        &["--max needs a count, got \"-1\""],
+    );
+    assert_diagnostic(
+        &run(TRACEGEN, &["--kind", "crypto", "--length", "x"]),
+        &["tracegen: --length needs a count, got \"x\""],
+    );
     assert_diagnostic(&run(TRACEGEN, &["--kind", "quantum"]), &["quantum"]);
     assert_diagnostic(&run(TRACEGEN, &[]), &["tracegen:"]);
     assert_diagnostic(&run(TRACE_STATS, &["--bogus"]), &["--bogus"]);
@@ -180,6 +203,48 @@ fn rv_kinds_require_an_etrace_output_path_and_vice_versa() {
         &run(TRACEGEN, &["--kind", "crypto", "--length", "100", "-o", wrong.to_str().unwrap()]),
         &["tracegen:", "program image"],
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `champsim-run` accepts exactly the server's five extensions: a valid
+/// flat ChampSim file named `.bin` is refused with the job API's
+/// wording instead of being run.
+#[test]
+fn unknown_extensions_are_rejected_like_the_server() {
+    let dir = scratch_dir("ext");
+    let bin = dir.join("t.bin");
+    std::fs::copy(sample_champsim(&dir), &bin).unwrap();
+    let text = bin.to_str().unwrap();
+    let want = format!(
+        "champsim-run: unrecognized trace extension in {text:?} (want .cvp, .cvpz, .etrace, \
+         .champsimtrace or .champsimz)"
+    );
+    assert_diagnostic(&run(CHAMPSIM_RUN, &[text]), &[&want]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The CVP tools read a flat CVP-1 file under any other name, with or
+/// without an extension: `cvp2champsim` converts it to the same records
+/// as the `.cvp` original, and `trace-stats` accepts it too.
+#[test]
+fn cvp_tools_read_unrecognized_names_as_flat_cvp() {
+    let dir = scratch_dir("flatname");
+    let cvp = sample_cvp(&dir);
+    let convert = |input: &Path, out: &str| {
+        let out = dir.join(out);
+        let result =
+            run(CVP2CHAMPSIM, &["-t", input.to_str().unwrap(), "-o", out.to_str().unwrap()]);
+        assert!(result.status.success(), "{}", String::from_utf8_lossy(&result.stderr));
+        std::fs::read(out).unwrap()
+    };
+    let want = convert(&cvp, "want.champsimtrace");
+    for name in ["compute_int_0", "x.trace"] {
+        let renamed = dir.join(name);
+        std::fs::copy(&cvp, &renamed).unwrap();
+        assert_eq!(convert(&renamed, "got.champsimtrace"), want, "{name}");
+        let stats = run(TRACE_STATS, &[renamed.to_str().unwrap()]);
+        assert!(stats.status.success(), "{}", String::from_utf8_lossy(&stats.stderr));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -660,7 +660,7 @@ mod tests {
         // A scratch path may hold any character JSON must escape.
         let path = r#"C:\tmp\"fan out".champsimz"#;
         let spec = JobSpec::parse(&fanout_body(path, Some("djolt"))).unwrap();
-        assert!(matches!(&spec.source, sim_server::JobSource::ChampsimTrace(p) if p == path));
+        assert!(matches!(&spec.source, sim_server::JobSource::File(p, _) if p == path));
         assert_eq!((spec.warmup, spec.prefetcher.as_deref()), (200, Some("djolt")));
     }
 }

@@ -83,7 +83,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
             "--timeout" => {
                 timeout =
-                    Duration::from_secs(args.next().ok_or("--timeout needs seconds")?.parse()?);
+                    Duration::from_secs(cli::flag_value("--timeout", "seconds", args.next())?);
             }
             "--out" => out = Some(args.next().ok_or("--out needs a path")?),
             "--abort" => abort = true,

@@ -43,23 +43,16 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 config.backends.push(args.next().ok_or("--backend needs host:port")?);
             }
             "--vnodes" => {
-                config.vnodes = args.next().ok_or("--vnodes needs a count")?.parse()?;
-                if config.vnodes == 0 {
-                    return Err("--vnodes must be positive".into());
-                }
+                config.vnodes = cli::positive_flag_value("--vnodes", "a count", args.next())?
             }
             "--health-interval" => {
-                let ms: u64 = args.next().ok_or("--health-interval needs milliseconds")?.parse()?;
-                if ms == 0 {
-                    return Err("--health-interval must be positive".into());
-                }
+                let ms =
+                    cli::positive_flag_value("--health-interval", "milliseconds", args.next())?;
                 config.health_interval = Duration::from_millis(ms);
             }
             "--connect-timeout" => {
-                let ms: u64 = args.next().ok_or("--connect-timeout needs milliseconds")?.parse()?;
-                if ms == 0 {
-                    return Err("--connect-timeout must be positive".into());
-                }
+                let ms =
+                    cli::positive_flag_value("--connect-timeout", "milliseconds", args.next())?;
                 config.connect_timeout = Duration::from_millis(ms);
             }
             "--addr-file" => addr_file = Some(args.next().ok_or("--addr-file needs a path")?),

@@ -40,35 +40,25 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         match arg.as_str() {
             "--addr" => config.addr = args.next().ok_or("--addr needs host:port")?,
             "--queue-depth" => {
-                config.queue_depth = args.next().ok_or("--queue-depth needs a count")?.parse()?;
-                if config.queue_depth == 0 {
-                    return Err("--queue-depth must be positive".into());
-                }
+                config.queue_depth =
+                    cli::positive_flag_value("--queue-depth", "a count", args.next())?;
             }
             "--workers" => {
-                config.workers = args.next().ok_or("--workers needs a count")?.parse()?;
-                if config.workers == 0 {
-                    return Err("--workers must be positive".into());
-                }
+                config.workers = cli::positive_flag_value("--workers", "a count", args.next())?;
             }
             "--job-timeout" => {
-                let seconds: u64 = args.next().ok_or("--job-timeout needs seconds")?.parse()?;
-                if seconds == 0 {
-                    return Err("--job-timeout must be positive".into());
-                }
+                let seconds = cli::positive_flag_value("--job-timeout", "seconds", args.next())?;
                 config.job_timeout = Duration::from_secs(seconds);
             }
             "--max-batch" => {
-                config.max_batch = args.next().ok_or("--max-batch needs a count")?.parse()?;
+                config.max_batch = cli::flag_value("--max-batch", "a count", args.next())?;
                 if config.max_batch == 0 {
                     return Err("--max-batch must be positive (1 disables batching)".into());
                 }
             }
             "--result-cache" => {
-                config.result_cache_entries = args
-                    .next()
-                    .ok_or("--result-cache needs an entry count (0 disables)")?
-                    .parse()?;
+                config.result_cache_entries =
+                    cli::flag_value("--result-cache", "an entry count (0 disables)", args.next())?;
             }
             "--addr-file" => addr_file = Some(args.next().ok_or("--addr-file needs a path")?),
             "--metrics" => metrics_path = Some(args.next().ok_or("--metrics needs a path")?),

@@ -14,33 +14,30 @@
 //! }
 //! ```
 //!
-//! `trace` dispatches on extension exactly like the CLI binaries:
-//! `.champsimtrace`/`.champsimz` run directly, `.cvp`/`.cvpz` convert
-//! first under `improvements`, and `.etrace` RISC-V branch traces
-//! decode to CVP records and then convert the same way. A `workload`
-//! object is a [`TraceSpec`]
+//! `trace` dispatches on extension through [`cli::TraceFormat::of`],
+//! the function `champsim-run` uses: `.champsimtrace`/`.champsimz` run
+//! directly, `.cvp`/`.cvpz` convert first under `improvements`, and
+//! `.etrace` RISC-V branch traces decode to CVP records and then
+//! convert the same way. The file streams through [`cli::TraceSource`]
+//! into the batch's lanes, so a file job's memory does not grow with
+//! the trace. A `workload` object is a [`TraceSpec`]
 //! (kind, seed, length, plus any of the generator knob fields) resolved
 //! through the shared artifact cache, so concurrent jobs over the same
 //! spec generate and convert it once.
 //!
-//! The result of a ChampSim-trace or `.etrace` job is built by
+//! The result of every file job is built by
 //! [`cli::champsim_run_registry`] — the same function the
 //! `champsim-run` binary uses — so the fetched document is
 //! byte-identical to a local `champsim-run --metrics` of the same
 //! configuration.
 
 use std::fmt;
-use std::path::Path;
 use std::time::Instant;
 
-use champsim_trace::ChampsimRecord;
-use converter::{Converter, ImprovementSet};
-use cvp_trace::CvpInstruction;
+use cli::{TraceFormat, TraceSource};
+use converter::ImprovementSet;
 use experiments::cache::ArtifactCache;
 use sim::{CancelToken, CoreConfig, RunOptions, SimReport, Simulator};
-use trace_store::{
-    is_cvp_family_path, is_etrace_path, ChampsimTraceReader, CvpTraceReader, CHAMPSIMZ_EXT,
-};
 use workloads::{TraceSpec, WorkloadKind};
 
 use crate::json::Value;
@@ -48,14 +45,11 @@ use crate::json::Value;
 /// Where a job's records come from.
 #[derive(Debug, Clone)]
 pub enum JobSource {
-    /// An on-disk ChampSim trace (`.champsimtrace` / `.champsimz`).
-    ChampsimTrace(String),
-    /// An on-disk CVP-1 trace (`.cvp` / `.cvpz`), converted before
+    /// An on-disk trace in any accepted encoding: the path as the
+    /// request spelled it and the format its extension names. It streams
+    /// through [`cli::TraceSource`]; CVP-family formats convert before
     /// simulation.
-    CvpTrace(String),
-    /// An on-disk RISC-V E-Trace branch trace (`.etrace`), decoded to
-    /// CVP records and converted before simulation.
-    Etrace(String),
+    File(String, TraceFormat),
     /// A synthetic workload generated (and cached) on the server.
     Workload(TraceSpec),
 }
@@ -107,22 +101,7 @@ impl JobSpec {
             (None, None) => return Err("missing \"trace\" or \"workload\"".to_owned()),
             (Some(trace), None) => {
                 let path = trace.as_str().ok_or_else(|| "\"trace\" must be a string".to_owned())?;
-                let file = Path::new(path);
-                let ext = file.extension().and_then(|e| e.to_str()).unwrap_or("");
-                if is_etrace_path(file) {
-                    JobSource::Etrace(path.to_owned())
-                } else if is_cvp_family_path(file) {
-                    JobSource::CvpTrace(path.to_owned())
-                } else if ext.eq_ignore_ascii_case("champsimtrace")
-                    || ext.eq_ignore_ascii_case(CHAMPSIMZ_EXT)
-                {
-                    JobSource::ChampsimTrace(path.to_owned())
-                } else {
-                    return Err(format!(
-                        "unrecognized trace extension in {path:?} (want .cvp, .cvpz, \
-                         .etrace, .champsimtrace or .champsimz)"
-                    ));
-                }
+                JobSource::File(path.to_owned(), TraceFormat::of(path)?)
             }
             (None, Some(workload)) => JobSource::Workload(parse_workload(workload)?),
         };
@@ -177,8 +156,9 @@ impl JobSpec {
     }
 
     /// Runs a batch of jobs sharing one [`source key`](JobSpec::source_key)
-    /// as a single fused streaming pass: the records are loaded (or
-    /// converted) once and pushed through one lane per job in lockstep
+    /// as a single fused streaming pass: the records are streamed from
+    /// the file (or fetched from the artifact cache) once and pushed
+    /// through one lane per job in lockstep
     /// ([`sim::Simulator::run_fused`]), producing one independent
     /// outcome per job.
     ///
@@ -206,29 +186,6 @@ impl JobSpec {
             return outcomes;
         }
 
-        // One source load for the whole batch; a load failure fails
-        // every live job with the same diagnostic.
-        let loaded = match &first.source {
-            JobSource::ChampsimTrace(path) => read_champsim(path).map(LoadedRecords::Owned),
-            JobSource::CvpTrace(path) | JobSource::Etrace(path) => read_cvp(path).map(|cvp| {
-                LoadedRecords::Owned(Converter::new(first.improvements).convert_all(cvp.iter()))
-            }),
-            JobSource::Workload(spec) => Ok(LoadedRecords::Shared(cache.converted_shared(
-                spec,
-                spec.length(),
-                first.improvements,
-            ))),
-        };
-        let records = match loaded {
-            Ok(records) => records,
-            Err(e) => {
-                for &i in &live {
-                    outcomes[i] = Err(e.clone());
-                }
-                return outcomes;
-            }
-        };
-
         // The lane configs must outlive the sinks, hence the owned Vec.
         let cores: Vec<CoreConfig> = live.iter().map(|&i| batch[i].0.core()).collect();
         let lanes: Vec<(&CoreConfig, RunOptions)> = live
@@ -252,16 +209,32 @@ impl JobSpec {
             })
             .collect();
 
-        let start = Instant::now();
-        let reports = Simulator::run_fused(lanes, records.as_slice().iter().copied());
-        cache.add_simulate_ns(start.elapsed().as_nanos() as u64);
+        // One pass over the source for the whole batch. A file that
+        // fails to open or decode fails every live job with the same
+        // one-line diagnostic, whatever the lanes computed before it.
+        let reports = match &first.source {
+            JobSource::File(path, format) => TraceSource::open(path, *format, first.improvements)
+                .and_then(|mut source| {
+                    let start = Instant::now();
+                    let reports = Simulator::run_fused(lanes, &mut source);
+                    cache.add_simulate_ns(start.elapsed().as_nanos() as u64);
+                    source.finish().map(|_| reports)
+                }),
+            JobSource::Workload(spec) => {
+                let converted = cache.converted_shared(spec, spec.length(), first.improvements);
+                let start = Instant::now();
+                let reports = Simulator::run_fused(lanes, converted.records.iter().copied());
+                cache.add_simulate_ns(start.elapsed().as_nanos() as u64);
+                Ok(reports)
+            }
+        };
 
-        for (&i, report) in live.iter().zip(reports) {
+        for (lane, &i) in live.iter().enumerate() {
             let (spec, token) = batch[i];
-            outcomes[i] = if token.is_cancelled() {
-                Err(JobError::Cancelled)
-            } else {
-                Ok(spec.render_document(&report))
+            outcomes[i] = match &reports {
+                Err(e) => Err(JobError::Failed(e.clone())),
+                Ok(_) if token.is_cancelled() => Err(JobError::Cancelled),
+                Ok(reports) => Ok(spec.render_document(&reports[lane])),
             };
         }
         outcomes
@@ -270,22 +243,20 @@ impl JobSpec {
     /// Renders a finished report into the job's result document.
     fn render_document(&self, report: &SimReport) -> String {
         match &self.source {
-            JobSource::ChampsimTrace(path) | JobSource::Etrace(path) => {
+            JobSource::File(path, format) => {
                 // The byte-identity anchor: same exporter as champsim-run.
-                cli::champsim_run_registry(report, &self.core_name, path).to_json()
-            }
-            JobSource::CvpTrace(path) => {
-                let mut registry = self.server_labels(&[("trace", path)]);
-                report.export(&mut registry);
-                registry.to_json()
+                let improvements = format.converts().then_some(self.improvements);
+                cli::champsim_run_registry(report, &self.core_name, path, improvements).to_json()
             }
             JobSource::Workload(spec) => {
-                let mut registry = self.server_labels(&[
-                    ("workload", spec.name()),
-                    ("kind", &spec.kind().to_string()),
-                    ("seed", &spec.seed().to_string()),
-                    ("length", &spec.length().to_string()),
-                ]);
+                let mut registry = telemetry::Registry::new();
+                registry.label("tool", "sim-server");
+                registry.label("core", &self.core_name);
+                registry.label("improvements", &self.improvements.to_string());
+                registry.label("workload", spec.name());
+                registry.label("kind", &spec.kind().to_string());
+                registry.label("seed", &spec.seed().to_string());
+                registry.label("length", &spec.length().to_string());
                 report.export(&mut registry);
                 registry.to_json()
             }
@@ -322,33 +293,6 @@ impl JobSpec {
     pub fn core(&self) -> CoreConfig {
         CoreConfig::by_name(&self.core_name).unwrap_or_else(CoreConfig::iiswc_main)
     }
-
-    fn server_labels(&self, extra: &[(&str, &str)]) -> telemetry::Registry {
-        let mut registry = telemetry::Registry::new();
-        registry.label("tool", "sim-server");
-        registry.label("core", &self.core_name);
-        registry.label("improvements", &self.improvements.to_string());
-        for (key, value) in extra {
-            registry.label(key, value);
-        }
-        registry
-    }
-}
-
-/// A batch's record stream: owned when read from disk, shared when
-/// fetched from the artifact cache.
-enum LoadedRecords {
-    Owned(Vec<ChampsimRecord>),
-    Shared(experiments::cache::ConvertedTrace),
-}
-
-impl LoadedRecords {
-    fn as_slice(&self) -> &[ChampsimRecord] {
-        match self {
-            LoadedRecords::Owned(records) => records,
-            LoadedRecords::Shared(converted) => &converted.records,
-        }
-    }
 }
 
 /// Writes the canonical stream identity: the source (with every
@@ -360,13 +304,13 @@ impl LoadedRecords {
 fn write_source_key(out: &mut String, source: &JobSource, improvements: ImprovementSet) {
     use std::fmt::Write;
     match source {
-        JobSource::ChampsimTrace(path) => {
+        JobSource::File(path, TraceFormat::Champsim) => {
             let _ = write!(out, "champsim:{path}");
         }
-        JobSource::CvpTrace(path) => {
+        JobSource::File(path, TraceFormat::Cvp) => {
             let _ = write!(out, "cvp:{path}|improvements={improvements}");
         }
-        JobSource::Etrace(path) => {
+        JobSource::File(path, TraceFormat::Etrace) => {
             let _ = write!(out, "etrace:{path}|improvements={improvements}");
         }
         JobSource::Workload(spec) => {
@@ -392,26 +336,6 @@ fn write_source_key(out: &mut String, source: &JobSource, improvements: Improvem
             );
         }
     }
-}
-
-fn read_champsim(path: &str) -> Result<Vec<ChampsimRecord>, JobError> {
-    let diag = |e: champsim_trace::ChampsimTraceError| JobError::Failed(format!("{path}: {e}"));
-    let reader = ChampsimTraceReader::open(Path::new(path)).map_err(diag)?;
-    let records: Vec<ChampsimRecord> = reader.collect::<Result<_, _>>().map_err(diag)?;
-    if records.is_empty() {
-        return Err(JobError::Failed(format!("{path}: trace contains no records")));
-    }
-    Ok(records)
-}
-
-fn read_cvp(path: &str) -> Result<Vec<CvpInstruction>, JobError> {
-    let diag = |e: cvp_trace::TraceError| JobError::Failed(format!("{path}: {e}"));
-    let reader = CvpTraceReader::open(Path::new(path)).map_err(diag)?;
-    let insns: Vec<CvpInstruction> = reader.collect::<Result<_, _>>().map_err(diag)?;
-    if insns.is_empty() {
-        return Err(JobError::Failed(format!("{path}: trace contains no instructions")));
-    }
-    Ok(insns)
 }
 
 fn parse_workload(value: &Value) -> Result<TraceSpec, String> {
@@ -500,13 +424,19 @@ mod tests {
 
     #[test]
     fn parses_trace_paths_by_extension() {
-        let champ = JobSpec::parse(r#"{"trace": "t.champsimz"}"#).unwrap();
-        assert!(matches!(champ.source, JobSource::ChampsimTrace(_)));
-        let cvp = JobSpec::parse(r#"{"trace": "t.cvp"}"#).unwrap();
-        assert!(matches!(cvp.source, JobSource::CvpTrace(_)));
-        let et = JobSpec::parse(r#"{"trace": "t.etrace"}"#).unwrap();
-        assert!(matches!(et.source, JobSource::Etrace(_)));
-        assert!(JobSpec::parse(r#"{"trace": "t.bin"}"#).unwrap_err().contains("extension"));
+        for (path, want) in [
+            ("t.champsimz", TraceFormat::Champsim),
+            ("t.champsimtrace", TraceFormat::Champsim),
+            ("t.cvp", TraceFormat::Cvp),
+            ("t.cvpz", TraceFormat::Cvp),
+            ("t.etrace", TraceFormat::Etrace),
+        ] {
+            let spec = JobSpec::parse(&format!("{{\"trace\": {path:?}}}")).unwrap();
+            assert!(matches!(spec.source, JobSource::File(_, format) if format == want));
+        }
+        let err = JobSpec::parse(r#"{"trace": "t.bin"}"#).unwrap_err();
+        assert_eq!(err, TraceFormat::of("t.bin").unwrap_err(), "one dispatch, one wording");
+        assert!(err.contains("extension"));
     }
 
     #[test]
@@ -559,11 +489,15 @@ mod tests {
         let spec = JobSpec::parse(&format!("{{\"trace\": {:?}}}", path.to_str().unwrap())).unwrap();
         let served = spec.execute(&ArtifactCache::with_spill(None), &CancelToken::new()).unwrap();
 
-        // The local champsim-run path for the same trace and options.
-        let cvp = read_cvp(path.to_str().unwrap()).unwrap();
-        let records = Converter::new(ImprovementSet::none()).convert_all(cvp.iter());
+        // The local champsim-run result for the same trace and options,
+        // computed from a materialized decode and conversion.
+        let cvp: Vec<cvp_trace::CvpInstruction> =
+            trace_store::CvpTraceReader::open(&path).unwrap().collect::<Result<_, _>>().unwrap();
+        let records = converter::Converter::new(ImprovementSet::none()).convert_all(cvp.iter());
         let report = Simulator::run_on(&CoreConfig::iiswc_main(), &records, RunOptions::default());
-        let local = cli::champsim_run_registry(&report, "iiswc", path.to_str().unwrap()).to_json();
+        let none = Some(ImprovementSet::none());
+        let local = cli::champsim_run_registry(&report, "iiswc", path.to_str().unwrap(), none);
+        let local = local.to_json();
 
         assert_eq!(served, local, "served .etrace document must match local champsim-run");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -576,6 +510,48 @@ mod tests {
         let err = spec.execute(&cache, &CancelToken::new()).unwrap_err();
         let JobError::Failed(msg) = err else { panic!("expected failure") };
         assert!(msg.contains("does/not/exist.champsimz"), "{msg}");
+    }
+
+    /// A store cut mid-payload fails every lane of a fused batch with
+    /// the same one-line diagnostic naming the path and the block, even
+    /// though the lanes simulated the blocks before the cut.
+    #[test]
+    fn truncated_store_fails_every_lane_of_a_batch_alike() {
+        let dir = std::env::temp_dir().join(format!("sim-server-cut-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cut.champsimz");
+        let spec = workloads::TraceSpec::new("cut", WorkloadKind::Crypto, 4).with_length(3000);
+        let records =
+            converter::Converter::new(ImprovementSet::all()).convert_all(spec.generate().iter());
+        let file = std::fs::File::create(&path).unwrap();
+        let mut writer = trace_store::ChampsimzWriter::with_block_records(file, 256).unwrap();
+        for rec in &records {
+            writer.write(rec).unwrap();
+        }
+        writer.finish().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+
+        let path = path.to_str().unwrap();
+        let specs: Vec<JobSpec> = [
+            format!("{{\"trace\": {path:?}}}"),
+            format!("{{\"trace\": {path:?}, \"warmup\": 200, \"core\": \"ipc1\"}}"),
+            format!("{{\"trace\": {path:?}, \"epochs\": 100, \"prefetcher\": \"next-line\"}}"),
+        ]
+        .iter()
+        .map(|body| JobSpec::parse(body).unwrap())
+        .collect();
+        let tokens: Vec<CancelToken> = specs.iter().map(|_| CancelToken::new()).collect();
+        let batch: Vec<(&JobSpec, &CancelToken)> = specs.iter().zip(&tokens).collect();
+        let outcomes = JobSpec::execute_batch(&batch, &ArtifactCache::with_spill(None));
+
+        let Err(JobError::Failed(first)) = &outcomes[0] else { panic!("{:?}", outcomes[0]) };
+        assert!(first.contains(path) && first.contains("block"), "{first}");
+        assert_eq!(first.lines().count(), 1, "{first}");
+        for outcome in &outcomes {
+            assert_eq!(outcome, &Err(JobError::Failed(first.clone())));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

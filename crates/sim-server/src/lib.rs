@@ -30,8 +30,9 @@
 //!   └────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! The correctness anchor: a ChampSim-trace job's result document is
-//! produced by [`cli::champsim_run_registry`] — the exact exporter the
+//! The correctness anchor: every file job streams its trace through
+//! [`cli::TraceSource`] and renders its result document with
+//! [`cli::champsim_run_registry`] — the exact reader and exporter the
 //! `champsim-run` binary uses — so fetching `/jobs/<id>/result` yields
 //! bytes identical to a local `champsim-run --metrics` of the same
 //! trace and configuration. Batching preserves this: a batch and a

@@ -24,8 +24,20 @@ fn assert_diagnostic(output: &Output, name: &str, needle: &str) {
 
 #[test]
 fn service_binaries_reject_bad_arguments_in_one_line() {
-    let cases: [(&str, &str, &[&str], &str); 5] = [
+    let cases: [(&str, &str, &[&str], &str); 7] = [
         (SIM_SERVER, "sim_server", &["--workers", "0"], "--workers must be positive"),
+        (
+            SIM_SERVER,
+            "sim_server",
+            &["--queue-depth", "x"],
+            "--queue-depth needs a count, got \"x\"",
+        ),
+        (
+            SIM_ROUTER,
+            "sim_router",
+            &["--health-interval", "-5"],
+            "--health-interval needs milliseconds, got \"-5\"",
+        ),
         (SIM_SERVER, "sim_server", &["--bogus"], "unknown argument \"--bogus\""),
         (SIM_ROUTER, "sim_router", &["--backend", "127.0.0.1:1", "--bogus"], "unknown argument"),
         (SIM_ROUTER, "sim_router", &["--workers", "0"], "unknown argument \"--workers\""),

@@ -12,7 +12,7 @@ use converter::{Converter, ImprovementSet};
 use sim::{CoreConfig, RunOptions, Simulator};
 use sim_server::json::Value;
 use sim_server::{Connection, Server, ServerConfig};
-use trace_store::{ChampsimTraceReader, ChampsimzWriter};
+use trace_store::{ChampsimTraceReader, ChampsimzWriter, CvpTraceWriter};
 use workloads::{TraceSpec, WorkloadKind};
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -71,31 +71,47 @@ fn poll_status(conn: &mut Connection, id: &str) -> String {
 
 /// The correctness anchor: a trace job fetched over HTTP is
 /// byte-identical to what `champsim-run --metrics` computes locally for
-/// the same trace and options, for both flat and block-compressed
-/// files.
+/// the same trace and options, for flat and block-compressed ChampSim
+/// files and for the CVP-1 traces they were converted from.
 #[test]
 fn trace_job_result_matches_local_champsim_run_bytes() {
     let dir = scratch_dir("identity");
-    let records = sample_records(3_000);
+    let insns =
+        TraceSpec::new("server-test", WorkloadKind::Crypto, 0x5e12).with_length(3_000).generate();
+    let records = Converter::new(ImprovementSet::all()).convert_all(insns.iter());
     let flat = dir.join("t.champsimtrace");
     let store = dir.join("t.champsimz");
     write_flat(&flat, &records);
     write_store(&store, &records);
+    let (cvp, cvpz) = (dir.join("t.cvp"), dir.join("t.cvpz"));
+    for path in [&cvp, &cvpz] {
+        let mut writer = CvpTraceWriter::create(path).unwrap();
+        for insn in &insns {
+            writer.write(insn).unwrap();
+        }
+        writer.finish().unwrap();
+    }
 
     let server = start_server(4, 2, Duration::from_secs(60));
     let addr = server.local_addr().to_string();
     let mut conn = Connection::connect(&addr).unwrap();
-    for path in [&flat, &store] {
+    // ChampSim files simulate as they are and ignore the improvements;
+    // CVP files convert under them into the same records first, and
+    // their document carries an `improvements` label.
+    let all = Some(ImprovementSet::all());
+    for (path, improvements) in [(&flat, None), (&store, None), (&cvp, all), (&cvpz, all)] {
         let path_text = path.to_str().unwrap();
         // Exactly what the champsim-run binary does with
-        // `--warmup 100 --epochs 500 --metrics`.
-        let local_records: Vec<ChampsimRecord> =
-            ChampsimTraceReader::open(path).unwrap().collect::<Result<_, _>>().unwrap();
+        // `--improvements All_imps --warmup 100 --epochs 500 --metrics`.
         let options = RunOptions::default().with_warmup(100).with_epochs(500);
-        let report = Simulator::run_on(&CoreConfig::iiswc_main(), &local_records, options);
-        let local_doc = cli::champsim_run_registry(&report, "iiswc", path_text).to_json();
+        let report = Simulator::run_on(&CoreConfig::iiswc_main(), &records, options);
+        let local_doc =
+            cli::champsim_run_registry(&report, "iiswc", path_text, improvements).to_json();
 
-        let body = format!("{{\"trace\": \"{path_text}\", \"warmup\": 100, \"epochs\": 500}}");
+        let body = format!(
+            "{{\"trace\": \"{path_text}\", \"improvements\": \"All_imps\", \"warmup\": 100, \
+             \"epochs\": 500}}"
+        );
         let served_doc = conn.run(&body, Duration::from_secs(60)).unwrap();
         assert_eq!(served_doc, local_doc, "server and local documents differ for {path_text}");
     }
@@ -129,7 +145,8 @@ fn etrace_job_result_matches_local_champsim_run_bytes() {
     let local_records = Converter::new(ImprovementSet::none()).convert_all(cvp.iter());
     let options = RunOptions::default().with_warmup(100);
     let report = Simulator::run_on(&CoreConfig::iiswc_main(), &local_records, options);
-    let local_doc = cli::champsim_run_registry(&report, "iiswc", path_text).to_json();
+    let none = Some(ImprovementSet::none());
+    let local_doc = cli::champsim_run_registry(&report, "iiswc", path_text, none).to_json();
 
     let server = start_server(4, 2, Duration::from_secs(60));
     let addr = server.local_addr().to_string();
@@ -367,7 +384,7 @@ fn fused_batch_results_match_local_runs_bytewise() {
     for (id, options) in ids.iter().zip(local_options) {
         assert_eq!(conn.wait(id, Duration::from_secs(60)).unwrap(), "done");
         let report = Simulator::run_on(&CoreConfig::iiswc_main(), &local_records, options);
-        let local_doc = cli::champsim_run_registry(&report, "iiswc", path_text).to_json();
+        let local_doc = cli::champsim_run_registry(&report, "iiswc", path_text, None).to_json();
         assert_eq!(conn.fetch(id).unwrap(), local_doc, "fused result differs for job {id}");
     }
     let metrics = conn.send("GET", "/metrics", "").unwrap().text();
