@@ -159,7 +159,7 @@ pub struct Tage {
 
 /// Most tagged tables a [`TageConfig`] may request: the prediction
 /// context caches one index and tag per table in fixed arrays.
-pub const MAX_TAGGED_TABLES: usize = 16;
+pub(crate) const MAX_TAGGED_TABLES: usize = 16;
 
 #[derive(Debug, Clone, Copy)]
 struct PredictionContext {

@@ -11,18 +11,21 @@
 //! converting it with the selected improvement set (`No_imp` by
 //! default, as in the original tool), and writes ChampSim 64-byte
 //! records to `-o` or standard output; an output path ending in
-//! `.champsimz` writes a block-compressed store. `--stats` prints the
+//! `.champsimz` writes a block-compressed store. `-o` appears only once
+//! the whole input converted cleanly: a truncated or corrupt input
+//! exits 1 and leaves no output file. `--stats` prints the
 //! conversion statistics to standard error; `--metrics` writes the
 //! `convert.*` telemetry document (plus `store.*` counters in store
 //! mode; see METRICS.md).
 
+use std::error::Error;
 use std::io::{self, BufWriter};
 use std::path::Path;
 use std::process::ExitCode;
 
 use champsim_trace::ChampsimWriter;
 use cli::{TraceFormat, TraceSource};
-use converter::ImprovementSet;
+use converter::{ConversionStats, ImprovementSet};
 use trace_store::{ChampsimTraceWriter, StoreStats};
 
 fn main() -> ExitCode {
@@ -35,7 +38,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<(), Box<dyn std::error::Error>> {
+fn run() -> Result<(), Box<dyn Error>> {
     let mut trace_path: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut improvements = ImprovementSet::none();
@@ -71,28 +74,16 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     // `-o` dispatches on extension (`.champsimz` = compressed store);
     // standard output is always a flat record stream.
-    enum Sink {
-        File(ChampsimTraceWriter),
-        Stdout(ChampsimWriter<BufWriter<io::Stdout>>),
-    }
-    let mut sink = match &out_path {
-        Some(p) => {
-            Sink::File(ChampsimTraceWriter::create(Path::new(p)).map_err(|e| format!("{p}: {e}"))?)
-        }
-        None => Sink::Stdout(ChampsimWriter::new(BufWriter::new(io::stdout()))),
-    };
-    for rec in source.by_ref() {
-        match &mut sink {
-            Sink::File(w) => w.write(&rec)?,
-            Sink::Stdout(w) => w.write(&rec)?,
-        }
-    }
-    let conversion = source.finish()?;
-    let store_stats: Option<StoreStats> = match sink {
-        Sink::File(w) => w.finish()?,
-        Sink::Stdout(mut w) => {
+    let (conversion, store_stats) = match &out_path {
+        Some(p) => write_file(source, Path::new(p))?,
+        None => {
+            let mut w = ChampsimWriter::new(BufWriter::new(io::stdout()));
+            for rec in source.by_ref() {
+                w.write(&rec)?;
+            }
+            let conversion = source.finish()?;
             w.flush()?;
-            None
+            (conversion, None)
         }
     };
 
@@ -114,4 +105,32 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         cli::write_metrics(&path, &registry)?;
     }
     Ok(())
+}
+
+/// Converts `source` into the trace file `path`. The records go to a
+/// sibling temporary name with the same extension, which is renamed to
+/// `path` only once the source and the writer both finish cleanly; on
+/// any error the temporary file is removed, so a failed conversion
+/// leaves no partial trace behind.
+fn write_file(
+    mut source: TraceSource,
+    path: &Path,
+) -> Result<(ConversionStats, Option<StoreStats>), Box<dyn Error>> {
+    let name = path.file_name().ok_or_else(|| format!("{}: not a file name", path.display()))?;
+    let partial =
+        path.with_file_name(format!(".partial-{}-{}", std::process::id(), name.to_string_lossy()));
+    let write = || -> Result<_, Box<dyn Error>> {
+        let mut w = ChampsimTraceWriter::create(&partial)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        for rec in source.by_ref() {
+            w.write(&rec)?;
+        }
+        let conversion = source.finish()?;
+        let store_stats = w.finish()?;
+        std::fs::rename(&partial, path)?;
+        Ok((conversion, store_stats))
+    };
+    write().inspect_err(|_| {
+        let _ = std::fs::remove_file(&partial);
+    })
 }

@@ -134,6 +134,24 @@ fn truncated_stores_report_path_and_block() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn failed_conversion_leaves_no_output_file() {
+    let dir = scratch_dir("partial");
+    let cvp = sample_cvp(&dir);
+    let bytes = std::fs::read(&cvp).unwrap();
+    std::fs::write(&cvp, &bytes[..bytes.len() / 2 + 1]).unwrap();
+    let cvp_text = cvp.to_str().unwrap();
+    for name in ["x.champsimtrace", "x.champsimz"] {
+        let out = dir.join(name);
+        let output = run(CVP2CHAMPSIM, &["-t", cvp_text, "-o", out.to_str().unwrap()]);
+        assert_eq!(output.status.code(), Some(1), "{}", String::from_utf8_lossy(&output.stderr));
+        assert!(!out.exists(), "{name}: a failed conversion left its partial output");
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(left, ["sample.cvp"], "no temporary file is left behind either");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Generates a small `.etrace` trace and returns its path.
 fn sample_etrace(dir: &Path) -> PathBuf {
     let path = dir.join("sample.etrace");

@@ -138,72 +138,6 @@ impl ConversionStats {
         }
     }
 
-    /// Size of the fixed binary encoding used by [`Self::to_bytes`].
-    pub const ENCODED_BYTES: usize = 17 * 8;
-
-    /// All counters in a fixed order (the encoding contract of
-    /// [`Self::to_bytes`] / [`Self::from_bytes`]).
-    fn to_array(self) -> [u64; 17] {
-        [
-            self.input_instructions,
-            self.output_records,
-            self.memory_no_destination,
-            self.loads_multiple_destinations,
-            self.base_update_loads,
-            self.base_update_stores,
-            self.pre_index,
-            self.post_index,
-            self.two_cacheline_accesses,
-            self.dc_zva_stores,
-            self.x30_read_write_branches,
-            self.returns_emitted,
-            self.calls_emitted,
-            self.conditional_with_sources,
-            self.flag_destinations_added,
-            self.x30_destinations_dropped,
-            self.source_registers_dropped,
-        ]
-    }
-
-    /// Fixed little-endian encoding, used when conversions are spilled
-    /// to disk alongside their record buffers.
-    pub fn to_bytes(self) -> [u8; Self::ENCODED_BYTES] {
-        let mut out = [0u8; Self::ENCODED_BYTES];
-        for (slot, v) in out.chunks_exact_mut(8).zip(self.to_array()) {
-            slot.copy_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Inverse of [`Self::to_bytes`].
-    pub fn from_bytes(bytes: &[u8; Self::ENCODED_BYTES]) -> ConversionStats {
-        let mut fields = [0u64; 17];
-        for (field, chunk) in fields.iter_mut().zip(bytes.chunks_exact(8)) {
-            *field = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-        }
-        let [input_instructions, output_records, memory_no_destination, loads_multiple_destinations, base_update_loads, base_update_stores, pre_index, post_index, two_cacheline_accesses, dc_zva_stores, x30_read_write_branches, returns_emitted, calls_emitted, conditional_with_sources, flag_destinations_added, x30_destinations_dropped, source_registers_dropped] =
-            fields;
-        ConversionStats {
-            input_instructions,
-            output_records,
-            memory_no_destination,
-            loads_multiple_destinations,
-            base_update_loads,
-            base_update_stores,
-            pre_index,
-            post_index,
-            two_cacheline_accesses,
-            dc_zva_stores,
-            x30_read_write_branches,
-            returns_emitted,
-            calls_emitted,
-            conditional_with_sources,
-            flag_destinations_added,
-            x30_destinations_dropped,
-            source_registers_dropped,
-        }
-    }
-
     /// Merges another statistics object into this one.
     pub fn merge(&mut self, other: &ConversionStats) {
         self.input_instructions += other.input_instructions;
@@ -300,40 +234,6 @@ mod tests {
     #[test]
     fn display_is_nonempty() {
         assert!(ConversionStats::new().to_string().contains("input instructions"));
-    }
-
-    #[test]
-    fn byte_encoding_round_trips_every_field() {
-        // Distinct value per field so a swapped pair cannot cancel out.
-        let mut fields = [0u64; 17];
-        for (i, f) in fields.iter_mut().enumerate() {
-            *f = 1 + (i as u64) * 1_000_003;
-        }
-        let mut stats = ConversionStats::new();
-        [
-            &mut stats.input_instructions,
-            &mut stats.output_records,
-            &mut stats.memory_no_destination,
-            &mut stats.loads_multiple_destinations,
-            &mut stats.base_update_loads,
-            &mut stats.base_update_stores,
-            &mut stats.pre_index,
-            &mut stats.post_index,
-            &mut stats.two_cacheline_accesses,
-            &mut stats.dc_zva_stores,
-            &mut stats.x30_read_write_branches,
-            &mut stats.returns_emitted,
-            &mut stats.calls_emitted,
-            &mut stats.conditional_with_sources,
-            &mut stats.flag_destinations_added,
-            &mut stats.x30_destinations_dropped,
-            &mut stats.source_registers_dropped,
-        ]
-        .into_iter()
-        .zip(fields)
-        .for_each(|(slot, v)| *slot = v);
-        let back = ConversionStats::from_bytes(&stats.to_bytes());
-        assert_eq!(back, stats);
     }
 
     #[test]

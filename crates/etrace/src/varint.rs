@@ -7,7 +7,7 @@
 use crate::EtraceError;
 
 /// Appends `value` as unsigned LEB128.
-pub fn put_uleb(out: &mut Vec<u8>, mut value: u64) {
+pub(crate) fn put_uleb(out: &mut Vec<u8>, mut value: u64) {
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
@@ -20,7 +20,7 @@ pub fn put_uleb(out: &mut Vec<u8>, mut value: u64) {
 }
 
 /// Appends `value` as signed LEB128 (zigzag-free, sign-extended form).
-pub fn put_sleb(out: &mut Vec<u8>, mut value: i64) {
+pub(crate) fn put_sleb(out: &mut Vec<u8>, mut value: i64) {
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
@@ -39,7 +39,7 @@ pub fn put_sleb(out: &mut Vec<u8>, mut value: i64) {
 ///
 /// [`EtraceError::Truncated`] if the buffer ends mid-value,
 /// [`EtraceError::InvalidPacket`] if the encoding runs past 64 bits.
-pub fn get_uleb(buf: &[u8], cursor: &mut usize, base: u64) -> Result<u64, EtraceError> {
+pub(crate) fn get_uleb(buf: &[u8], cursor: &mut usize, base: u64) -> Result<u64, EtraceError> {
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {
@@ -63,7 +63,7 @@ pub fn get_uleb(buf: &[u8], cursor: &mut usize, base: u64) -> Result<u64, Etrace
 /// # Errors
 ///
 /// As [`get_uleb`].
-pub fn get_sleb(buf: &[u8], cursor: &mut usize, base: u64) -> Result<i64, EtraceError> {
+pub(crate) fn get_sleb(buf: &[u8], cursor: &mut usize, base: u64) -> Result<i64, EtraceError> {
     let mut value = 0i64;
     let mut shift = 0u32;
     loop {

@@ -9,13 +9,13 @@ use crate::{flat_record_bytes, EtraceError, EtraceStats, TraceItem, MAGIC, VERSI
 /// Packet type bytes shared by the writer and reader.
 pub(crate) mod packet {
     /// Synchronization point: item index, absolute pc, context.
-    pub const SYNC: u8 = 0x01;
+    pub(crate) const SYNC: u8 = 0x01;
     /// Branch map: count byte plus LSB-first outcome bitmap.
-    pub const BRANCH: u8 = 0x02;
+    pub(crate) const BRANCH: u8 = 0x02;
     /// Indirect-branch target as a signed delta to the address base.
-    pub const ADDR: u8 = 0x03;
+    pub(crate) const ADDR: u8 = 0x03;
     /// Context change: item index, new context.
-    pub const CTX: u8 = 0x05;
+    pub(crate) const CTX: u8 = 0x05;
 }
 
 /// Default instructions between SYNC packets.

@@ -3,8 +3,7 @@
 //! ```text
 //! experiments [--fig 1|2|3|4|5] [--table 1|2|3|4] [--stats] [--all]
 //!             [--scale smoke|test|paper] [--csv <dir>] [--threads <n>]
-//!             [--metrics <path>] [--cache-dir <dir>]
-//!             [--cache-mem-budget <bytes>]
+//!             [--metrics <path>]
 //! ```
 //!
 //! With no selection flags, everything is regenerated (`--all`). The
@@ -17,15 +16,7 @@
 //! per-improvement attribution table.
 //! `--metrics <path>` writes the telemetry document (see METRICS.md):
 //! per-configuration grid aggregates, table 3/4 speedups, and the
-//! attribution table, byte-identical across `--threads` values (and
-//! across spill settings).
-//!
-//! `--cache-dir <dir>` bounds the artifact cache's resident memory:
-//! when the cached traces and conversions exceed the byte budget
-//! (`--cache-mem-budget`, default 256 MiB, suffixes `K`/`M`/`G`
-//! accepted), least-recently-used artifacts are compressed into block
-//! stores under `<dir>` and reloaded on demand instead of being
-//! recomputed. Spill files are removed as they are consumed.
+//! attribution table, byte-identical across `--threads` values.
 //!
 //! Usage errors exit 2 with the usage line; so does a `--metrics`,
 //! `BENCH_experiments.json` or directory path that cannot be written,
@@ -47,8 +38,7 @@ use experiments::tables::{
 const CLI: Cli = Cli {
     name: "experiments",
     usage: "experiments [--fig 1|2|3|4|5] [--table 1|2|3|4] [--stats] [--all] \
-            [--scale smoke|test|paper] [--csv <dir>] [--threads <n>] [--metrics <path>] \
-            [--cache-dir <dir>] [--cache-mem-budget <bytes>]",
+            [--scale smoke|test|paper] [--csv <dir>] [--threads <n>] [--metrics <path>]",
 };
 
 /// What the command line asks for.
@@ -61,8 +51,6 @@ struct Selection {
     threads: Option<usize>,
     csv_dir: Option<PathBuf>,
     metrics_path: Option<PathBuf>,
-    cache_dir: Option<PathBuf>,
-    cache_budget: Option<u64>,
 }
 
 /// Parses the arguments after the program name. No selection flag, or
@@ -90,20 +78,8 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Selection, Strin
                 let n = value("a positive number")?.parse().ok().filter(|n: &usize| *n > 0);
                 s.threads = Some(n.ok_or("--threads needs a positive number")?);
             }
-            "--cache-dir" => s.cache_dir = Some(value("a directory")?.into()),
-            "--cache-mem-budget" => {
-                let raw = value("a size")?;
-                s.cache_budget = Some(parse_bytes(&raw).ok_or_else(|| {
-                    format!(
-                        "--cache-mem-budget {raw:?} is not a byte count (suffixes K/M/G accepted)"
-                    )
-                })?);
-            }
             other => return Err(format!("unknown argument {other:?}")),
         }
-    }
-    if s.cache_budget.is_some() && s.cache_dir.is_none() {
-        return Err("--cache-mem-budget requires --cache-dir".to_owned());
     }
     if all || (s.figs.is_empty() && s.tables.is_empty() && !s.stats) {
         s.figs = vec![1, 2, 3, 4, 5];
@@ -128,20 +104,6 @@ fn select(seen: &mut Vec<u8>, flag: &str, raw: String, max: u8) -> Result<(), St
     Ok(())
 }
 
-/// Parses a byte count with an optional `K`/`M`/`G` suffix (powers of
-/// 1024, case-insensitive).
-fn parse_bytes(raw: &str) -> Option<u64> {
-    let raw = raw.trim();
-    let (digits, shift) = match raw.chars().last()? {
-        'k' | 'K' => (&raw[..raw.len() - 1], 10),
-        'm' | 'M' => (&raw[..raw.len() - 1], 20),
-        'g' | 'G' => (&raw[..raw.len() - 1], 30),
-        _ => (raw, 0),
-    };
-    let n: u64 = digits.parse().ok()?;
-    n.checked_shl(shift).filter(|v| v >> shift == n)
-}
-
 fn main() {
     let selection =
         parse_args(std::env::args().skip(1)).unwrap_or_else(|e| CLI.fail(Exit::Usage, &e));
@@ -149,18 +111,10 @@ fn main() {
     if let Some(threads) = selection.threads {
         experiments::runner::set_threads(threads);
     }
-    for dir in [&selection.csv_dir, &selection.cache_dir].into_iter().flatten() {
+    if let Some(dir) = &selection.csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             CLI.fail(Exit::Io, &format!("cannot create directory {}: {e}", dir.display()));
         }
-    }
-    if let Some(dir) = &selection.cache_dir {
-        // Default budget: 256 MiB of resident artifacts.
-        let mem_budget = selection.cache_budget.unwrap_or(256 << 20);
-        experiments::cache::set_spill(Some(experiments::cache::SpillConfig {
-            dir: dir.clone(),
-            mem_budget,
-        }));
     }
     let mut reports: Vec<SchedulerReport> = Vec::new();
     let mut metrics = telemetry::Registry::new();

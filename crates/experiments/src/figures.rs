@@ -14,7 +14,7 @@ use workloads::{cvp1_public_suite, TraceSpec};
 use crate::cache::ArtifactCache;
 use crate::runner::{
     geomean, parallel_cells, thread_count, ExperimentScale, SchedulerReport, SharedRunner,
-    TraceOutcome, UsePlan,
+    TraceOutcome,
 };
 
 /// The improvement configurations of Figures 1 and 2, in the paper's
@@ -68,8 +68,8 @@ impl Grid {
     ///
     /// All `specs.len() × 10` (trace × config) cells go into one
     /// flattened work-stealing queue — no per-config barrier — ordered
-    /// trace-major so each trace's artifacts are produced once, shared
-    /// by the 10 configs simulating it, and evicted right after.
+    /// trace-major so each trace generates once, is shared by the 10
+    /// configs converting and simulating it, and is evicted right after.
     pub fn compute_on_specs(
         specs: &[TraceSpec],
         core: &CoreConfig,
@@ -81,15 +81,14 @@ impl Grid {
         let jobs = specs.len() * nconf;
         let cache = ArtifactCache::new();
         let runner = SharedRunner { cache: &cache, core, scale };
-        // Each conversion feeds exactly one simulation; each trace feeds
-        // one conversion per config.
-        let plan = UsePlan { trace_uses: nconf as u64, conversion_uses: 1 };
+        // Each trace feeds one streamed conversion per config.
+        let trace_uses = nconf as u64;
 
         let start = Instant::now();
         let outcomes = parallel_cells(jobs, |i| {
             let spec = &specs[i / nconf];
             let (_, imps) = &configs[i % nconf];
-            runner.simulate(spec, *imps, 0, &[None], plan).remove(0)
+            runner.simulate(spec, *imps, 0, &[None], trace_uses).remove(0)
         });
         let wall = start.elapsed();
 

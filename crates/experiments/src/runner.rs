@@ -9,11 +9,12 @@
 //! * the **scheduled path** ([`SharedRunner::simulate`], used by
 //!   [`Grid::compute_with_report`](crate::figures::Grid::compute_with_report)
 //!   and [`table3_with_report`](crate::tables::table3_with_report))
-//!   fetches artifacts from an [`ArtifactCache`] and flattens all
+//!   fetches traces from an [`ArtifactCache`] and flattens all
 //!   (trace × config) cells into one work-stealing job queue, so trace
 //!   generation runs exactly once per `(spec, length)` and threads never
-//!   idle at per-config barriers. Each job is one fused simulation pass
-//!   with a lane per prefetcher.
+//!   idle at per-config barriers. Each job streams its conversion, which
+//!   nothing else uses, in chunks into one fused simulation pass with a
+//!   lane per prefetcher.
 //!
 //! Both paths simulate through [`Simulator::run_fused`].
 
@@ -21,7 +22,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use champsim_trace::ChampsimRecord;
 use converter::{ConversionStats, Converter, ImprovementSet};
+use cvp_trace::CvpInstruction;
 use sim::{CoreConfig, RunOptions, SimReport, Simulator};
 use telemetry::json;
 use workloads::TraceSpec;
@@ -223,22 +226,10 @@ where
 // Cache-backed execution
 // ---------------------------------------------------------------------
 
-/// Planned fetch counts for one scheduled job — the cache's eviction
-/// budget (see [`ArtifactCache`]).
-#[derive(Debug, Clone, Copy)]
-pub struct UsePlan {
-    /// Total planned fetches of the job's CVP trace across the run
-    /// (= distinct improvement sets converting it).
-    pub trace_uses: u64,
-    /// Total planned fetches of the job's conversion across the run
-    /// (= simulations sharing it).
-    pub conversion_uses: u64,
-}
-
 /// Cache-backed executor: one per scheduled experiment, shared by
 /// reference across the worker threads.
 pub struct SharedRunner<'a> {
-    /// The artifact cache all jobs fetch from.
+    /// The artifact cache all jobs fetch their traces from.
     pub cache: &'a ArtifactCache,
     /// Core configuration every job simulates on.
     pub core: &'a CoreConfig,
@@ -247,40 +238,85 @@ pub struct SharedRunner<'a> {
 }
 
 impl SharedRunner<'_> {
-    /// Like [`simulate_with_options`], but fetching the trace and
-    /// conversion through the cache: one pass over the shared buffer
-    /// ([`Simulator::run_fused`]) drives a lane per prefetcher, returning
-    /// one outcome per lane in input order. A lane's report does not
-    /// depend on the other lanes; pass `&[None]` for a single plain run.
+    /// Like [`simulate_with_options`], but fetching the trace through
+    /// the cache. `trace_uses` is the trace's eviction budget: the total
+    /// number of jobs that convert it (see [`ArtifactCache::trace`]).
+    /// The conversion streams in chunks into one pass
+    /// ([`Simulator::run_fused`]) that drives a lane per prefetcher,
+    /// returning one outcome per lane in input order. A lane's report
+    /// does not depend on the other lanes; pass `&[None]` for a single
+    /// plain run.
     pub fn simulate(
         &self,
         spec: &TraceSpec,
         improvements: ImprovementSet,
         warmup: u64,
         prefetchers: &[Option<&str>],
-        plan: UsePlan,
+        trace_uses: u64,
     ) -> Vec<TraceOutcome> {
-        let converted = self.cache.converted(
-            spec,
-            self.scale.trace_length,
-            improvements,
-            plan.trace_uses,
-            plan.conversion_uses,
-        );
+        let cvp = self.cache.trace(spec, self.scale.trace_length, trace_uses);
+        let mut records = ChunkedConversion::new(&cvp, improvements);
         let start = Instant::now();
         let lanes =
             prefetchers.iter().map(|prefetcher| (self.core, run_options(warmup, *prefetcher)));
-        let reports = Simulator::run_fused(lanes, converted.records.iter().copied());
-        self.cache.add_simulate_ns(start.elapsed().as_nanos() as u64);
+        let reports = Simulator::run_fused(lanes, &mut records);
+        let pass_ns = start.elapsed().as_nanos() as u64;
+        self.cache.add_conversion(records.convert_ns);
+        self.cache.add_simulate_ns(pass_ns.saturating_sub(records.convert_ns));
+        let conversion = *records.converter.stats();
         reports
             .into_iter()
             .map(|report| TraceOutcome {
                 trace: spec.name().to_owned(),
                 improvements,
                 report,
-                conversion: converted.stats,
+                conversion,
             })
             .collect()
+    }
+}
+
+/// Instructions converted per refill of a streamed conversion.
+const CONVERT_CHUNK: usize = 4096;
+
+/// A conversion streamed in [`CONVERT_CHUNK`]-instruction chunks
+/// through one reused record buffer. Each refill is timed, so
+/// conversion CPU stays separable from the simulation consuming the
+/// records.
+struct ChunkedConversion<'a> {
+    chunks: std::slice::Chunks<'a, CvpInstruction>,
+    converter: Converter,
+    buffer: Vec<ChampsimRecord>,
+    next: usize,
+    convert_ns: u64,
+}
+
+impl ChunkedConversion<'_> {
+    fn new(cvp: &[CvpInstruction], improvements: ImprovementSet) -> ChunkedConversion<'_> {
+        ChunkedConversion {
+            chunks: cvp.chunks(CONVERT_CHUNK),
+            converter: Converter::new(improvements),
+            buffer: Vec::with_capacity(2 * CONVERT_CHUNK),
+            next: 0,
+            convert_ns: 0,
+        }
+    }
+}
+
+impl Iterator for ChunkedConversion<'_> {
+    type Item = ChampsimRecord;
+
+    fn next(&mut self) -> Option<ChampsimRecord> {
+        while self.next == self.buffer.len() {
+            let chunk = self.chunks.next()?;
+            let start = Instant::now();
+            self.buffer.clear();
+            self.converter.convert_into(chunk, &mut self.buffer);
+            self.convert_ns += start.elapsed().as_nanos() as u64;
+            self.next = 0;
+        }
+        self.next += 1;
+        Some(self.buffer[self.next - 1])
     }
 }
 
@@ -312,7 +348,7 @@ impl SchedulerReport {
              \x20 generate: {gen:.3} s CPU, {tm} misses / {th} hits ({tr:.1}% hit rate)\n\
              \x20 convert:  {conv:.3} s CPU, {cm} misses / {ch} hits ({cr:.1}% hit rate)\n\
              \x20 simulate: {sim:.3} s CPU\n\
-             \x20 spill:    {spills} spills, {dh} disk hits, {peak:.1} MB peak resident\n",
+             \x20 cache:    {peak:.1} MB peak resident\n",
             label = self.label,
             jobs = self.jobs,
             threads = self.threads,
@@ -326,8 +362,6 @@ impl SchedulerReport {
             ch = c.convert_hits,
             cr = 100.0 * c.convert_hit_rate(),
             sim = c.simulate_ns as f64 / 1e9,
-            spills = c.spills,
-            dh = c.disk_hits,
             peak = c.peak_resident_bytes as f64 / 1e6,
         )
     }
@@ -348,8 +382,6 @@ impl SchedulerReport {
             .u64("convert_hits", c.convert_hits)
             .u64("convert_misses", c.convert_misses)
             .f64("convert_hit_rate", c.convert_hit_rate())
-            .u64("spills", c.spills)
-            .u64("disk_hits", c.disk_hits)
             .u64("peak_resident_bytes", c.peak_resident_bytes);
     }
 }
@@ -481,15 +513,7 @@ mod tests {
         let serial = simulate_conversion(&spec, ImprovementSet::all(), &core, scale);
         let cache = ArtifactCache::new();
         let runner = SharedRunner { cache: &cache, core: &core, scale };
-        let shared = runner
-            .simulate(
-                &spec,
-                ImprovementSet::all(),
-                0,
-                &[None],
-                UsePlan { trace_uses: 1, conversion_uses: 1 },
-            )
-            .remove(0);
+        let shared = runner.simulate(&spec, ImprovementSet::all(), 0, &[None], 1).remove(0);
         assert_eq!(shared.report.ipc().to_bits(), serial.report.ipc().to_bits());
         assert_eq!(shared.conversion, serial.conversion);
     }
@@ -510,12 +534,12 @@ mod tests {
             let cache = ArtifactCache::new();
             let runner = SharedRunner { cache: &cache, core: &core, scale };
             let lanes = [None, Some("next-line")];
-            let plan = UsePlan { trace_uses: 1, conversion_uses: u64::MAX };
-            let fused = runner.simulate(&spec, ImprovementSet::all(), 500, &lanes, plan);
+            let trace_uses = 1;
+            let fused = runner.simulate(&spec, ImprovementSet::all(), 500, &lanes, trace_uses);
             assert_eq!(fused.len(), lanes.len());
             for (outcome, prefetcher) in fused.iter().zip(lanes) {
                 let solo = runner
-                    .simulate(&spec, ImprovementSet::all(), 500, &[prefetcher], plan)
+                    .simulate(&spec, ImprovementSet::all(), 500, &[prefetcher], trace_uses)
                     .remove(0);
                 assert_eq!(
                     outcome.report.ipc().to_bits(),
@@ -540,8 +564,6 @@ mod tests {
                 trace_misses: 4,
                 convert_hits: 0,
                 convert_misses: 40,
-                spills: 3,
-                disk_hits: 2,
                 peak_resident_bytes: 12_500_000,
                 generate_ns: 2_000_000_000,
                 convert_ns: 1_000_000_000,
@@ -557,10 +579,8 @@ mod tests {
         assert!(json.contains("\"label\":\"grid\""), "{json}");
         assert!(json.contains("\"wall_seconds\":1.500000"), "{json}");
         assert!(json.contains("\"trace_hit_rate\":0.900000"), "{json}");
-        assert!(json.contains("\"spills\":3"), "{json}");
-        assert!(json.contains("\"disk_hits\":2"), "{json}");
         assert!(json.contains("\"peak_resident_bytes\":12500000"), "{json}");
-        assert!(text.contains("3 spills, 2 disk hits, 12.5 MB peak resident"), "{text}");
+        assert!(text.contains("cache:    12.5 MB peak resident"), "{text}");
         assert!(json.trim_end().ends_with("]}"), "{json}");
     }
 }

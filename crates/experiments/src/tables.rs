@@ -9,7 +9,7 @@ use workloads::{cvp1_public_suite, ipc1_suite};
 use crate::cache::ArtifactCache;
 use crate::runner::{
     geomean, parallel_cells, parallel_map, simulate_conversion, thread_count, ExperimentScale,
-    SchedulerReport, SharedRunner, UsePlan,
+    SchedulerReport, SharedRunner,
 };
 
 // ---------------------------------------------------------------------
@@ -229,10 +229,10 @@ pub fn table3_on(scale: ExperimentScale, core: &CoreConfig) -> Table3 {
 /// no-prefetch baseline plus eight contest prefetchers under both trace
 /// versions, and the tuned FNL+MMA on the fixed traces — still runs,
 /// but fused: each (trace, conversion) pair becomes **one** scheduled
-/// group whose prefetcher lanes share a single streaming pass over the
-/// conversion ([`SharedRunner::simulate`]). The trace generates once,
-/// and each conversion is built and walked once; a lane's report does
-/// not depend on the other lanes.
+/// group whose prefetcher lanes share a single pass over the conversion
+/// as it streams ([`SharedRunner::simulate`]). The trace generates once,
+/// and each conversion runs once, never materialized; a lane's report
+/// does not depend on the other lanes.
 pub fn table3_with_report(scale: ExperimentScale, core: &CoreConfig) -> (Table3, SchedulerReport) {
     let specs = ipc1_suite();
     let competition_imps = ImprovementSet::none();
@@ -256,9 +256,8 @@ pub fn table3_with_report(scale: ExperimentScale, core: &CoreConfig) -> (Table3,
     let group_ipcs: Vec<Vec<f64>> = parallel_cells(specs.len() * groups.len(), |i| {
         let spec = &specs[i / groups.len()];
         let (imps, lanes) = groups[i % groups.len()];
-        let plan = UsePlan { trace_uses: groups.len() as u64, conversion_uses: 1 };
         runner
-            .simulate(spec, imps, scale.warmup, lanes, plan)
+            .simulate(spec, imps, scale.warmup, lanes, groups.len() as u64)
             .into_iter()
             .map(|outcome| outcome.report.ipc())
             .collect()

@@ -42,8 +42,9 @@ fn unwritable_metrics_path_exits_2_naming_it() {
 
 #[test]
 fn usage_errors_exit_2_with_the_usage_line() {
-    let cases: [(&str, &str, &[&str], &str); 4] = [
+    let cases: [(&str, &str, &[&str], &str); 5] = [
         (EXPERIMENTS, "experiments", &["--scale", "huge"], "--scale must be"),
+        (EXPERIMENTS, "experiments", &["--cache-dir", "d"], "unknown argument \"--cache-dir\""),
         (SIM_BENCH, "sim_bench", &["--tolerance", "0"], "--tolerance"),
         (SIM_BENCH, "sim_bench", &["--shards", "2"], "unknown argument \"--shards\""),
         (CONVERT_BENCH, "convert_bench", &["--out"], "--out needs a path"),

@@ -487,7 +487,7 @@ mod tests {
         std::fs::write(&path, bytes).unwrap();
 
         let spec = JobSpec::parse(&format!("{{\"trace\": {:?}}}", path.to_str().unwrap())).unwrap();
-        let served = spec.execute(&ArtifactCache::with_spill(None), &CancelToken::new()).unwrap();
+        let served = spec.execute(&ArtifactCache::new(), &CancelToken::new()).unwrap();
 
         // The local champsim-run result for the same trace and options,
         // computed from a materialized decode and conversion.
@@ -506,7 +506,7 @@ mod tests {
     #[test]
     fn missing_trace_file_fails_with_path_in_diagnostic() {
         let spec = JobSpec::parse(r#"{"trace": "does/not/exist.champsimz"}"#).unwrap();
-        let cache = ArtifactCache::with_spill(None);
+        let cache = ArtifactCache::new();
         let err = spec.execute(&cache, &CancelToken::new()).unwrap_err();
         let JobError::Failed(msg) = err else { panic!("expected failure") };
         assert!(msg.contains("does/not/exist.champsimz"), "{msg}");
@@ -543,7 +543,7 @@ mod tests {
         .collect();
         let tokens: Vec<CancelToken> = specs.iter().map(|_| CancelToken::new()).collect();
         let batch: Vec<(&JobSpec, &CancelToken)> = specs.iter().zip(&tokens).collect();
-        let outcomes = JobSpec::execute_batch(&batch, &ArtifactCache::with_spill(None));
+        let outcomes = JobSpec::execute_batch(&batch, &ArtifactCache::new());
 
         let Err(JobError::Failed(first)) = &outcomes[0] else { panic!("{:?}", outcomes[0]) };
         assert!(first.contains(path) && first.contains("block"), "{first}");
@@ -561,7 +561,7 @@ mod tests {
                 "improvements": "All_imps"}"#,
         )
         .unwrap();
-        let cache = ArtifactCache::with_spill(None);
+        let cache = ArtifactCache::new();
         let a = spec.execute(&cache, &CancelToken::new()).unwrap();
         let b = spec.execute(&cache, &CancelToken::new()).unwrap();
         assert_eq!(a, b, "same spec, same document");
@@ -659,10 +659,10 @@ mod tests {
         let tokens: Vec<CancelToken> = specs.iter().map(|_| CancelToken::new()).collect();
         let batch: Vec<(&JobSpec, &CancelToken)> = specs.iter().zip(&tokens).collect();
 
-        let cache = ArtifactCache::with_spill(None);
+        let cache = ArtifactCache::new();
         let fused = JobSpec::execute_batch(&batch, &cache);
         for (i, spec) in specs.iter().enumerate() {
-            let solo = spec.execute(&ArtifactCache::with_spill(None), &CancelToken::new());
+            let solo = spec.execute(&ArtifactCache::new(), &CancelToken::new());
             assert_eq!(fused[i].as_ref().unwrap(), solo.as_ref().unwrap(), "lane {i}");
         }
         assert_eq!(
@@ -680,17 +680,17 @@ mod tests {
         let live = CancelToken::new();
         let dead = CancelToken::new();
         dead.cancel();
-        let cache = ArtifactCache::with_spill(None);
+        let cache = ArtifactCache::new();
         let outcomes = JobSpec::execute_batch(&[(&spec, &dead), (&spec, &live)], &cache);
         assert_eq!(outcomes[0], Err(JobError::Cancelled));
-        let solo = spec.execute(&ArtifactCache::with_spill(None), &CancelToken::new()).unwrap();
+        let solo = spec.execute(&ArtifactCache::new(), &CancelToken::new()).unwrap();
         assert_eq!(outcomes[1].as_ref().unwrap(), &solo);
     }
 
     #[test]
     fn pre_cancelled_job_reports_cancelled() {
         let spec = JobSpec::parse(r#"{"workload": {"kind": "crypto", "length": 2000}}"#).unwrap();
-        let cache = ArtifactCache::with_spill(None);
+        let cache = ArtifactCache::new();
         let token = CancelToken::new();
         token.cancel();
         assert_eq!(spec.execute(&cache, &token), Err(JobError::Cancelled));

@@ -329,7 +329,7 @@ impl Shared {
             jobs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             metrics: ServerMetrics::default(),
-            cache: ArtifactCache::with_spill(None),
+            cache: ArtifactCache::new(),
             door: Door::default(),
         }
     }

@@ -25,7 +25,7 @@ use std::time::Instant;
 ///
 /// At the simulator's measured multi-MIPS throughput this bounds the
 /// cancellation latency to well under a millisecond of host time.
-pub const CHECK_INTERVAL: u64 = 8_192;
+pub(crate) const CHECK_INTERVAL: u64 = 8_192;
 
 /// [`Inner::word`] once the token has tripped.
 const TRIPPED: u64 = u64::MAX;

@@ -5,7 +5,7 @@
 /// non-decreasing program order, which holds by construction in the
 /// in-order walk of the engine.
 #[derive(Debug, Clone)]
-pub struct WidthLimiter {
+pub(crate) struct WidthLimiter {
     width: usize,
     cycle: u64,
     used: usize,
@@ -17,13 +17,13 @@ impl WidthLimiter {
     /// # Panics
     ///
     /// Panics if `width` is zero.
-    pub fn new(width: usize) -> WidthLimiter {
+    pub(crate) fn new(width: usize) -> WidthLimiter {
         assert!(width > 0, "stage width must be positive");
         WidthLimiter { width, cycle: 0, used: 0 }
     }
 
     /// Claims a slot at or after `earliest`; returns the cycle granted.
-    pub fn allocate(&mut self, earliest: u64) -> u64 {
+    pub(crate) fn allocate(&mut self, earliest: u64) -> u64 {
         if earliest > self.cycle {
             self.cycle = earliest;
             self.used = 0;
@@ -45,7 +45,7 @@ impl WidthLimiter {
 /// with spare width. Usage is tracked in a ring of recent cycles, sized
 /// far beyond any realistic in-flight window.
 #[derive(Debug, Clone)]
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     ring: Vec<(u64, u32)>, // (cycle, used)
     width: u32,
 }
@@ -58,13 +58,13 @@ impl Scheduler {
     /// # Panics
     ///
     /// Panics if `width` is zero.
-    pub fn new(width: usize) -> Scheduler {
+    pub(crate) fn new(width: usize) -> Scheduler {
         assert!(width > 0, "stage width must be positive");
         Scheduler { ring: vec![(u64::MAX, 0); SCHEDULER_RING], width: width as u32 }
     }
 
     /// Claims a slot at or after `earliest`; returns the cycle granted.
-    pub fn allocate(&mut self, earliest: u64) -> u64 {
+    pub(crate) fn allocate(&mut self, earliest: u64) -> u64 {
         let mut cycle = earliest;
         loop {
             let slot = (cycle % SCHEDULER_RING as u64) as usize;

@@ -29,7 +29,7 @@ use crate::lz;
 /// File magic for the store header.
 pub const MAGIC: [u8; 4] = *b"TRZB";
 /// Magic terminating the footer tail.
-pub const TAIL_MAGIC: [u8; 4] = *b"TRZX";
+pub(crate) const TAIL_MAGIC: [u8; 4] = *b"TRZX";
 /// Container format version this crate reads and writes.
 pub const VERSION: u8 = 1;
 /// Stream-kind byte for CVP-1 record streams.

@@ -22,7 +22,7 @@
 //! * [`telemetry`] — the unified metrics registry behind `--metrics`
 //!   (see `METRICS.md` for the full metric reference),
 //! * [`store`] — the block-compressed on-disk trace store behind
-//!   `.cvpz`/`.champsimz` files and the cache's spill-to-disk mode,
+//!   `.cvpz`/`.champsimz` files,
 //! * [`server`] — the zero-dependency HTTP job service (`sim_server` /
 //!   `sim_client` / `server_bench`) that runs the whole pipeline behind
 //!   a bounded queue with backpressure and graceful shutdown.
