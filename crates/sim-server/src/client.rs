@@ -2,7 +2,7 @@
 //! `sim_client`, `server_bench`, the integration tests, and the router's
 //! backend forwards: [`Connection::send`] is the one request writer.
 
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -55,6 +55,19 @@ impl Connection {
 
     /// Sends one request and reads the response.
     pub fn send(&mut self, method: &str, path: &str, body: &str) -> io::Result<ClientResponse> {
+        self.exchange(method, path, body).map_err(|(e, _answered)| e)
+    }
+
+    /// [`Connection::send`], whose error also says whether any byte of
+    /// the response had arrived. One that failed unanswered may never
+    /// have been read: that is how a keep-alive connection the peer
+    /// closed while it sat idle fails.
+    pub(crate) fn exchange(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &str,
+    ) -> Result<ClientResponse, (io::Error, bool)> {
         let mut head = format!("{method} {path} HTTP/1.1\r\nhost: sim-server\r\n");
         if !body.is_empty() {
             head.push_str(&format!(
@@ -63,10 +76,14 @@ impl Connection {
             ));
         }
         head.push_str("\r\n");
-        self.writer.write_all(head.as_bytes())?;
-        self.writer.write_all(body.as_bytes())?;
-        self.writer.flush()?;
-        read_response(&mut self.reader)
+        let unanswered = |e| (e, false);
+        self.writer.write_all(head.as_bytes()).map_err(unanswered)?;
+        self.writer.write_all(body.as_bytes()).map_err(unanswered)?;
+        self.writer.flush().map_err(unanswered)?;
+        if self.reader.fill_buf().map_err(unanswered)?.is_empty() {
+            return Err(unanswered(io::ErrorKind::UnexpectedEof.into()));
+        }
+        read_response(&mut self.reader).map_err(|e| (e, true))
     }
 
     /// Submits a job body; returns the assigned job id. Ids are opaque

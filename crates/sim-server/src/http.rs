@@ -11,7 +11,9 @@
 //!     keep-alive: read request ──▶ Endpoint::parse ──▶ Service::route
 //!                                        └──▶ otherwise 404 / 405
 //!   Door: draining (submissions get 503), in-flight request count,
-//!         terminate (the loops exit at their next poll)
+//!         terminate (close wakes the blocked accept loop with one
+//!         connection to its own address; idle connections exit at
+//!         their next read-timeout check)
 //!   run_until_shutdown: addr-file, SIGINT/SIGTERM ──▶ ShutdownHandle,
 //!                       join, final --metrics document
 //! ```
@@ -22,7 +24,7 @@
 //! written.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -32,9 +34,13 @@ use telemetry::json;
 
 use crate::jobspec::JobSpec;
 
-/// How often an idle server-side connection (and the accept loop)
-/// wakes to check for shutdown.
+/// How often an idle keep-alive connection wakes to check for
+/// shutdown. Off the request path: a request's first byte ends the wait
+/// at once, and the accept loop blocks instead of polling.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(100);
+/// How long the accept loop backs off after an accept error (for
+/// example `EMFILE`), so a persistent error cannot spin it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 /// Time a client has to send the rest of a request once its first
 /// byte has arrived.
 pub(crate) const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
@@ -242,8 +248,8 @@ pub(crate) struct Door {
     /// Set when shutdown begins: submissions are refused, every other
     /// endpoint is still served.
     draining: AtomicBool,
-    /// Set when the drain is over: the accept loop and idle
-    /// connections exit at their next poll.
+    /// Set when the drain is over: the accept loop exits at its wake-up
+    /// connection, idle connections at their next poll.
     terminate: AtomicBool,
     /// Requests being routed or answered; the drain waits for none.
     inflight: AtomicU64,
@@ -298,8 +304,8 @@ pub(crate) trait Service: Send + Sync + 'static {
     fn metrics_json(&self) -> String;
 }
 
-/// A service's listener: an accept loop that hands each connection to
-/// its own keep-alive thread.
+/// A service's listener: an accept loop, blocked in `accept`, that
+/// hands each connection to its own keep-alive thread.
 pub(crate) struct FrontDoor {
     service: Arc<dyn Service>,
     local_addr: SocketAddr,
@@ -314,7 +320,6 @@ impl FrontDoor {
         name: &'static str,
         service: Arc<dyn Service>,
     ) -> io::Result<FrontDoor> {
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let accept = {
             let service = Arc::clone(&service);
@@ -344,20 +349,50 @@ impl FrontDoor {
             thread::sleep(Duration::from_millis(5));
         }
         door.terminate.store(true, Ordering::SeqCst);
+        // The loop sits in a blocking `accept`, and any return from it
+        // now ends the loop: one connection to the listener wakes it. A
+        // wake that fails (no file descriptor to spare, say) is tried
+        // again until the loop has exited some other way.
+        let wake = wake_addr(self.local_addr);
+        while TcpStream::connect_timeout(&wake, POLL_INTERVAL).is_err()
+            && !self.accept.is_finished()
+        {
+            thread::sleep(ACCEPT_BACKOFF);
+        }
         let _ = self.accept.join();
     }
 }
 
+/// The address that reaches a listener bound to `bound`: the same,
+/// with an unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 fn accept_loop(listener: &TcpListener, name: &str, service: &Arc<dyn Service>) {
-    while !service.door().closed() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Once the door has closed, whatever woke the loop (the wake-up
+        // connection, a late client, an error) ends it; a connection is
+        // dropped unanswered.
+        if service.door().closed() {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let service = Arc::clone(service);
                 let _ = thread::Builder::new()
                     .name(format!("{name}-conn"))
                     .spawn(move || serve_connection(stream, &*service));
             }
-            Err(_) => thread::sleep(POLL_INTERVAL),
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -700,6 +735,14 @@ mod tests {
         assert_eq!(resp.header("retry-after"), Some("1"));
         assert_eq!(resp.header("content-type"), Some("application/json"));
         assert_eq!(resp.text(), "{\"error\":\"queue full\"}");
+    }
+
+    #[test]
+    fn wake_addr_replaces_only_an_unspecified_ip() {
+        let wake = |bound: &str| wake_addr(bound.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:4600"), "127.0.0.1:4600");
+        assert_eq!(wake("[::]:4600"), "[::1]:4600");
+        assert_eq!(wake("10.1.0.2:4600"), "10.1.0.2:4600");
     }
 
     #[test]

@@ -37,6 +37,16 @@
 //! backend requests are written by [`Connection::send`], the client's
 //! one request writer.
 //!
+//! Every forward (submission, job status, result, the `/metrics` fleet
+//! scrape) goes through one `Shared::forward`, which takes an idle
+//! keep-alive connection from the backend's pool (at most
+//! [`BACKEND_POOL_CAP`] idle) or opens a fresh one, so a routed request
+//! pays no TCP handshake and no accept on the backend. A pooled
+//! connection that fails before any response byte (the backend closed
+//! it while idle) is retried once on a fresh connection; that is not a
+//! failover hop. Health probes open a fresh connection on purpose: a
+//! probe tests that the backend still accepts.
+//!
 //! Shutdown is a single-grade drain: new submissions get `503` while
 //! status polls, result fetches, `/healthz`, and `/metrics` keep
 //! working; [`Router::join`] returns once the last in-flight proxied
@@ -45,7 +55,7 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -62,6 +72,11 @@ use crate::ring::{HashRing, DEFAULT_VNODES};
 /// Read/write deadline on a proxied backend exchange. Generous: every
 /// backend endpoint answers without waiting on job execution.
 const PROXY_IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Idle keep-alive connections the router keeps per backend. Forwards
+/// beyond it in flight at once open extra connections, which close
+/// after their exchange.
+pub const BACKEND_POOL_CAP: usize = 8;
 
 /// Router construction parameters.
 #[derive(Debug, Clone)]
@@ -97,6 +112,20 @@ struct Backend {
     /// for new submissions (proxied polls ignore it — a draining shard
     /// still answers them).
     healthy: AtomicBool,
+    /// Idle keep-alive connections, at most [`BACKEND_POOL_CAP`].
+    idle: Mutex<Vec<Connection>>,
+}
+
+impl Backend {
+    /// Returns `connection` to the pool after `response`, unless the
+    /// backend announced `connection: close` or the pool is full.
+    fn release(&self, connection: Connection, response: &ClientResponse) {
+        let close = response.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
+        let mut idle = self.idle.lock().expect("pool lock");
+        if !close && idle.len() < BACKEND_POOL_CAP {
+            idle.push(connection);
+        }
+    }
 }
 
 /// Routing-edge counters exported under the `router.*` descriptors.
@@ -108,6 +137,8 @@ pub struct RouterMetrics {
     unroutable: AtomicU64,
     ejected: AtomicU64,
     readmitted: AtomicU64,
+    connects: AtomicU64,
+    reused: AtomicU64,
 }
 
 impl RouterMetrics {
@@ -135,6 +166,14 @@ impl RouterMetrics {
         self.readmitted.fetch_add(1, Ordering::Relaxed);
     }
 
+    fn note_connect(&self) {
+        self.connects.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn note_reused(&self) {
+        self.reused.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Snapshots the router counters plus the caller-scraped fleet
     /// totals into a registry.
     pub fn export(&self, healthy: usize, fleet: &FleetTotals) -> Registry {
@@ -148,6 +187,8 @@ impl RouterMetrics {
         registry.counter(&catalog::ROUTER_BACKENDS_EJECTED, self.ejected.load(Ordering::Relaxed));
         registry
             .counter(&catalog::ROUTER_BACKENDS_READMITTED, self.readmitted.load(Ordering::Relaxed));
+        registry.counter(&catalog::ROUTER_BACKEND_CONNECTS, self.connects.load(Ordering::Relaxed));
+        registry.counter(&catalog::ROUTER_BACKEND_REUSED, self.reused.load(Ordering::Relaxed));
         registry.counter(&catalog::ROUTER_FLEET_JOBS_ACCEPTED, fleet.jobs_accepted);
         registry.counter(&catalog::ROUTER_FLEET_JOBS_COMPLETED, fleet.jobs_completed);
         registry.counter(&catalog::ROUTER_FLEET_JOBS_REJECTED, fleet.jobs_rejected);
@@ -196,13 +237,48 @@ impl Shared {
         self.backends.iter().filter(|b| b.healthy.load(Ordering::SeqCst)).count()
     }
 
-    /// Opens a connection to a backend for one proxied exchange.
-    fn connect(&self, backend: &Backend) -> io::Result<Connection> {
-        Connection::connect_with_deadlines(
+    /// Sends one request to `backend` on an idle pooled connection, or
+    /// on a fresh one when the pool is empty or its connection turns
+    /// out stale, and pools the connection again after a complete
+    /// keep-alive response.
+    fn forward(
+        &self,
+        backend: &Backend,
+        method: &str,
+        path: &str,
+        body: &str,
+    ) -> io::Result<ClientResponse> {
+        let pooled = backend.idle.lock().expect("pool lock").pop();
+        if let Some(mut connection) = pooled {
+            match connection.exchange(method, path, body) {
+                Ok(response) => {
+                    self.metrics.note_reused();
+                    backend.release(connection, &response);
+                    return Ok(response);
+                }
+                // A connection the backend closed while it sat idle
+                // fails unanswered and is retried once, fresh: re-sending
+                // even `POST /jobs` is safe, as the backend coalesces
+                // identical specs onto one execution. A timeout is a
+                // stalled backend, which a second wait would not cure.
+                Err((e, answered)) => {
+                    let timed_out =
+                        matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut);
+                    if answered || timed_out {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        let mut connection = Connection::connect_with_deadlines(
             &backend.addr,
             self.config.connect_timeout,
             PROXY_IO_TIMEOUT,
-        )
+        )?;
+        self.metrics.note_connect();
+        let response = connection.send(method, path, body)?;
+        backend.release(connection, &response);
+        Ok(response)
     }
 }
 
@@ -238,9 +314,7 @@ impl Service for Shared {
     fn metrics_json(&self) -> String {
         let mut fleet = FleetTotals::default();
         for backend in &self.backends {
-            let Ok(response) =
-                self.connect(backend).and_then(|mut c| c.send("GET", "/metrics", ""))
-            else {
+            let Ok(response) = self.forward(backend, "GET", "/metrics", "") else {
                 continue;
             };
             if response.status != 200 {
@@ -280,6 +354,7 @@ impl Router {
             .map(|addr| Backend {
                 healthy: AtomicBool::new(probe(addr, config.connect_timeout)),
                 addr: addr.clone(),
+                idle: Mutex::new(Vec::new()),
             })
             .collect();
         let shared = Arc::new(Shared {
@@ -355,7 +430,8 @@ fn health_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// One `/healthz` probe: healthy iff the backend answers `200` with
+/// One `/healthz` probe, on a fresh connection so that it tests that
+/// the backend accepts: healthy iff the backend answers `200` with
 /// `"status":"ok"`. A *draining* backend reports `"draining"` and is
 /// treated as unhealthy — it would refuse new submissions anyway.
 fn probe(addr: &str, timeout: Duration) -> bool {
@@ -406,7 +482,7 @@ fn forward_submit(request: &Request, shared: &Shared) -> Response {
             }
         }
         let backend = &shared.backends[index];
-        match shared.connect(backend).and_then(|mut c| c.send("POST", "/jobs", body)) {
+        match shared.forward(backend, "POST", "/jobs", body) {
             Ok(response) if response.status == 202 => {
                 shared.metrics.note_routed();
                 let text = response.text();
@@ -458,7 +534,7 @@ fn proxy_job_get(id_text: &str, want_result: bool, shared: &Shared) -> Response 
     let backend = &shared.backends[shard];
     let backend_path =
         if want_result { format!("/jobs/{raw_id}/result") } else { format!("/jobs/{raw_id}") };
-    match shared.connect(backend).and_then(|mut c| c.send("GET", &backend_path, "")) {
+    match shared.forward(backend, "GET", &backend_path, "") {
         // A finished result document is relayed verbatim: this is the
         // byte-identity anchor, never rewritten.
         Ok(response) if want_result && response.status == 200 => relay(response),
@@ -607,6 +683,9 @@ mod tests {
         metrics.note_unroutable();
         metrics.note_ejected();
         metrics.note_readmitted();
+        metrics.note_connect();
+        metrics.note_reused();
+        metrics.note_reused();
         let fleet =
             FleetTotals { jobs_accepted: 10, jobs_completed: 8, jobs_rejected: 1, queue_depth: 3 };
         let registry = metrics.export(2, &fleet);
@@ -616,6 +695,8 @@ mod tests {
         assert_eq!(registry.counter_value("router.jobs.unroutable"), 1);
         assert_eq!(registry.counter_value("router.backends.ejected"), 1);
         assert_eq!(registry.counter_value("router.backends.readmitted"), 1);
+        assert_eq!(registry.counter_value("router.backend.connects"), 1);
+        assert_eq!(registry.counter_value("router.backend.reused"), 2);
         assert_eq!(registry.counter_value("router.fleet.jobs_accepted"), 10);
         assert_eq!(registry.counter_value("router.fleet.jobs_completed"), 8);
         assert_eq!(registry.counter_value("router.fleet.jobs_rejected"), 1);

@@ -1,13 +1,19 @@
 //! End-to-end tests against a live in-process router fleet: routed
 //! round trips with shard-qualified ids, byte-identity through the
-//! extra hop, backend-down failure paths, fleet-wide backpressure, and
-//! consistent-hash stability.
+//! extra hop, backend-down failure paths, fleet-wide backpressure,
+//! consistent-hash stability, the pooled backend connections, and a
+//! prompt join without traffic.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+use sim_server::http::{read_request, Response};
+use sim_server::json::Value;
 use sim_server::ring::DEFAULT_VNODES;
+use sim_server::router::BACKEND_POOL_CAP;
 use sim_server::{Connection, HashRing, JobSpec, Router, RouterConfig, Server, ServerConfig};
 
 fn start_backend(queue_depth: usize, workers: usize) -> Server {
@@ -369,5 +375,122 @@ fn router_bodies_keep_their_bytes() {
     router.join();
     for backend in backends {
         backend.join();
+    }
+}
+
+/// A fake backend on a test listener that answers keep-alive HTTP:
+/// `/healthz` is ok, `/jobs/<n>` is a done job `n`, anything else an
+/// empty metrics document. With `close_each` it hangs up after every
+/// response without saying `connection: close`. Returns its address
+/// and the count of connections whose first request is not a health
+/// probe.
+fn fake_backend(close_each: bool) -> (String, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let forwards = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&forwards);
+    // Detached: the listener lives as long as the test process.
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            let counted = Arc::clone(&counted);
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut first = true;
+                while let Ok(Some(request)) = read_request(&mut reader) {
+                    if first && request.path != "/healthz" {
+                        counted.fetch_add(1, Ordering::SeqCst);
+                    }
+                    first = false;
+                    let body = match request.path.strip_prefix("/jobs/") {
+                        _ if request.path == "/healthz" => r#"{"status":"ok"}"#.to_owned(),
+                        Some(id) => format!(r#"{{"id":{id},"status":"done"}}"#),
+                        None => r#"{"metrics":[]}"#.to_owned(),
+                    };
+                    if Response::json(200, body).write(&mut stream, false).is_err() || close_each {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    (addr, forwards)
+}
+
+/// A counter out of a router's metrics document.
+fn counter(doc: &str, name: &str) -> u64 {
+    Value::parse(doc).unwrap().metric(name).and_then(Value::as_u64).unwrap()
+}
+
+/// Twenty routed status polls reach the backend over at most the pool
+/// cap of connections (health probes aside), and the router's counters
+/// say the same.
+#[test]
+fn routed_requests_reuse_pooled_backend_connections() {
+    let (addr, forwards) = fake_backend(false);
+    let router = start_router(vec![addr]);
+    let mut conn = Connection::connect(&router.local_addr().to_string()).unwrap();
+    for _ in 0..20 {
+        let response = conn.send("GET", "/jobs/s0-1", "").unwrap();
+        assert_eq!(
+            (response.status, response.text().as_str()),
+            (200, r#"{"id":"s0-1","status":"done"}"#)
+        );
+    }
+    let opened = forwards.load(Ordering::SeqCst);
+    assert!((1..=BACKEND_POOL_CAP).contains(&opened), "20 forwards opened {opened} connections");
+    // The scrape behind this document is one more pooled forward.
+    let doc = router.metrics_json();
+    assert_eq!(counter(&doc, "router.backend.connects"), opened as u64);
+    assert_eq!(counter(&doc, "router.backend.reused"), 21 - opened as u64);
+    router.join();
+}
+
+/// A backend that hangs up after every response, without announcing
+/// it, still answers every routed request: each stale pooled connection
+/// is retried once on a fresh one, which is no failover hop.
+#[test]
+fn backend_closing_after_each_response_still_serves_every_forward() {
+    let (addr, forwards) = fake_backend(true);
+    let router = start_router(vec![addr]);
+    let mut conn = Connection::connect(&router.local_addr().to_string()).unwrap();
+    for n in 1..=20 {
+        let response = conn.send("GET", &format!("/jobs/s0-{n}"), "").unwrap();
+        assert_eq!(response.status, 200, "forward {n}: {}", response.text());
+        assert_eq!(response.text(), format!(r#"{{"id":"s0-{n}","status":"done"}}"#));
+    }
+    // Every forward, and the scrape behind this document, needed a new
+    // connection.
+    let doc = router.metrics_json();
+    assert_eq!(forwards.load(Ordering::SeqCst), 21);
+    assert_eq!(counter(&doc, "router.backend.connects"), 21);
+    assert_eq!(counter(&doc, "router.backend.reused"), 0);
+    assert_eq!(counter(&doc, "router.jobs.retried"), 0);
+    router.join();
+}
+
+/// With no client traffic at all, both joins return promptly: the
+/// blocked accept loops are woken, not left to a poll. The router
+/// listens on the unspecified address, so its wake-up goes to loopback.
+/// A missing wake fails under the watchdog instead of hanging the test.
+#[test]
+fn idle_server_and_router_join_promptly() {
+    let backend = start_backend(4, 1);
+    let router = Router::start(RouterConfig {
+        addr: "0.0.0.0:0".to_owned(),
+        backends: vec![backend.local_addr().to_string()],
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    let (joined, watchdog) = mpsc::channel();
+    std::thread::spawn(move || {
+        router.join();
+        let _ = joined.send("router");
+        backend.join();
+        let _ = joined.send("server");
+    });
+    for service in ["router", "server"] {
+        let joined = watchdog.recv_timeout(Duration::from_secs(5));
+        assert_eq!(joined, Ok(service), "{service} join hung");
     }
 }
