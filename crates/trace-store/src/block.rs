@@ -5,20 +5,23 @@
 //!
 //! ```text
 //! header : "TRZB" version stream_kind filter reserved          (8 bytes)
-//! block  : 0x01 flags records_u32 raw_u32 comp_u32 fnv64      (22 bytes)
+//! block  : 0x01 flags records_u32 raw_u32 comp_u32 sum64      (22 bytes)
 //!          payload[comp]
 //! end    : 0x00
 //! index  : { offset_u64 records_u32 raw_u32 } * block_count
 //! tail   : index_offset_u64 block_count_u64 total_records_u64 "TRZX"
 //! ```
 //!
-//! All integers are little-endian. `flags` bit 0 says whether the
-//! payload is LZ-compressed (1) or stored raw (0; chosen when the codec
-//! fails to shrink the block). The checksum is FNV-1a 64 over the
-//! **original, unfiltered** block bytes, so it also catches bugs in the
-//! delta filters, not just storage corruption. Sequential readers never
-//! touch the index; seekable readers reach any block in O(1) through
-//! the tail.
+//! All integers are little-endian; `version` is [`VERSION`] (2), and a
+//! reader refuses any other. `flags` bit 0 says whether the payload is
+//! LZ-compressed (1) or stored raw (0; chosen when the codec fails to
+//! shrink the block). `sum64` is the 4-lane word checksum
+//! (`checksum`) over the **original, unfiltered** block bytes, so it
+//! also catches bugs in the delta filters, not just storage corruption;
+//! it changes whenever any one byte of a block does. Version 1 differed
+//! only in its checksum (byte-serial FNV-1a 64). Sequential readers
+//! never touch the index; seekable readers reach any block in O(1)
+//! through the tail.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
@@ -31,7 +34,7 @@ pub const MAGIC: [u8; 4] = *b"TRZB";
 /// Magic terminating the footer tail.
 pub(crate) const TAIL_MAGIC: [u8; 4] = *b"TRZX";
 /// Container format version this crate reads and writes.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Stream-kind byte for CVP-1 record streams.
 pub const STREAM_CVP: u8 = 1;
 /// Stream-kind byte for ChampSim 64-byte record streams.
@@ -54,14 +57,61 @@ const FLAG_LZ: u8 = 0x01;
 const TAIL_BYTES: usize = 8 + 8 + 8 + 4;
 const INDEX_ENTRY_BYTES: usize = 8 + 4 + 4;
 
-/// FNV-1a 64-bit over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One xxHash64 round: a bijection in `word` for a fixed `acc`, and in
+/// `acc` for a fixed `word`.
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+/// Folds `word` into `h`; a bijection in each argument for a fixed
+/// other.
+fn fold(h: u64, word: u64) -> u64 {
+    (h ^ round(0, word)).rotate_left(27).wrapping_mul(P1).wrapping_add(P4)
+}
+
+/// The block checksum: xxHash64-style rounds over little-endian `u64`
+/// words in 4 independent lanes, one 32-byte stripe at a time.
+///
+/// The lanes are folded one after another into a state that starts at
+/// the length; the tail (whole words, then the last 1–7 bytes as one
+/// zero-padded word) is folded in after them, and a final avalanche
+/// mixes the bits. Every
+/// step is a bijection in the word it takes and in the state it
+/// carries, so for a fixed length any change confined to one word
+/// (every single-byte change) always changes the checksum.
+fn checksum(bytes: &[u8]) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let mut tail = stripes.remainder();
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    for stripe in stripes {
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            *lane = round(*lane, lz::load_u64(stripe, 8 * k));
+        }
     }
-    h
+    let mut h = P5.wrapping_add(bytes.len() as u64);
+    for lane in lanes {
+        h = fold(h, lane);
+    }
+    while tail.len() >= 8 {
+        h = fold(h, lz::load_u64(tail, 0));
+        tail = &tail[8..];
+    }
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = fold(h, u64::from_le_bytes(last));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Volume counters accumulated by a [`BlockWriter`].
@@ -205,7 +255,7 @@ impl<W: Write> BlockWriter<W> {
             return Ok(());
         }
         let block = self.index.len() as u64;
-        let checksum = fnv1a(&self.buf);
+        let checksum = checksum(&self.buf);
         self.filter.apply(&mut self.buf).map_err(|_| StoreError::CorruptBlock { block })?;
         self.comp.clear();
         lz::compress(&self.buf, &mut self.comp);
@@ -293,9 +343,9 @@ impl<R: Read> BlockReader<R> {
     ///
     /// # Errors
     ///
-    /// [`StoreError::BadMagic`], [`StoreError::UnsupportedVersion`], or
-    /// [`StoreError::WrongStreamKind`] on a bad header; I/O errors from
-    /// the source.
+    /// [`StoreError::BadMagic`], [`StoreError::UnsupportedVersion`],
+    /// [`StoreError::WrongStreamKind`] or [`StoreError::UnknownFilter`]
+    /// on a bad header; I/O errors from the source.
     pub fn new(mut inner: R, expected_kind: u8) -> Result<BlockReader<R>, StoreError> {
         let mut header = [0u8; 8];
         inner.read_exact(&mut header).map_err(|e| {
@@ -314,10 +364,8 @@ impl<R: Read> BlockReader<R> {
         if header[5] != expected_kind {
             return Err(StoreError::WrongStreamKind { found: header[5], expected: expected_kind });
         }
-        // An unknown filter ID means the store was written by a newer
-        // format revision than this reader understands.
-        let filter = Filter::from_u8(header[6])
-            .ok_or(StoreError::UnsupportedVersion { version: header[6] })?;
+        let filter =
+            Filter::from_u8(header[6]).ok_or(StoreError::UnknownFilter { filter: header[6] })?;
         Ok(BlockReader {
             inner,
             filter,
@@ -377,7 +425,7 @@ impl<R: Read> BlockReader<R> {
             self.inner.read_exact(dst).map_err(|e| truncated(e, block))?;
         }
         self.filter.invert(dst).map_err(|_| StoreError::CorruptBlock { block })?;
-        if fnv1a(dst) != header.checksum {
+        if checksum(dst) != header.checksum {
             return Err(StoreError::ChecksumMismatch { block });
         }
         self.block_idx += 1;
@@ -495,6 +543,7 @@ fn read_index_at_end<R: Read + Seek>(r: &mut R) -> Result<StoreIndex, StoreError
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use workloads::rng::Xoshiro256;
 
     fn build_store(records: &[Vec<u8>], per_block: u32) -> Vec<u8> {
         let mut w =
@@ -624,6 +673,121 @@ mod tests {
             Err(StoreError::UnsupportedVersion { version: 99 }) => {}
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn version_1_store_is_refused_with_a_regenerate_hint() {
+        let mut store = build_store(&sample_records(2), 4);
+        assert_eq!(store[4], VERSION);
+        store[4] = 1;
+        match BlockReader::new(store.as_slice(), STREAM_CVP) {
+            Err(e @ StoreError::UnsupportedVersion { version: 1 }) => {
+                let msg = e.to_string();
+                assert!(msg.contains("reads version 2") && msg.contains("regenerate"), "{msg}");
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_filter_is_not_reported_as_a_version() {
+        let mut store = build_store(&sample_records(2), 4);
+        store[6] = 0xEE;
+        match BlockReader::new(store.as_slice(), STREAM_CVP) {
+            Err(StoreError::UnknownFilter { filter: 0xEE }) => {}
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checksum_is_pinned() {
+        // 255 bytes: 7 stripes, then 3 tail words and a 7-byte padded
+        // word, so every path is pinned. A changed value is a format
+        // revision.
+        let input: Vec<u8> = (0..255u8).collect();
+        assert_eq!(checksum(&input), 0xa031_137a_9d04_4137);
+        assert_eq!(checksum(&[]), 0xf0cb_5810_7a70_55ca);
+    }
+
+    #[test]
+    fn checksum_changes_with_every_single_byte_change() {
+        let mut rng = Xoshiro256::seed_from_u64(0xc0ffee);
+        for len in 1..=80usize {
+            let mut bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let sum = checksum(&bytes);
+            for pos in 0..len {
+                let mask = (rng.below(255) + 1) as u8;
+                bytes[pos] ^= mask;
+                assert_ne!(checksum(&bytes), sum, "len {len} pos {pos} mask {mask:#x}");
+                bytes[pos] ^= mask;
+            }
+        }
+    }
+
+    /// Small multi-block `.cvpz` and `.champsimz` stores of seeded CVP-1
+    /// workloads and their ChampSim conversions.
+    fn seeded_corpus() -> Vec<(u8, Vec<u8>)> {
+        use converter::{Converter, ImprovementSet};
+        use workloads::{TraceSpec, WorkloadKind};
+        let mut rng = Xoshiro256::seed_from_u64(0x5eed);
+        let mut corpus = Vec::new();
+        for kind in [WorkloadKind::Server, WorkloadKind::PointerChase, WorkloadKind::FpKernel] {
+            let insns = TraceSpec::new("flip", kind, rng.next_u64()).with_length(240).generate();
+            let mut cvpz = crate::CvpzWriter::with_block_records(Vec::new(), 80).unwrap();
+            for insn in &insns {
+                cvpz.write(insn).unwrap();
+            }
+            corpus.push((STREAM_CVP, cvpz.finish().unwrap().0));
+            let mut champsimz = crate::ChampsimzWriter::with_block_records(Vec::new(), 80).unwrap();
+            for rec in Converter::new(ImprovementSet::all()).convert_all(insns.iter()) {
+                champsimz.write(&rec).unwrap();
+            }
+            corpus.push((STREAM_CHAMPSIM, champsimz.finish().unwrap().0));
+        }
+        corpus
+    }
+
+    /// Flips every checksum and payload byte of every block, one at a
+    /// time. Each flip must fail its own block or, where the LZ stream
+    /// absorbs it (an offset moved to an identical earlier run), decode
+    /// to the original bytes: never a panic, never a wrong clean decode.
+    #[test]
+    fn every_flipped_payload_or_checksum_byte_fails_its_block() {
+        let mut rng = Xoshiro256::seed_from_u64(0xf11b);
+        let (mut failed, mut absorbed) = (0usize, 0usize);
+        for (kind, store) in seeded_corpus() {
+            let index = BlockReader::new(Cursor::new(&store), kind).unwrap().read_index().unwrap();
+            assert!(index.entries.len() >= 3, "want a multi-block store");
+            let decode_block = |bytes: &[u8], b: usize| {
+                let mut r = BlockReader::new(Cursor::new(bytes), kind).unwrap();
+                r.seek_to_block(&index, b).unwrap();
+                let mut out = vec![0u8; index.entries[b].raw_len as usize];
+                r.read(&mut out).map(|n| out[..n].to_vec()).map_err(StoreError::from)
+            };
+            for (b, entry) in index.entries.iter().enumerate() {
+                let want = decode_block(&store, b).unwrap();
+                let at = entry.offset as usize;
+                let comp_len = u32::from_le_bytes(store[at + 10..at + 14].try_into().unwrap());
+                // The checksum field (header bytes 14..22), then the payload.
+                for pos in at + 14..at + 22 + comp_len as usize {
+                    let mut bad = store.clone();
+                    bad[pos] ^= (rng.below(255) + 1) as u8;
+                    match decode_block(&bad, b) {
+                        Err(StoreError::ChecksumMismatch { block })
+                        | Err(StoreError::CorruptBlock { block })
+                            if block == b as u64 =>
+                        {
+                            failed += 1
+                        }
+                        Ok(got) if got == want => absorbed += 1,
+                        Ok(_) => panic!("block {b} byte {pos}: wrong bytes decoded cleanly"),
+                        Err(other) => panic!("block {b} byte {pos}: unexpected {other:?}"),
+                    }
+                }
+            }
+        }
+        assert!(failed > 1000, "corpus too small: {failed} failing flips");
+        assert!(absorbed * 10 < failed, "{absorbed} absorbed of {failed} failed");
     }
 
     #[test]

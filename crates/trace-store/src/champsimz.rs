@@ -102,8 +102,8 @@ impl<R: Read> ChampsimzReader<R> {
     /// # Errors
     ///
     /// [`StoreError::BadMagic`] / [`StoreError::WrongStreamKind`] /
-    /// [`StoreError::UnsupportedVersion`] on a foreign file; I/O errors
-    /// from the source.
+    /// [`StoreError::UnsupportedVersion`] / [`StoreError::UnknownFilter`]
+    /// on a foreign file; I/O errors from the source.
     pub fn new(inner: R) -> Result<ChampsimzReader<R>, StoreError> {
         Ok(ChampsimzReader { blocks: BlockReader::new(inner, STREAM_CHAMPSIM)? })
     }

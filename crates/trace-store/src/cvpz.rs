@@ -106,8 +106,8 @@ impl<R: Read> CvpzReader<R> {
     /// # Errors
     ///
     /// [`StoreError::BadMagic`] / [`StoreError::WrongStreamKind`] /
-    /// [`StoreError::UnsupportedVersion`] on a foreign file; I/O errors
-    /// from the source.
+    /// [`StoreError::UnsupportedVersion`] / [`StoreError::UnknownFilter`]
+    /// on a foreign file; I/O errors from the source.
     pub fn new(inner: R) -> Result<CvpzReader<R>, StoreError> {
         let blocks = BlockReader::new(inner, STREAM_CVP)?;
         Ok(CvpzReader { inner: Some(CvpReader::with_buffer_capacity(blocks, DECODE_BUF)) })

@@ -2,6 +2,8 @@ use std::error::Error;
 use std::fmt;
 use std::io;
 
+use crate::block::VERSION;
+
 /// Errors produced while reading or writing block stores.
 #[derive(Debug)]
 pub enum StoreError {
@@ -9,10 +11,16 @@ pub enum StoreError {
     Io(io::Error),
     /// The stream does not start with the store magic.
     BadMagic,
-    /// The container version byte is newer than this reader understands.
+    /// The container version byte is not [`VERSION`], the one version
+    /// this build reads (an older store must be regenerated).
     UnsupportedVersion {
         /// The version byte found in the header.
         version: u8,
+    },
+    /// The header names a delta filter this build does not know.
+    UnknownFilter {
+        /// The filter byte found in the header.
+        filter: u8,
     },
     /// The header names a stream kind other than the one requested
     /// (e.g. opening a `.champsimz` file as a CVP store).
@@ -62,8 +70,13 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "i/o error: {e}"),
             StoreError::BadMagic => f.write_str("not a trace store (bad magic)"),
-            StoreError::UnsupportedVersion { version } => {
-                write!(f, "unsupported trace-store version {version}")
+            StoreError::UnsupportedVersion { version } => write!(
+                f,
+                "unsupported trace-store version {version} (this build reads version \
+                 {VERSION}; regenerate this store)"
+            ),
+            StoreError::UnknownFilter { filter } => {
+                write!(f, "unknown trace-store filter {filter}")
             }
             StoreError::WrongStreamKind { found, expected } => {
                 write!(f, "wrong stream kind {found} (expected {expected})")
@@ -125,6 +138,7 @@ mod tests {
             StoreError::Io(io::Error::other("boom")),
             StoreError::BadMagic,
             StoreError::UnsupportedVersion { version: 9 },
+            StoreError::UnknownFilter { filter: 7 },
             StoreError::WrongStreamKind { found: 1, expected: 0 },
             StoreError::TruncatedBlock { block: 3 },
             StoreError::ChecksumMismatch { block: 4 },

@@ -12,9 +12,10 @@
 //! * each block is delta-filtered ([`mod@filter`]: PC, effective
 //!   address, and branch target become small strides) and then
 //!   LZ-compressed ([`mod@lz`]); incompressible blocks are stored raw;
-//! * each block carries an FNV-1a 64 checksum of its **original**
-//!   bytes, so corruption anywhere in the decode pipeline is caught and
-//!   reported with the block index;
+//! * each block carries a 64-bit checksum of its **original** bytes
+//!   (xxHash64-style rounds over `u64` words in 4 lanes, format
+//!   version 2), so corruption anywhere in the decode pipeline is caught
+//!   and reported with the block index;
 //! * a footer index maps block → file offset, giving O(1)
 //!   seek-to-block on seekable sources without scanning.
 //!

@@ -29,10 +29,37 @@ const HASH_SLOTS: usize = 1 << 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LzCorrupt;
 
-fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+fn load_u32(src: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(src[at..at + 4].try_into().expect("4 bytes"))
+}
+
+pub(crate) fn load_u64(src: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(src[at..at + 8].try_into().expect("8 bytes"))
+}
+
+fn hash4(v: u32) -> usize {
     // Fibonacci hashing spreads the low-entropy record bytes well.
     (v.wrapping_mul(0x9E37_79B1) >> 16) as usize & (HASH_SLOTS - 1)
+}
+
+/// Length of the match between `src[c..]` and `src[i..]` (`c < i`),
+/// whose first `MIN_MATCH` bytes are already known equal. Compares a
+/// `u64` at a time while one fits before the end of `src` (the lowest
+/// set bit of the XOR is the first differing byte, little-endian), then
+/// byte by byte, so it returns exactly the byte-serial length.
+fn match_len(src: &[u8], c: usize, i: usize) -> usize {
+    let mut len = MIN_MATCH;
+    while i + len + 8 <= src.len() {
+        let diff = load_u64(src, c + len) ^ load_u64(src, i + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while i + len < src.len() && src[c + len] == src[i + len] {
+        len += 1;
+    }
+    len
 }
 
 fn push_len(out: &mut Vec<u8>, mut extra: usize) {
@@ -69,22 +96,20 @@ pub fn compress(src: &[u8], out: &mut Vec<u8>) -> usize {
     // Positions beyond this cannot start a match (hash needs 4 bytes).
     let hash_end = src.len().saturating_sub(MIN_MATCH);
     while i < hash_end {
-        let h = hash4(&src[i..]);
+        let v = load_u32(src, i);
+        let h = hash4(v);
         let candidate = table[h] as usize;
         table[h] = (i + 1) as u32;
         let found = candidate > 0 && {
             let c = candidate - 1;
-            i - c <= MAX_OFFSET && src[c..c + MIN_MATCH] == src[i..i + MIN_MATCH]
+            i - c <= MAX_OFFSET && load_u32(src, c) == v
         };
         if !found {
             i += 1;
             continue;
         }
         let c = candidate - 1;
-        let mut len = MIN_MATCH;
-        while i + len < src.len() && src[c + len] == src[i + len] {
-            len += 1;
-        }
+        let len = match_len(src, c, i);
         emit(out, &src[anchor..i], len);
         out.extend_from_slice(&((i - c) as u16).to_le_bytes());
         if len - MIN_MATCH >= 15 {
@@ -95,7 +120,7 @@ pub fn compress(src: &[u8], out: &mut Vec<u8>) -> usize {
         let match_end = (i + len).min(hash_end);
         let mut p = i + 1;
         while p < match_end {
-            table[hash4(&src[p..])] = (p + 1) as u32;
+            table[hash4(load_u32(src, p))] = (p + 1) as u32;
             p += 2;
         }
         i += len;
@@ -172,6 +197,153 @@ fn read_len(src: &[u8], s: &mut usize) -> Result<usize, LzCorrupt> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::Filter;
+    use workloads::rng::Xoshiro256;
+    use workloads::{TraceSpec, WorkloadKind};
+
+    /// The byte-serial encoder: `compress` with matches extended one
+    /// byte at a time. The real encoder must emit exactly its bytes.
+    fn oracle_compress(src: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut table = vec![0u32; HASH_SLOTS];
+        let mut anchor = 0usize;
+        let mut i = 0usize;
+        let hash_end = src.len().saturating_sub(MIN_MATCH);
+        while i < hash_end {
+            let h = hash4(load_u32(src, i));
+            let candidate = table[h] as usize;
+            table[h] = (i + 1) as u32;
+            let found = candidate > 0 && {
+                let c = candidate - 1;
+                i - c <= MAX_OFFSET && src[c..c + MIN_MATCH] == src[i..i + MIN_MATCH]
+            };
+            if !found {
+                i += 1;
+                continue;
+            }
+            let c = candidate - 1;
+            let mut len = MIN_MATCH;
+            while i + len < src.len() && src[c + len] == src[i + len] {
+                len += 1;
+            }
+            emit(&mut out, &src[anchor..i], len);
+            out.extend_from_slice(&((i - c) as u16).to_le_bytes());
+            if len - MIN_MATCH >= 15 {
+                push_len(&mut out, len - MIN_MATCH - 15);
+            }
+            let match_end = (i + len).min(hash_end);
+            let mut p = i + 1;
+            while p < match_end {
+                table[hash4(load_u32(src, p))] = (p + 1) as u32;
+                p += 2;
+            }
+            i += len;
+            anchor = i;
+        }
+        emit(&mut out, &src[anchor..], 0);
+        out
+    }
+
+    fn random_bytes(rng: &mut Xoshiro256, n: usize, alphabet: u64) -> Vec<u8> {
+        (0..n).map(|_| rng.below(alphabet) as u8).collect()
+    }
+
+    /// Checks `compress(data)` against the oracle and the round trip.
+    fn assert_matches_oracle(data: &[u8], what: &str) {
+        let want = oracle_compress(data);
+        let mut got = Vec::new();
+        assert_eq!(compress(data, &mut got), got.len());
+        assert!(got == want, "{what}: differs from the oracle");
+        let mut back = vec![0u8; data.len()];
+        decompress(&got, &mut back).expect("valid stream");
+        assert!(back == data, "{what}: round trip");
+    }
+
+    #[test]
+    fn word_match_extension_emits_the_oracle_bytes() {
+        let mut rng = Xoshiro256::seed_from_u64(0x12_0a1e);
+        // One copied run of every length 4..=100 (every end offset mod
+        // 8), ended by a differing byte or by the end of `src`.
+        for len in MIN_MATCH..=100 {
+            for at_end in [false, true] {
+                let copied = random_bytes(&mut rng, len, 256);
+                let mut data = random_bytes(&mut rng, 13 + len % 11, 256);
+                data.extend_from_slice(&copied);
+                data.extend_from_slice(&copied);
+                if !at_end {
+                    data.push(copied[0] ^ 0x5A);
+                    data.extend(random_bytes(&mut rng, 7, 256));
+                }
+                assert_matches_oracle(&data, &format!("run {len} at_end {at_end}"));
+            }
+        }
+        // Low-entropy inputs: many short and long matches, some running
+        // to the end; lengths across and beyond the 64 KiB window.
+        for (n, alphabet) in [(0, 2), (3, 2), (9, 2), (100, 2), (1000, 3), (4096, 4), (70_000, 3)] {
+            let data = random_bytes(&mut rng, n, alphabet);
+            assert_matches_oracle(&data, &format!("{n} bytes of {alphabet}"));
+        }
+        let runs: Vec<u8> = (0..20_000).map(|i| ((i / 37) % 5) as u8).collect();
+        assert_matches_oracle(&runs, "runs");
+        // CVP-1 trace blocks, raw and delta-filtered.
+        for (seed, kind) in [(3, WorkloadKind::Server), (4, WorkloadKind::Streaming)] {
+            let mut block = Vec::new();
+            for insn in TraceSpec::new("lz", kind, seed).with_length(3000).generate() {
+                cvp_trace::encode_record(&insn, &mut block);
+            }
+            assert_matches_oracle(&block, &format!("{kind} raw"));
+            Filter::Cvp.apply(&mut block).unwrap();
+            assert_matches_oracle(&block, &format!("{kind} filtered"));
+        }
+    }
+
+    /// A multi-block store: each payload is exactly its filtered block
+    /// compressed alone, so no encoder state carries across blocks.
+    #[test]
+    fn block_writer_blocks_encode_independently() {
+        use crate::{BlockReader, BlockWriter, STREAM_CVP};
+        use std::io::{Cursor, Read};
+        let records: Vec<Vec<u8>> = TraceSpec::new("lz", WorkloadKind::Server, 9)
+            .with_length(2000)
+            .generate()
+            .iter()
+            .map(|insn| {
+                let mut rec = Vec::new();
+                cvp_trace::encode_record(insn, &mut rec);
+                rec
+            })
+            .collect();
+        let per_block = 300;
+        let mut w =
+            BlockWriter::with_block_records(Vec::new(), STREAM_CVP, Filter::Cvp, per_block as u32)
+                .unwrap();
+        for rec in &records {
+            w.push_record(rec).unwrap();
+        }
+        let (store, _) = w.finish().unwrap();
+        let mut reader = BlockReader::new(Cursor::new(&store), STREAM_CVP).unwrap();
+        let index = reader.read_index().unwrap();
+        let blocks: Vec<Vec<u8>> = records.chunks(per_block).map(|c| c.concat()).collect();
+        assert_eq!(index.entries.len(), blocks.len());
+        for (entry, raw) in index.entries.iter().zip(&blocks) {
+            let at = entry.offset as usize;
+            assert_eq!(store[at + 1] & 1, 1, "block is LZ-compressed");
+            let comp_len = u32::from_le_bytes(store[at + 10..at + 14].try_into().unwrap());
+            let payload = &store[at + 22..at + 22 + comp_len as usize];
+            let mut filtered = raw.clone();
+            Filter::Cvp.apply(&mut filtered).unwrap();
+            let mut alone = Vec::new();
+            compress(&filtered, &mut alone);
+            assert!(payload == alone.as_slice(), "block at {at} differs from compressing it alone");
+        }
+        // Every block decodes on its own, in any order.
+        for b in (0..blocks.len()).rev() {
+            reader.seek_to_block(&index, b).unwrap();
+            let mut got = vec![0u8; blocks[b].len()];
+            reader.read_exact(&mut got).unwrap();
+            assert!(got == blocks[b], "block {b}");
+        }
+    }
 
     fn round_trip(data: &[u8]) -> Vec<u8> {
         let mut packed = Vec::new();
