@@ -18,6 +18,10 @@ pub enum ChampsimTraceError {
         /// Zero-based index of the corrupted block.
         block: u64,
     },
+    /// A `.champsimz` store refused its header (bad magic, unsupported
+    /// version, wrong stream kind, unknown filter); carries the store's
+    /// own one-line message.
+    Container(String),
 }
 
 impl fmt::Display for ChampsimTraceError {
@@ -30,6 +34,7 @@ impl fmt::Display for ChampsimTraceError {
             ChampsimTraceError::CorruptedBlock { block } => {
                 write!(f, "corrupted store block {block} (checksum or payload mismatch)")
             }
+            ChampsimTraceError::Container(message) => f.write_str(message),
         }
     }
 }

@@ -21,7 +21,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use etrace::EtraceWriter;
-use trace_store::{is_etrace_path, CvpTraceWriter};
+use trace_store::{CvpTraceWriter, Encoding};
 use workloads::{
     cvp1_public_suite, ipc1_suite, rv_suite, RvTraceSpec, RvWorkloadKind, TraceSpec, WorkloadKind,
 };
@@ -163,7 +163,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         Job::Rv(spec) => {
-            if !is_etrace_path(Path::new(&out)) {
+            if Encoding::of(Path::new(&out)) != Some(Encoding::Etrace) {
                 return Err(format!(
                     "{out}: RISC-V workloads write E-Trace packet streams; use -o <out.etrace>"
                 )

@@ -10,9 +10,7 @@ use std::path::Path;
 
 use champsim_trace::ChampsimRecord;
 use converter::{ConversionStats, Converted, Converter, ImprovementSet};
-use trace_store::{
-    is_cvp_family_path, is_etrace_path, ChampsimTraceReader, CvpTraceReader, CHAMPSIMZ_EXT,
-};
+use trace_store::{ChampsimTraceReader, CvpTraceReader, Encoding};
 
 /// The encoding a trace path names, by extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,28 +27,22 @@ pub enum TraceFormat {
 }
 
 impl TraceFormat {
-    /// Dispatches `path` on its extension (case-insensitively).
+    /// Dispatches `path` on its extension through `trace_store`'s one
+    /// extension table (case-insensitively).
     ///
     /// # Errors
     ///
     /// Any extension other than the five accepted ones, with a
     /// diagnostic naming the path and the accepted set.
     pub fn of(path: &str) -> Result<TraceFormat, String> {
-        let file = Path::new(path);
-        let ext = file.extension().and_then(|e| e.to_str()).unwrap_or("");
-        if is_etrace_path(file) {
-            Ok(TraceFormat::Etrace)
-        } else if is_cvp_family_path(file) {
-            Ok(TraceFormat::Cvp)
-        } else if ext.eq_ignore_ascii_case("champsimtrace")
-            || ext.eq_ignore_ascii_case(CHAMPSIMZ_EXT)
-        {
-            Ok(TraceFormat::Champsim)
-        } else {
-            Err(format!(
+        match Encoding::of(Path::new(path)) {
+            Some(Encoding::Cvp | Encoding::Cvpz) => Ok(TraceFormat::Cvp),
+            Some(Encoding::Etrace) => Ok(TraceFormat::Etrace),
+            Some(Encoding::Champsim | Encoding::Champsimz) => Ok(TraceFormat::Champsim),
+            None => Err(format!(
                 "unrecognized trace extension in {path:?} (want .cvp, .cvpz, .etrace, \
                  .champsimtrace or .champsimz)"
-            ))
+            )),
         }
     }
 

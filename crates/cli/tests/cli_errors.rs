@@ -134,6 +134,35 @@ fn truncated_stores_report_path_and_block() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store whose header is refused prints the store's own message, not
+/// an "i/o error": a version-1 `.cvpz` and a `.champsimz` with no magic.
+#[test]
+fn refused_store_headers_print_the_store_message() {
+    let dir = scratch_dir("storeheader");
+    let cvpz = dir.join("v1.cvpz");
+    let cvpz_text = cvpz.to_str().unwrap();
+    let out =
+        run(TRACEGEN, &["--kind", "crypto", "--seed", "5", "--length", "400", "-o", cvpz_text]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut bytes = std::fs::read(&cvpz).unwrap();
+    bytes[4] = 1;
+    std::fs::write(&cvpz, bytes).unwrap();
+    let champz = dir.join("junk.champsimz");
+    let champz_text = champz.to_str().unwrap();
+    std::fs::write(&champz, b"not a store").unwrap();
+    for (output, path, message) in [
+        (run(CHAMPSIM_RUN, &[cvpz_text]), cvpz_text, "unsupported trace-store version 1 "),
+        (run(CVP2CHAMPSIM, &["-t", cvpz_text]), cvpz_text, "regenerate this store"),
+        (run(TRACE_STATS, &[cvpz_text]), cvpz_text, "unsupported trace-store version 1 "),
+        (run(CHAMPSIM_RUN, &[champz_text]), champz_text, "not a trace store (bad magic)"),
+    ] {
+        assert_diagnostic(&output, &[path, message]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!stderr.contains("i/o error"), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn failed_conversion_leaves_no_output_file() {
     let dir = scratch_dir("partial");

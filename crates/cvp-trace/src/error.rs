@@ -57,6 +57,10 @@ pub enum TraceError {
         /// Zero-based index of the corrupted block.
         block: u64,
     },
+    /// A `.cvpz` store or `.etrace` stream refused its header or
+    /// framing (bad magic, unsupported version, wrong stream kind, a
+    /// malformed packet); carries that layer's own one-line message.
+    Container(String),
 }
 
 /// Which register list a [`TraceError::TooManyRegisters`] refers to.
@@ -102,6 +106,7 @@ impl fmt::Display for TraceError {
             TraceError::CorruptedBlock { block } => {
                 write!(f, "corrupted store block {block} (checksum or payload mismatch)")
             }
+            TraceError::Container(message) => f.write_str(message),
         }
     }
 }
@@ -136,6 +141,7 @@ mod tests {
             TraceError::InvalidTakenFlag { value: 7, offset: 1 },
             TraceError::InvalidAccessSize { size: 3, offset: 2 },
             TraceError::CorruptedBlock { block: 6 },
+            TraceError::Container("not a trace store (bad magic)".into()),
         ];
         for e in errs {
             let s = e.to_string();

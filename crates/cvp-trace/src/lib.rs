@@ -13,6 +13,8 @@
 //! * [`CvpInstruction`] / [`CvpClass`] — the in-memory instruction model,
 //! * [`CvpReader`] / [`CvpWriter`] — streaming binary codecs for the on-disk
 //!   record layout (see [`mod@format`] for the byte-level specification),
+//!   built on [`decode_record`] / [`encode_record`], the one record parser
+//!   and encoder, which block-compressed stores call on their blocks,
 //! * [`RegisterFile`] — the architectural register value tracker used by
 //!   trace consumers that need to reconstruct input values,
 //! * [`CvpTraceStats`] — one-pass workload characterization.
@@ -61,7 +63,7 @@ pub use insn::{
     CvpClass, CvpInstruction, OutputValue, Reg, FLAGS_REG, LINK_REG, MAX_DSTS, MAX_SRCS,
     NUM_INT_REGS, NUM_REGS, STACK_REG, VEC_REG_BASE,
 };
-pub use reader::CvpReader;
+pub use reader::{decode_record, CvpReader};
 pub use regfile::RegisterFile;
 pub use stats::CvpTraceStats;
 pub use writer::{encode_record, CvpWriter};

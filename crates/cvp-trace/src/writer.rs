@@ -8,7 +8,7 @@ use crate::insn::{CvpInstruction, NUM_INT_REGS, VEC_REG_BASE};
 /// This is the encoding primitive behind [`CvpWriter`]; block-store
 /// writers use it directly to fill record-aligned buffers without going
 /// through an I/O sink. The byte layout is the exact inverse of
-/// [`CvpReader`](crate::CvpReader); see [`format`](crate::format).
+/// [`decode_record`](crate::decode_record); see [`format`](crate::format).
 pub fn encode_record(insn: &CvpInstruction, out: &mut Vec<u8>) {
     out.extend_from_slice(&insn.pc.to_le_bytes());
     out.push(insn.class as u8);

@@ -22,6 +22,12 @@
 //! only in its checksum (byte-serial FNV-1a 64). Sequential readers
 //! never touch the index; seekable readers reach any block in O(1)
 //! through the tail.
+//!
+//! [`BlockReader`] hands out one whole checked block at a time, and the
+//! record readers decode straight from it. The header's `records` field
+//! is not covered by the checksum, so they hold every block to it: a
+//! record that does not parse, a different count, or bytes left over
+//! are all a corrupt block.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
@@ -43,10 +49,8 @@ pub const STREAM_CHAMPSIM: u8 = 2;
 /// Records per block before the writer cuts a new one.
 pub const DEFAULT_BLOCK_RECORDS: u32 = 65_536;
 /// Byte-size cap that also cuts a block (bounds writer/reader memory
-/// even for pathological record mixes). Record-stream readers size
-/// their decode buffers just above this so whole blocks always take the
-/// zero-copy path.
-pub(crate) const BLOCK_BYTES_CAP: usize = 8 << 20;
+/// even for pathological record mixes).
+const BLOCK_BYTES_CAP: usize = 8 << 20;
 /// Largest raw block a reader will allocate for; anything bigger in a
 /// header is treated as corruption rather than an allocation request.
 const MAX_RAW_BLOCK: u32 = 64 << 20;
@@ -309,33 +313,27 @@ impl<W: Write> BlockWriter<W> {
     }
 }
 
-/// Reads a block store sequentially from any [`Read`] source.
+/// Reads a block store sequentially from any [`Read`] source, one
+/// checked block at a time.
 ///
-/// Implements [`Read`] over the *decoded* record stream, so the
-/// existing record readers layer on top unchanged. When the caller's
-/// buffer can hold a whole block, the block is decoded straight into it
-/// — no copy through an internal buffer (the record readers size their
-/// buffers to make this the common path). Typed [`StoreError`]s are
-/// funneled through [`io::Error`] and recovered with
-/// `StoreError::from`.
+/// [`next_block`](Self::next_block) reads, decompresses, un-filters and
+/// checksums the next block into the reader's own buffer; the record
+/// readers decode their records straight from that buffer and hold
+/// each block to its header's record count.
 #[derive(Debug)]
 pub struct BlockReader<R> {
     inner: R,
     filter: Filter,
+    /// The last block read, decoded and checked.
     block: Vec<u8>,
-    pos: usize,
     comp: Vec<u8>,
-    block_idx: u64,
+    /// Zero-based index of the next block to read.
+    next: u64,
+    /// Bytes of `block` the record readers consumed, and the records
+    /// its header says are still to come.
+    pos: usize,
+    left: u32,
     done: bool,
-}
-
-/// Decoded per-block header fields.
-struct BlockHeader {
-    flags: u8,
-    records: u32,
-    raw_len: u32,
-    comp_len: u32,
-    checksum: u64,
 }
 
 impl<R: Read> BlockReader<R> {
@@ -352,7 +350,7 @@ impl<R: Read> BlockReader<R> {
             if e.kind() == io::ErrorKind::UnexpectedEof {
                 StoreError::BadMagic
             } else {
-                StoreError::from(e)
+                StoreError::Io(e)
             }
         })?;
         if header[..4] != MAGIC {
@@ -370,105 +368,106 @@ impl<R: Read> BlockReader<R> {
             inner,
             filter,
             block: Vec::new(),
-            pos: 0,
             comp: Vec::new(),
-            block_idx: 0,
+            next: 0,
+            pos: 0,
+            left: 0,
             done: false,
         })
     }
 
-    /// Zero-based index of the next block to be decoded.
-    pub fn next_block_index(&self) -> u64 {
-        self.block_idx
-    }
-
-    fn read_block_header(&mut self) -> Result<Option<BlockHeader>, StoreError> {
-        let block = self.block_idx;
-        let mut marker = [0u8; 1];
-        self.inner.read_exact(&mut marker).map_err(|e| truncated(e, block))?;
-        if marker[0] == END_MARKER {
+    /// Reads, decompresses, un-filters and checksums the next block,
+    /// returning its header's record count and its original bytes, or
+    /// `None` at the end of the stream.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::TruncatedBlock`], [`StoreError::CorruptBlock`] or
+    /// [`StoreError::ChecksumMismatch`] naming the block; I/O errors
+    /// from the source.
+    pub fn next_block(&mut self) -> Result<Option<(u32, &[u8])>, StoreError> {
+        if self.done {
+            return Ok(None);
+        }
+        // Until this block checks out, no record of it may be read.
+        self.left = 0;
+        let block = self.next;
+        let truncated = |e: io::Error| match e.kind() {
+            io::ErrorKind::UnexpectedEof => StoreError::TruncatedBlock { block },
+            _ => StoreError::Io(e),
+        };
+        let mut h = [0u8; 22];
+        self.inner.read_exact(&mut h[..1]).map_err(truncated)?;
+        if h[0] == END_MARKER {
             self.done = true;
             return Ok(None);
         }
-        if marker[0] != BLOCK_MARKER {
+        if h[0] != BLOCK_MARKER {
             return Err(StoreError::CorruptBlock { block });
         }
-        let mut h = [0u8; 21];
-        self.inner.read_exact(&mut h).map_err(|e| truncated(e, block))?;
-        let header = BlockHeader {
-            flags: h[0],
-            records: u32::from_le_bytes(h[1..5].try_into().expect("4 bytes")),
-            raw_len: u32::from_le_bytes(h[5..9].try_into().expect("4 bytes")),
-            comp_len: u32::from_le_bytes(h[9..13].try_into().expect("4 bytes")),
-            checksum: u64::from_le_bytes(h[13..21].try_into().expect("8 bytes")),
-        };
-        if header.records == 0
-            || header.raw_len == 0
-            || header.raw_len > MAX_RAW_BLOCK
-            || header.comp_len > MAX_RAW_BLOCK
-            || (header.flags & FLAG_LZ == 0 && header.comp_len != header.raw_len)
+        self.inner.read_exact(&mut h[1..]).map_err(truncated)?;
+        let word = |at: usize| u32::from_le_bytes(h[at..at + 4].try_into().expect("4 bytes"));
+        let (flags, records, raw_len, comp_len) = (h[1], word(2), word(6), word(10));
+        if records == 0
+            || raw_len == 0
+            || raw_len > MAX_RAW_BLOCK
+            || comp_len > MAX_RAW_BLOCK
+            || (flags & FLAG_LZ == 0 && comp_len != raw_len)
         {
             return Err(StoreError::CorruptBlock { block });
         }
-        Ok(Some(header))
-    }
-
-    /// Decodes the payload described by `header` into `dst`, which must
-    /// be exactly `header.raw_len` bytes.
-    fn decode_payload(&mut self, header: &BlockHeader, dst: &mut [u8]) -> Result<(), StoreError> {
-        let block = self.block_idx;
-        if header.flags & FLAG_LZ != 0 {
-            self.comp.resize(header.comp_len as usize, 0);
-            self.inner.read_exact(&mut self.comp).map_err(|e| truncated(e, block))?;
-            lz::decompress(&self.comp, dst).map_err(|_| StoreError::CorruptBlock { block })?;
+        self.block.resize(raw_len as usize, 0);
+        if flags & FLAG_LZ != 0 {
+            self.comp.resize(comp_len as usize, 0);
+            self.inner.read_exact(&mut self.comp).map_err(truncated)?;
+            lz::decompress(&self.comp, &mut self.block)
+                .map_err(|_| StoreError::CorruptBlock { block })?;
         } else {
-            self.inner.read_exact(dst).map_err(|e| truncated(e, block))?;
+            self.inner.read_exact(&mut self.block).map_err(truncated)?;
         }
-        self.filter.invert(dst).map_err(|_| StoreError::CorruptBlock { block })?;
-        if checksum(dst) != header.checksum {
+        self.filter.invert(&mut self.block).map_err(|_| StoreError::CorruptBlock { block })?;
+        if checksum(&self.block) != u64::from_le_bytes(h[14..22].try_into().expect("8 bytes")) {
             return Err(StoreError::ChecksumMismatch { block });
         }
-        self.block_idx += 1;
+        self.next += 1;
+        self.pos = 0;
+        self.left = records;
+        Ok(Some((records, &self.block)))
+    }
+
+    /// The unread bytes of the current block, reading the next block
+    /// first once the current one has given all the records its header
+    /// counts; `None` at the end of the stream. A record reader parses
+    /// one record from the front, then reports it with
+    /// [`took`](Self::took) or fails the block with
+    /// [`corrupt`](Self::corrupt). Readers build the record in their
+    /// return expression: passing it back through an `Option` first
+    /// measured as costly as parsing it.
+    #[inline]
+    pub(crate) fn records(&mut self) -> Result<Option<&[u8]>, StoreError> {
+        if self.left == 0 && self.next_block()?.is_none() {
+            return Ok(None);
+        }
+        Ok(Some(&self.block[self.pos..]))
+    }
+
+    /// Consumes one `len`-byte record of the current block. The block's
+    /// checksum does not cover its header's record count, so bytes left
+    /// after its last record fail it like a record that does not parse.
+    #[inline]
+    pub(crate) fn took(&mut self, len: usize) -> Result<(), StoreError> {
+        self.pos += len;
+        self.left -= 1;
+        if self.left == 0 && self.pos != self.block.len() {
+            return Err(self.corrupt());
+        }
         Ok(())
     }
-}
 
-fn truncated(e: io::Error, block: u64) -> StoreError {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        StoreError::TruncatedBlock { block }
-    } else {
-        StoreError::from(e)
-    }
-}
-
-impl<R: Read> Read for BlockReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.pos == self.block.len() {
-            if self.done {
-                return Ok(0);
-            }
-            // Zero-copy fast path: decode the whole next block directly
-            // into the caller's buffer when it fits.
-            let header = match self.read_block_header()? {
-                None => return Ok(0),
-                Some(h) => h,
-            };
-            let raw = header.raw_len as usize;
-            if buf.len() >= raw {
-                self.decode_payload(&header, &mut buf[..raw])?;
-                return Ok(raw);
-            }
-            self.block.resize(raw, 0);
-            let mut block = std::mem::take(&mut self.block);
-            let res = self.decode_payload(&header, &mut block);
-            self.block = block;
-            self.pos = 0;
-            res?;
-        }
-        let n = buf.len().min(self.block.len() - self.pos);
-        buf[..n].copy_from_slice(&self.block[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
+    /// The error for a current block whose bytes do not parse to the
+    /// records its header counts.
+    pub(crate) fn corrupt(&self) -> StoreError {
+        StoreError::CorruptBlock { block: self.next - 1 }
     }
 }
 
@@ -487,7 +486,7 @@ impl<R: Read + Seek> BlockReader<R> {
     }
 
     /// Positions the reader at the start of block `block` (O(1) via the
-    /// footer index). Any partially consumed block is discarded.
+    /// footer index). The rest of the current block is discarded.
     ///
     /// # Errors
     ///
@@ -496,9 +495,8 @@ impl<R: Read + Seek> BlockReader<R> {
     pub fn seek_to_block(&mut self, index: &StoreIndex, block: usize) -> Result<(), StoreError> {
         let entry = index.entries.get(block).ok_or(StoreError::BadIndex)?;
         self.inner.seek(SeekFrom::Start(entry.offset))?;
-        self.block.clear();
-        self.pos = 0;
-        self.block_idx = block as u64;
+        self.next = block as u64;
+        self.left = 0;
         self.done = false;
         Ok(())
     }
@@ -556,11 +554,17 @@ mod tests {
         buf
     }
 
-    fn read_all(store: &[u8]) -> Vec<u8> {
-        let mut r = BlockReader::new(store, STREAM_CVP).unwrap();
+    /// Concatenates the blocks from the reader's position to the end.
+    fn read_blocks<R: Read>(r: &mut BlockReader<R>) -> Result<Vec<u8>, StoreError> {
         let mut out = Vec::new();
-        r.read_to_end(&mut out).unwrap();
-        out
+        while let Some((_, bytes)) = r.next_block()? {
+            out.extend_from_slice(bytes);
+        }
+        Ok(out)
+    }
+
+    fn read_all(store: &[u8]) -> Vec<u8> {
+        read_blocks(&mut BlockReader::new(store, STREAM_CVP).unwrap()).unwrap()
     }
 
     fn sample_records(n: usize) -> Vec<Vec<u8>> {
@@ -601,6 +605,11 @@ mod tests {
         assert_eq!(index.entries.len(), 8); // 7 full + 1 partial
         assert_eq!(index.total_records, 37);
         assert_eq!(index.entries.iter().map(|e| u64::from(e.records)).sum::<u64>(), 37);
+        let mut counts = Vec::new();
+        while let Some((records, _)) = r.next_block().unwrap() {
+            counts.push(records);
+        }
+        assert_eq!(counts, index.entries.iter().map(|e| e.records).collect::<Vec<_>>());
     }
 
     #[test]
@@ -610,14 +619,10 @@ mod tests {
         let mut r = BlockReader::new(Cursor::new(&store), STREAM_CVP).unwrap();
         let index = r.read_index().unwrap();
         r.seek_to_block(&index, 3).unwrap();
-        let mut out = Vec::new();
-        r.read_to_end(&mut out).unwrap();
-        assert_eq!(out, records[12..].concat());
+        assert_eq!(read_blocks(&mut r).unwrap(), records[12..].concat());
         // Seeking backwards works too.
         r.seek_to_block(&index, 0).unwrap();
-        let mut out = Vec::new();
-        r.read_to_end(&mut out).unwrap();
-        assert_eq!(out, records.concat());
+        assert_eq!(read_blocks(&mut r).unwrap(), records.concat());
     }
 
     #[test]
@@ -631,9 +636,7 @@ mod tests {
         let target = index.entries[1].offset as usize + 22; // skip header
         store[target] ^= 0xFF;
         let mut r = BlockReader::new(store.as_slice(), STREAM_CVP).unwrap();
-        let mut out = Vec::new();
-        let err = r.read_to_end(&mut out).unwrap_err();
-        match StoreError::from(err) {
+        match read_blocks(&mut r).unwrap_err() {
             StoreError::ChecksumMismatch { block: 1 } | StoreError::CorruptBlock { block: 1 } => {}
             other => panic!("unexpected error: {other:?}"),
         }
@@ -648,9 +651,7 @@ mod tests {
         // Cut inside the third block.
         let cut = index.entries[2].offset as usize + 10;
         let mut r = BlockReader::new(&store[..cut], STREAM_CVP).unwrap();
-        let mut out = Vec::new();
-        let err = r.read_to_end(&mut out).unwrap_err();
-        match StoreError::from(err) {
+        match read_blocks(&mut r).unwrap_err() {
             StoreError::TruncatedBlock { block: 2 } => {}
             other => panic!("unexpected error: {other:?}"),
         }
@@ -747,10 +748,41 @@ mod tests {
         corpus
     }
 
+    /// Reads every record from block `b` to the end through the store's
+    /// record reader: the record count, or the block a decode failed in
+    /// (`None` for any other error).
+    fn records_from(
+        kind: u8,
+        bytes: &[u8],
+        index: &StoreIndex,
+        b: usize,
+    ) -> Result<usize, Option<u64>> {
+        use champsim_trace::ChampsimTraceError;
+        use cvp_trace::TraceError;
+        if kind == STREAM_CVP {
+            let mut r = crate::CvpzReader::new(Cursor::new(bytes)).unwrap();
+            r.seek_to_block(index, b).unwrap();
+            r.collect::<Result<Vec<_>, _>>().map(|v| v.len()).map_err(|e| match e {
+                TraceError::CorruptedBlock { block } => Some(block),
+                _ => None,
+            })
+        } else {
+            let mut r = crate::ChampsimzReader::new(Cursor::new(bytes)).unwrap();
+            r.seek_to_block(index, b).unwrap();
+            r.collect::<Result<Vec<_>, _>>().map(|v| v.len()).map_err(|e| match e {
+                ChampsimTraceError::CorruptedBlock { block } => Some(block),
+                _ => None,
+            })
+        }
+    }
+
     /// Flips every checksum and payload byte of every block, one at a
     /// time. Each flip must fail its own block or, where the LZ stream
     /// absorbs it (an offset moved to an identical earlier run), decode
     /// to the original bytes: never a panic, never a wrong clean decode.
+    /// Then flips every byte of each block's `records` header field,
+    /// which the checksum does not cover: read through `CvpzReader` and
+    /// `ChampsimzReader`, each must fail that block.
     #[test]
     fn every_flipped_payload_or_checksum_byte_fails_its_block() {
         let mut rng = Xoshiro256::seed_from_u64(0xf11b);
@@ -761,8 +793,7 @@ mod tests {
             let decode_block = |bytes: &[u8], b: usize| {
                 let mut r = BlockReader::new(Cursor::new(bytes), kind).unwrap();
                 r.seek_to_block(&index, b).unwrap();
-                let mut out = vec![0u8; index.entries[b].raw_len as usize];
-                r.read(&mut out).map(|n| out[..n].to_vec()).map_err(StoreError::from)
+                r.next_block().map(|block| block.expect("a block").1.to_vec())
             };
             for (b, entry) in index.entries.iter().enumerate() {
                 let want = decode_block(&store, b).unwrap();
@@ -783,6 +814,14 @@ mod tests {
                         Ok(_) => panic!("block {b} byte {pos}: wrong bytes decoded cleanly"),
                         Err(other) => panic!("block {b} byte {pos}: unexpected {other:?}"),
                     }
+                }
+                let remaining = index.entries[b..].iter().map(|e| e.records as usize).sum();
+                assert_eq!(records_from(kind, &store, &index, b), Ok(remaining));
+                for pos in at + 2..at + 6 {
+                    let mut bad = store.clone();
+                    bad[pos] ^= (rng.below(255) + 1) as u8;
+                    let got = records_from(kind, &bad, &index, b);
+                    assert_eq!(got, Err(Some(b as u64)), "block {b} count byte {pos}");
                 }
             }
         }
@@ -841,36 +880,5 @@ mod tests {
         let (buf, stats) = w.finish().unwrap();
         assert!(stats.compression_ratio() > 10.0, "ratio {}", stats.compression_ratio());
         assert_eq!(read_all(&buf), records.concat());
-    }
-
-    #[test]
-    fn zero_copy_path_matches_buffered_path() {
-        let records = sample_records(40);
-        let store = build_store(&records, 8);
-        let expect = records.concat();
-        // Big destination: every block lands via the fast path.
-        let mut r = BlockReader::new(store.as_slice(), STREAM_CVP).unwrap();
-        let mut big = vec![0u8; expect.len() + 64];
-        let mut got = Vec::new();
-        loop {
-            let n = r.read(&mut big).unwrap();
-            if n == 0 {
-                break;
-            }
-            got.extend_from_slice(&big[..n]);
-        }
-        assert_eq!(got, expect);
-        // Tiny destination: every block goes through the internal buffer.
-        let mut r = BlockReader::new(store.as_slice(), STREAM_CVP).unwrap();
-        let mut tiny = [0u8; 3];
-        let mut got = Vec::new();
-        loop {
-            let n = r.read(&mut tiny).unwrap();
-            if n == 0 {
-                break;
-            }
-            got.extend_from_slice(&tiny[..n]);
-        }
-        assert_eq!(got, expect);
     }
 }

@@ -3,8 +3,9 @@
 //! Mirrors the plain [`ChampsimReader`](champsim_trace::ChampsimReader)
 //! / [`ChampsimWriter`](champsim_trace::ChampsimWriter) API over the
 //! block container. Because every record is exactly
-//! [`RECORD_BYTES`] long, the reader decodes straight from the block
-//! buffer without a second framing layer.
+//! [`RECORD_BYTES`] long, the reader takes each record straight from
+//! the checked block [`BlockReader`] holds, with no second framing
+//! layer.
 
 use std::io::{Read, Seek, Write};
 
@@ -13,18 +14,6 @@ use champsim_trace::{ChampsimRecord, ChampsimTraceError, RECORD_BYTES};
 use crate::block::{BlockReader, BlockWriter, StoreIndex, StoreStats, STREAM_CHAMPSIM};
 use crate::error::StoreError;
 use crate::filter::Filter;
-
-/// Maps a store-layer failure to the trace crate's typed error so
-/// `.champsim.trace` and `.champsimz` consumers handle one error type.
-fn map_store(e: StoreError) -> ChampsimTraceError {
-    match e.block() {
-        Some(block) => ChampsimTraceError::CorruptedBlock { block },
-        None => match e {
-            StoreError::Io(io) => ChampsimTraceError::Io(io),
-            other => ChampsimTraceError::Io(other.into()),
-        },
-    }
-}
 
 /// Writes ChampSim records into a block-compressed store.
 #[derive(Debug)]
@@ -89,8 +78,9 @@ impl<W: Write> ChampsimzWriter<W> {
 /// Reads ChampSim records back out of a block-compressed store.
 ///
 /// Also an [`Iterator`] over `Result<ChampsimRecord,
-/// ChampsimTraceError>`. Store-level corruption surfaces as
-/// [`ChampsimTraceError::CorruptedBlock`].
+/// ChampsimTraceError>`. Store-level corruption, including a block whose
+/// length is not its header's record count times [`RECORD_BYTES`],
+/// surfaces as [`ChampsimTraceError::CorruptedBlock`].
 #[derive(Debug)]
 pub struct ChampsimzReader<R> {
     blocks: BlockReader<R>,
@@ -115,24 +105,12 @@ impl<R: Read> ChampsimzReader<R> {
     /// [`ChampsimTraceError::CorruptedBlock`] for store-level
     /// corruption; plain I/O errors otherwise.
     pub fn read(&mut self) -> Result<Option<ChampsimRecord>, ChampsimTraceError> {
-        let mut buf = [0u8; RECORD_BYTES];
-        let mut filled = 0;
-        while filled < RECORD_BYTES {
-            match self.blocks.read(&mut buf[filled..]) {
-                Ok(0) if filled == 0 => return Ok(None),
-                // Blocks always hold whole records, so a mid-record end
-                // of stream cannot happen on a store that passed its
-                // checksums; report it as corruption of the last block.
-                Ok(0) => {
-                    return Err(ChampsimTraceError::CorruptedBlock {
-                        block: self.blocks.next_block_index().saturating_sub(1),
-                    })
-                }
-                Ok(n) => filled += n,
-                Err(e) => return Err(map_store(StoreError::from(e))),
-            }
-        }
-        Ok(Some(ChampsimRecord::from_bytes(&buf)))
+        let Some(bytes) = self.blocks.records()? else { return Ok(None) };
+        let Some(&record) = bytes.first_chunk::<RECORD_BYTES>() else {
+            return Err(self.blocks.corrupt().into());
+        };
+        self.blocks.took(RECORD_BYTES)?;
+        Ok(Some(ChampsimRecord::from_bytes(&record)))
     }
 }
 

@@ -3,33 +3,16 @@
 //! [`CvpzWriter`] / [`CvpzReader`] mirror the plain
 //! [`CvpWriter`](cvp_trace::CvpWriter) / [`CvpReader`] API over the
 //! block container: same records, same order, several times smaller on
-//! disk. The reader decodes whole blocks straight into the record
-//! decoder's internal buffer (sized just above the block cap so the
-//! zero-copy path in [`BlockReader`] always hits).
+//! disk. The reader runs [`decode_record`], the one CVP-1 record
+//! parser, straight on each checked block from [`BlockReader`].
 
 use std::io::{Read, Seek, Write};
 
-use cvp_trace::{encode_record, CvpInstruction, CvpReader, TraceError};
+use cvp_trace::{decode_record, encode_record, CvpInstruction, TraceError};
 
-use crate::block::{BlockReader, BlockWriter, StoreIndex, StoreStats, BLOCK_BYTES_CAP, STREAM_CVP};
+use crate::block::{BlockReader, BlockWriter, StoreIndex, StoreStats, STREAM_CVP};
 use crate::error::StoreError;
 use crate::filter::Filter;
-
-/// Decode-buffer capacity: one max-size block plus slack, so every
-/// block decompresses directly into the record decoder's buffer.
-const DECODE_BUF: usize = BLOCK_BYTES_CAP + 512;
-
-/// Maps a store-layer failure to the trace crate's typed error so
-/// `.cvp` and `.cvpz` consumers handle one error type.
-pub(crate) fn map_store(e: StoreError) -> TraceError {
-    match e.block() {
-        Some(block) => TraceError::CorruptedBlock { block },
-        None => match e {
-            StoreError::Io(io) => TraceError::Io(io),
-            other => TraceError::Io(other.into()),
-        },
-    }
-}
 
 /// Writes CVP-1 records into a block-compressed store.
 #[derive(Debug)]
@@ -90,14 +73,12 @@ impl<W: Write> CvpzWriter<W> {
 /// Reads CVP-1 records back out of a block-compressed store.
 ///
 /// Also an [`Iterator`] over `Result<CvpInstruction, TraceError>`, like
-/// the plain reader. Store-level corruption surfaces as
+/// the plain reader. Store-level corruption, including a block whose
+/// records do not match its header's count, surfaces as
 /// [`TraceError::CorruptedBlock`].
 #[derive(Debug)]
 pub struct CvpzReader<R> {
-    /// Always `Some` between method calls; taken only inside
-    /// [`Self::seek_to_block`] to rebuild the decoder around the block
-    /// reader.
-    inner: Option<CvpReader<BlockReader<R>>>,
+    blocks: BlockReader<R>,
 }
 
 impl<R: Read> CvpzReader<R> {
@@ -109,25 +90,22 @@ impl<R: Read> CvpzReader<R> {
     /// [`StoreError::UnsupportedVersion`] / [`StoreError::UnknownFilter`]
     /// on a foreign file; I/O errors from the source.
     pub fn new(inner: R) -> Result<CvpzReader<R>, StoreError> {
-        let blocks = BlockReader::new(inner, STREAM_CVP)?;
-        Ok(CvpzReader { inner: Some(CvpReader::with_buffer_capacity(blocks, DECODE_BUF)) })
-    }
-
-    fn decoder(&mut self) -> &mut CvpReader<BlockReader<R>> {
-        self.inner.as_mut().expect("decoder present between calls")
+        Ok(CvpzReader { blocks: BlockReader::new(inner, STREAM_CVP)? })
     }
 
     /// Decodes the next record, or `Ok(None)` at a clean end of stream.
     ///
     /// # Errors
     ///
-    /// [`TraceError::CorruptedBlock`] for store-level corruption, plus
-    /// the plain reader's record-level errors.
+    /// [`TraceError::CorruptedBlock`] for store-level corruption; plain
+    /// I/O errors otherwise.
     pub fn read(&mut self) -> Result<Option<CvpInstruction>, TraceError> {
-        self.decoder().read().map_err(|e| match e {
-            TraceError::Io(io) => map_store(StoreError::from(io)),
-            other => other,
-        })
+        let Some(bytes) = self.blocks.records()? else { return Ok(None) };
+        let Ok((insn, len)) = decode_record(bytes, 0) else {
+            return Err(self.blocks.corrupt().into());
+        };
+        self.blocks.took(len)?;
+        Ok(Some(insn))
     }
 }
 
@@ -140,23 +118,18 @@ impl<R: Read + Seek> CvpzReader<R> {
     /// [`StoreError::BadIndex`] if the footer is missing or
     /// inconsistent.
     pub fn read_index(&mut self) -> Result<StoreIndex, StoreError> {
-        self.decoder().get_mut().read_index()
+        self.blocks.read_index()
     }
 
-    /// Repositions at the start of block `block` in O(1). Any buffered
-    /// records are discarded; the next [`read`](Self::read) returns the
-    /// block's first record.
+    /// Repositions at the start of block `block` in O(1). The rest of
+    /// the current block is discarded; the next [`read`](Self::read)
+    /// returns the block's first record.
     ///
     /// # Errors
     ///
     /// [`StoreError::BadIndex`] if `block` is out of range.
     pub fn seek_to_block(&mut self, index: &StoreIndex, block: usize) -> Result<(), StoreError> {
-        // Rebuild the record decoder so bytes it buffered ahead of the
-        // seek target are dropped along with the old block.
-        let mut blocks = self.inner.take().expect("decoder present between calls").into_inner();
-        let result = blocks.seek_to_block(index, block);
-        self.inner = Some(CvpReader::with_buffer_capacity(blocks, DECODE_BUF));
-        result
+        self.blocks.seek_to_block(index, block)
     }
 }
 

@@ -2,6 +2,9 @@ use std::error::Error;
 use std::fmt;
 use std::io;
 
+use champsim_trace::ChampsimTraceError;
+use cvp_trace::TraceError;
+
 use crate::block::VERSION;
 
 /// Errors produced while reading or writing block stores.
@@ -41,8 +44,9 @@ pub enum StoreError {
         /// Zero-based index of the corrupted block.
         block: u64,
     },
-    /// A block payload could not be decompressed or un-filtered (the
-    /// compressed byte stream itself is malformed).
+    /// A block is malformed: its header is inconsistent, its payload
+    /// could not be decompressed or un-filtered, or its checked bytes do
+    /// not parse to exactly the records its header counts.
     CorruptBlock {
         /// Zero-based index of the corrupted block.
         block: u64,
@@ -106,24 +110,30 @@ impl Error for StoreError {
 
 impl From<io::Error> for StoreError {
     fn from(e: io::Error) -> Self {
-        // Unwrap store errors that were funneled through `io::Error` by
-        // the `Read` adapter, so callers see the typed variant again.
-        if e.get_ref().is_some_and(|inner| inner.is::<StoreError>()) {
-            match e.into_inner().expect("checked above").downcast::<StoreError>() {
-                Ok(store) => *store,
-                Err(_) => unreachable!("downcast checked by is::<StoreError>()"),
-            }
-        } else {
-            StoreError::Io(e)
+        StoreError::Io(e)
+    }
+}
+
+/// Lifts a store failure into the CVP-1 error channel: a failure of one
+/// block is [`TraceError::CorruptedBlock`], a refused header or index
+/// is [`TraceError::Container`] with the store's own message.
+impl From<StoreError> for TraceError {
+    fn from(e: StoreError) -> Self {
+        match (e.block(), e) {
+            (Some(block), _) => TraceError::CorruptedBlock { block },
+            (None, StoreError::Io(io)) => TraceError::Io(io),
+            (None, other) => TraceError::Container(other.to_string()),
         }
     }
 }
 
-impl From<StoreError> for io::Error {
+/// The ChampSim twin of `From<StoreError> for TraceError`.
+impl From<StoreError> for ChampsimTraceError {
     fn from(e: StoreError) -> Self {
-        match e {
-            StoreError::Io(io) => io,
-            other => io::Error::new(io::ErrorKind::InvalidData, other),
+        match (e.block(), e) {
+            (Some(block), _) => ChampsimTraceError::CorruptedBlock { block },
+            (None, StoreError::Io(io)) => ChampsimTraceError::Io(io),
+            (None, other) => ChampsimTraceError::Container(other.to_string()),
         }
     }
 }
@@ -161,15 +171,31 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_io_error() {
-        let io_err: io::Error = StoreError::ChecksumMismatch { block: 11 }.into();
-        match StoreError::from(io_err) {
-            StoreError::ChecksumMismatch { block: 11 } => {}
-            other => panic!("lost the typed error: {other:?}"),
+    fn header_errors_keep_their_message_and_block_errors_their_block() {
+        let header = StoreError::UnsupportedVersion { version: 1 };
+        let message = header.to_string();
+        match TraceError::from(header) {
+            TraceError::Container(m) => assert_eq!(m, message),
+            other => panic!("unexpected {other:?}"),
         }
-        // A plain I/O error stays a plain I/O error.
-        match StoreError::from(io::Error::other("plain")) {
-            StoreError::Io(_) => {}
+        assert_eq!(
+            TraceError::from(StoreError::BadMagic).to_string(),
+            "not a trace store (bad magic)"
+        );
+        match ChampsimTraceError::from(StoreError::WrongStreamKind { found: 1, expected: 2 }) {
+            ChampsimTraceError::Container(m) => assert!(!m.contains("i/o error"), "{m}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        match TraceError::from(StoreError::ChecksumMismatch { block: 11 }) {
+            TraceError::CorruptedBlock { block: 11 } => {}
+            other => panic!("unexpected {other:?}"),
+        }
+        match ChampsimTraceError::from(StoreError::TruncatedBlock { block: 3 }) {
+            ChampsimTraceError::CorruptedBlock { block: 3 } => {}
+            other => panic!("unexpected {other:?}"),
+        }
+        match TraceError::from(StoreError::Io(io::Error::other("plain"))) {
+            TraceError::Io(_) => {}
             other => panic!("unexpected {other:?}"),
         }
     }

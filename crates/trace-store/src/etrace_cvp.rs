@@ -112,11 +112,12 @@ pub fn rv_items_to_cvp(program: &Program, items: &[TraceItem]) -> Vec<CvpInstruc
 }
 
 /// Lifts an [`EtraceError`] into the [`TraceError`] channel the shared
-/// reader dispatch speaks, preserving the one-line message.
-pub(crate) fn map_etrace(e: EtraceError) -> TraceError {
+/// reader dispatch speaks: framing errors become
+/// [`TraceError::Container`] with their one-line message.
+fn map_etrace(e: EtraceError) -> TraceError {
     match e {
         EtraceError::Io(io) => TraceError::Io(io),
-        other => TraceError::Io(std::io::Error::other(other.to_string())),
+        other => TraceError::Container(other.to_string()),
     }
 }
 
@@ -131,7 +132,7 @@ impl EtraceCvpReader {
     ///
     /// # Errors
     ///
-    /// Any framing [`EtraceError`], lifted into [`TraceError::Io`].
+    /// Any framing [`EtraceError`], lifted into [`TraceError::Container`].
     pub fn new<R: Read>(inner: R) -> Result<EtraceCvpReader, TraceError> {
         Ok(EtraceCvpReader { inner: EtraceReader::new(inner).map_err(map_etrace)? })
     }
@@ -141,7 +142,7 @@ impl EtraceCvpReader {
     ///
     /// # Errors
     ///
-    /// Decode errors, lifted into [`TraceError::Io`].
+    /// Decode errors, lifted into [`TraceError::Container`].
     pub fn read(&mut self) -> Result<Option<CvpInstruction>, TraceError> {
         match self.inner.read().map_err(map_etrace)? {
             Some(decoded) => Ok(Some(decoded_to_cvp(&decoded))),

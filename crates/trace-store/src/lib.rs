@@ -23,15 +23,22 @@
 //!
 //! ```text
 //! CvpzWriter / ChampsimzWriter          CvpzReader / ChampsimzReader
-//!        │  records                              ▲  records
-//!        ▼                                       │
+//!        │  records                              ▲  records, parsed from
+//!        ▼                                       │  the block's bytes
 //!   BlockWriter ──filter──lz──► [file] ──lz──filter──► BlockReader
+//!                                            (one checked block at a time)
 //! ```
 //!
+//! The readers take no byte-stream detour: [`BlockReader::next_block`]
+//! decodes and checks a whole block into its own buffer, and
+//! `CvpzReader` (with [`cvp_trace::decode_record`]) and
+//! `ChampsimzReader` parse records straight from it, holding each block
+//! to its header's record count.
+//!
 //! [`CvpTraceReader`] / [`ChampsimTraceReader`] (and the writer twins)
-//! dispatch between flat files and stores by extension, which is how
-//! the command-line tools accept `.cvpz` / `.champsimz` anywhere a
-//! trace path is expected.
+//! dispatch between flat files and stores through one extension table
+//! (read by [`Encoding::of`]), which is how the command-line tools
+//! accept `.cvpz` / `.champsimz` anywhere a trace path is expected.
 //!
 //! # Example
 //!
@@ -74,6 +81,5 @@ pub use cvpz::{CvpzReader, CvpzWriter};
 pub use error::StoreError;
 pub use etrace_cvp::{decoded_to_cvp, rv_items_to_cvp, EtraceCvpReader};
 pub use open::{
-    is_cvp_family_path, is_etrace_path, is_store_path, ChampsimTraceReader, ChampsimTraceWriter,
-    CvpTraceReader, CvpTraceWriter, CHAMPSIMZ_EXT, CVPZ_EXT, ETRACE_EXT,
+    ChampsimTraceReader, ChampsimTraceWriter, CvpTraceReader, CvpTraceWriter, Encoding,
 };

@@ -1,10 +1,10 @@
-//! Path-dispatch helpers: open a trace as plain or block-compressed
-//! based on its file extension.
+//! Path dispatch: one extension table names every trace encoding, and
+//! the reader/writer enums open a path as the encoding it names.
 //!
 //! The command-line tools accept both flat record files and `.cvpz` /
 //! `.champsimz` stores on every trace argument; these enums give them
 //! one reader/writer type per stream kind, chosen by
-//! [`is_store_path`]. Readers iterate identically in both modes;
+//! [`Encoding::of`]. Readers iterate identically in both modes;
 //! writers report [`StoreStats`] from [`finish`](CvpTraceWriter::finish)
 //! when the store path was taken.
 
@@ -17,53 +17,45 @@ use cvp_trace::{CvpInstruction, CvpReader, CvpWriter, TraceError};
 
 use crate::block::StoreStats;
 use crate::champsimz::{ChampsimzReader, ChampsimzWriter};
-use crate::cvpz::{map_store, CvpzReader, CvpzWriter};
-use crate::error::StoreError;
+use crate::cvpz::{CvpzReader, CvpzWriter};
 use crate::etrace_cvp::EtraceCvpReader;
 
-/// File extension marking a block-compressed CVP-1 store.
-pub const CVPZ_EXT: &str = "cvpz";
-/// File extension marking a block-compressed ChampSim store.
-pub const CHAMPSIMZ_EXT: &str = "champsimz";
-/// File extension marking a RISC-V E-Trace branch trace (re-exported
-/// from the `etrace` crate so dispatch and format agree).
-pub const ETRACE_EXT: &str = etrace::ETRACE_EXT;
-
-/// Whether `path` names a block-compressed store (by extension).
-pub fn is_store_path(path: &Path) -> bool {
-    matches!(
-        path.extension().and_then(|e| e.to_str()),
-        Some(e) if e.eq_ignore_ascii_case(CVPZ_EXT) || e.eq_ignore_ascii_case(CHAMPSIMZ_EXT)
-    )
+/// A trace file encoding, as its extension names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Encoding {
+    /// `.cvp`: flat CVP-1 records.
+    Cvp,
+    /// `.cvpz`: a block-compressed CVP-1 store.
+    Cvpz,
+    /// `.etrace`: a RISC-V E-Trace branch trace.
+    Etrace,
+    /// `.champsimtrace`: flat ChampSim 64-byte records.
+    Champsim,
+    /// `.champsimz`: a block-compressed ChampSim store.
+    Champsimz,
 }
 
-/// Whether `path` names an E-Trace branch trace (by extension).
-pub fn is_etrace_path(path: &Path) -> bool {
-    matches!(
-        path.extension().and_then(|e| e.to_str()),
-        Some(e) if e.eq_ignore_ascii_case(ETRACE_EXT)
-    )
-}
+/// The one extension table: every trace extension the workspace reads
+/// or writes, with the encoding it names.
+const EXTENSIONS: [(&str, Encoding); 5] = [
+    ("cvp", Encoding::Cvp),
+    ("cvpz", Encoding::Cvpz),
+    (etrace::ETRACE_EXT, Encoding::Etrace),
+    ("champsimtrace", Encoding::Champsim),
+    ("champsimz", Encoding::Champsimz),
+];
 
-/// Whether `path` names a CVP-family trace (by extension): a flat
-/// `.cvp` stream, a `.cvpz` store or an `.etrace` branch trace, the
-/// inputs [`CvpTraceReader`] decodes to CVP instructions that must be
-/// converted before a ChampSim-model run.
-pub fn is_cvp_family_path(path: &Path) -> bool {
-    is_etrace_path(path)
-        || matches!(
-            path.extension().and_then(|e| e.to_str()),
-            Some(e) if e.eq_ignore_ascii_case("cvp") || e.eq_ignore_ascii_case(CVPZ_EXT)
-        )
-}
+impl Encoding {
+    /// The encoding `path`'s extension names in the extension table
+    /// (case-insensitively), if any.
+    pub fn of(path: &Path) -> Option<Encoding> {
+        let ext = path.extension()?.to_str()?;
+        EXTENSIONS.iter().find(|(name, _)| ext.eq_ignore_ascii_case(name)).map(|&(_, e)| e)
+    }
 
-fn champsim_store(e: StoreError) -> ChampsimTraceError {
-    match e {
-        StoreError::Io(io) => ChampsimTraceError::Io(io),
-        other => match other.block() {
-            Some(block) => ChampsimTraceError::CorruptedBlock { block },
-            None => ChampsimTraceError::Io(other.into()),
-        },
+    /// Whether `path` names a block-compressed store of either kind.
+    fn is_store(path: &Path) -> bool {
+        matches!(Encoding::of(path), Some(Encoding::Cvpz | Encoding::Champsimz))
     }
 }
 
@@ -84,12 +76,13 @@ impl CvpTraceReader {
     /// # Errors
     ///
     /// I/O errors opening the file; store or E-Trace header errors (as
-    /// [`TraceError::Io`]) if the file is not valid for its extension.
+    /// [`TraceError::Container`]) if the file is not valid for its
+    /// extension. A name the table does not know opens as flat CVP-1.
     pub fn open(path: &Path) -> Result<CvpTraceReader, TraceError> {
         let file = File::open(path)?;
-        if is_store_path(path) {
-            Ok(CvpTraceReader::Store(CvpzReader::new(file).map_err(map_store)?))
-        } else if is_etrace_path(path) {
+        if Encoding::is_store(path) {
+            Ok(CvpTraceReader::Store(CvpzReader::new(file)?))
+        } else if Encoding::of(path) == Some(Encoding::Etrace) {
             Ok(CvpTraceReader::Etrace(Box::new(EtraceCvpReader::new(BufReader::new(file))?)))
         } else {
             Ok(CvpTraceReader::Plain(CvpReader::new(BufReader::new(file))))
@@ -147,15 +140,15 @@ impl CvpTraceWriter {
     /// not carry, so it is rejected here; use `etrace::EtraceWriter`
     /// with a generated program instead.
     pub fn create(path: &Path) -> Result<CvpTraceWriter, TraceError> {
-        if is_etrace_path(path) {
+        if Encoding::of(path) == Some(Encoding::Etrace) {
             return Err(TraceError::Io(std::io::Error::other(
                 "cannot write .etrace from flat cvp records (no program image); \
                  use the etrace writer",
             )));
         }
         let file = File::create(path)?;
-        if is_store_path(path) {
-            Ok(CvpTraceWriter::Store(CvpzWriter::new(file).map_err(map_store)?))
+        if Encoding::is_store(path) {
+            Ok(CvpTraceWriter::Store(CvpzWriter::new(file)?))
         } else {
             Ok(CvpTraceWriter::Plain(CvpWriter::new(BufWriter::new(file))))
         }
@@ -169,7 +162,7 @@ impl CvpTraceWriter {
     pub fn write(&mut self, insn: &CvpInstruction) -> Result<(), TraceError> {
         match self {
             CvpTraceWriter::Plain(w) => w.write(insn),
-            CvpTraceWriter::Store(w) => w.write(insn).map_err(map_store),
+            CvpTraceWriter::Store(w) => Ok(w.write(insn)?),
         }
     }
 
@@ -194,7 +187,7 @@ impl CvpTraceWriter {
                 Ok(None)
             }
             CvpTraceWriter::Store(w) => {
-                let (_, stats) = w.finish().map_err(map_store)?;
+                let (_, stats) = w.finish()?;
                 Ok(Some(stats))
             }
         }
@@ -216,12 +209,12 @@ impl ChampsimTraceReader {
     /// # Errors
     ///
     /// I/O errors opening the file; store header errors (as
-    /// [`ChampsimTraceError::Io`]) if a `.champsimz` file is not a
-    /// valid store.
+    /// [`ChampsimTraceError::Container`]) if a `.champsimz` file is not
+    /// a valid store.
     pub fn open(path: &Path) -> Result<ChampsimTraceReader, ChampsimTraceError> {
         let file = File::open(path)?;
-        if is_store_path(path) {
-            Ok(ChampsimTraceReader::Store(ChampsimzReader::new(file).map_err(champsim_store)?))
+        if Encoding::is_store(path) {
+            Ok(ChampsimTraceReader::Store(ChampsimzReader::new(file)?))
         } else {
             Ok(ChampsimTraceReader::Plain(ChampsimReader::new(BufReader::new(file))))
         }
@@ -266,8 +259,8 @@ impl ChampsimTraceWriter {
     /// I/O errors creating the file or writing the store header.
     pub fn create(path: &Path) -> Result<ChampsimTraceWriter, ChampsimTraceError> {
         let file = File::create(path)?;
-        if is_store_path(path) {
-            Ok(ChampsimTraceWriter::Store(ChampsimzWriter::new(file).map_err(champsim_store)?))
+        if Encoding::is_store(path) {
+            Ok(ChampsimTraceWriter::Store(ChampsimzWriter::new(file)?))
         } else {
             Ok(ChampsimTraceWriter::Plain(ChampsimWriter::new(BufWriter::new(file))))
         }
@@ -281,7 +274,7 @@ impl ChampsimTraceWriter {
     pub fn write(&mut self, rec: &ChampsimRecord) -> Result<(), ChampsimTraceError> {
         match self {
             ChampsimTraceWriter::Plain(w) => w.write(rec),
-            ChampsimTraceWriter::Store(w) => w.write(rec).map_err(champsim_store),
+            ChampsimTraceWriter::Store(w) => Ok(w.write(rec)?),
         }
     }
 
@@ -306,7 +299,7 @@ impl ChampsimTraceWriter {
                 Ok(None)
             }
             ChampsimTraceWriter::Store(w) => {
-                let (_, stats) = w.finish().map_err(champsim_store)?;
+                let (_, stats) = w.finish()?;
                 Ok(Some(stats))
             }
         }
@@ -319,21 +312,28 @@ mod tests {
 
     #[test]
     fn store_paths_are_detected_by_extension() {
-        assert!(is_store_path(Path::new("a/b/trace.cvpz")));
-        assert!(is_store_path(Path::new("trace.CVPZ")));
-        assert!(is_store_path(Path::new("t.champsimz")));
-        assert!(!is_store_path(Path::new("trace.cvp")));
-        assert!(!is_store_path(Path::new("trace.champsimtrace")));
-        assert!(!is_store_path(Path::new("cvpz")));
+        assert!(Encoding::is_store(Path::new("a/b/trace.cvpz")));
+        assert!(Encoding::is_store(Path::new("trace.CVPZ")));
+        assert!(Encoding::is_store(Path::new("t.champsimz")));
+        assert!(!Encoding::is_store(Path::new("trace.cvp")));
+        assert!(!Encoding::is_store(Path::new("trace.champsimtrace")));
+        assert!(!Encoding::is_store(Path::new("cvpz")));
     }
 
     #[test]
     fn cvp_family_paths_are_detected_by_extension() {
-        for path in ["t.cvp", "a/t.CVP", "t.cvpz", "t.etrace"] {
-            assert!(is_cvp_family_path(Path::new(path)), "{path}");
-        }
-        for path in ["t.champsimtrace", "t.champsimz", "t.bin", "cvp"] {
-            assert!(!is_cvp_family_path(Path::new(path)), "{path}");
+        let cases = [
+            ("t.cvp", Some(Encoding::Cvp)),
+            ("a/t.CVP", Some(Encoding::Cvp)),
+            ("t.cvpz", Some(Encoding::Cvpz)),
+            ("t.etrace", Some(Encoding::Etrace)),
+            ("t.champsimtrace", Some(Encoding::Champsim)),
+            ("t.champsimz", Some(Encoding::Champsimz)),
+            ("t.bin", None),
+            ("cvp", None),
+        ];
+        for (path, want) in cases {
+            assert_eq!(Encoding::of(Path::new(path)), want, "{path}");
         }
     }
 

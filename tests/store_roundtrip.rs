@@ -155,6 +155,7 @@ fn store_extension_dispatch_is_the_only_behavior_switch() {
         flat_cvp_bytes(&insns),
         "plain output is the raw CVP byte stream"
     );
-    assert!(!trace_rebase::store::is_store_path(Path::new("t.cvp")));
+    let cvp = Some(trace_rebase::store::Encoding::Cvp);
+    assert_eq!(trace_rebase::store::Encoding::of(Path::new("t.cvp")), cvp);
     std::fs::remove_dir_all(&dir).unwrap();
 }
