@@ -253,6 +253,24 @@ fn rv_kinds_require_an_etrace_output_path_and_vice_versa() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Flat CVP records cannot become an `.etrace` (no program image):
+/// that is a usage error, printed as the writer's own message rather
+/// than as a failed write.
+#[test]
+fn etrace_output_for_flat_kinds_is_not_an_io_error() {
+    let dir = scratch_dir("etraceusage");
+    let path = dir.join("x.etrace");
+    let output = run(
+        TRACEGEN,
+        &["--kind", "crypto", "--seed", "1", "--length", "100", "-o", path.to_str().unwrap()],
+    );
+    assert_diagnostic(&output, &["tracegen:", "x.etrace", "cannot write .etrace"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("i/o error"), "{stderr}");
+    assert!(!path.exists(), "nothing is written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `champsim-run` accepts exactly the server's five extensions: a valid
 /// flat ChampSim file named `.bin` is refused with the job API's
 /// wording instead of being run.

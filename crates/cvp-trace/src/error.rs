@@ -59,7 +59,8 @@ pub enum TraceError {
     },
     /// A `.cvpz` store or `.etrace` stream refused its header or
     /// framing (bad magic, unsupported version, wrong stream kind, a
-    /// malformed packet); carries that layer's own one-line message.
+    /// malformed packet), or a path names a container flat records
+    /// cannot be written to; carries that layer's own one-line message.
     Container(String),
 }
 

@@ -4,34 +4,43 @@
 //! Every `(trace, config)` cell of an experiment needs the trace's CVP
 //! instruction stream; without sharing, the grid would regenerate each
 //! trace once per improvement set (10×) and Table 3 once per conversion.
-//! The cache generates each trace exactly once per `(TraceSpec, length)`
-//! key and hands out `Arc` clones.
+//! The cache computes each artifact once per key and hands out `Arc`
+//! clones.
 //!
-//! At paper scale the whole suite would not fit in memory (135 traces ×
-//! 120k instructions ≈ 1.8 GB of instructions), so trace fetches use
-//! **budgeted eviction**: each fetch declares the total number of uses
-//! planned for its key, and the entry leaves the cache after the last
-//! planned fetch. With the scheduler's trace-major job order the live
-//! window stays a handful of traces wide regardless of suite size. All
-//! fetchers of one key must declare the same total; a fetch beyond the
-//! declared budget recomputes (and recounts as a miss).
+//! One rule bounds its memory: **idle entries are evicted, least
+//! recently used first, while the resident bytes exceed the budget**
+//! ([`ArtifactCache::budget_bytes`]). Each fetch stamps its entry as the
+//! most recent once the artifact is ready, so a conversion is always
+//! more recent than the trace it was converted from. After the fetch,
+//! while the resident total is over the budget, idle entries (computed,
+//! and held by no caller) leave the cache, least recently fetched first.
+//! An entry still computing or still held is never evicted, so the
+//! total exceeds the budget only while callers hold more than it. An
+//! evicted artifact is recomputed, and counted as a miss, on its next
+//! fetch; artifacts are deterministic, so that changes no result.
 //!
-//! Conversions have two rules. An experiment cell uses its conversion
+//! The budget is [`BUDGET_BYTES`], or [`BUDGET_ARTIFACTS`] times the
+//! largest artifact the cache has computed if that is more: the floor
+//! holds working sets of many small sources, the multiple working sets
+//! of a few large ones.
+//!
+//! The scheduler orders experiment cells trace-major, so the traces in
+//! use at once are the few in flight, and the budget holds them: each
+//! trace still generates once. Each experiment cell uses its conversion
 //! exactly once, so [`SharedRunner::simulate`] streams it straight into
 //! the simulator and only reports its count and CPU time here
 //! ([`ArtifactCache::add_conversion`]). The job server cannot know its
-//! future requests, so [`ArtifactCache::converted_shared`] keeps each
+//! future requests; [`ArtifactCache::converted_shared`] caches each
 //! `(TraceSpec, length, ImprovementSet)` conversion, and the trace it
-//! came from, for the cache's lifetime.
+//! came from, under the same rule.
 //!
 //! The cache also aggregates per-phase CPU time (generate / convert /
-//! simulate), hit/miss counts and the high-water mark of resident
-//! artifact bytes, snapshot via [`ArtifactCache::counters`].
+//! simulate), hit, miss and eviction counts, and the high-water mark of
+//! resident artifact bytes, snapshot via [`ArtifactCache::counters`].
 //!
 //! [`SharedRunner::simulate`]: crate::runner::SharedRunner::simulate
 
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
@@ -40,6 +49,18 @@ use champsim_trace::{ChampsimRecord, RECORD_BYTES};
 use converter::{ConversionStats, Converter, ImprovementSet};
 use cvp_trace::CvpInstruction;
 use workloads::TraceSpec;
+
+/// The budget's floor in resident artifact bytes. The largest in-tree
+/// working set of small sources is the paper-scale grid at two threads:
+/// two 13.44 MB traces in flight.
+pub const BUDGET_BYTES: u64 = 32 << 20;
+
+/// The budget in multiples of the largest artifact computed, where that
+/// exceeds [`BUDGET_BYTES`]. A single-worker server alternating between
+/// two sources keeps both conversions and the newer trace, about 2.2 of
+/// the largest artifact (a trace); server_bench's sharding phase does
+/// that with 200k- and 400k-instruction sources.
+pub const BUDGET_ARTIFACTS: u64 = 3;
 
 /// A converted trace: the immutable shared record buffer plus the
 /// conversion statistics that produced it. Cloning is cheap.
@@ -64,11 +85,13 @@ pub struct CacheCounters {
     /// Shared conversion fetches served from the cache.
     pub convert_hits: u64,
     /// Conversions run: each streamed experiment conversion, and each
-    /// shared conversion computed on its first fetch.
+    /// shared conversion computed on a fetch that missed.
     pub convert_misses: u64,
-    /// High-water mark of resident artifact bytes: artifacts held
-    /// between their computation and their last planned fetch (the
-    /// run's cache working set).
+    /// Idle artifacts evicted to bring the resident bytes back within
+    /// the budget.
+    pub evictions: u64,
+    /// High-water mark of resident artifact bytes: artifacts held from
+    /// their computation until their eviction.
     pub peak_resident_bytes: u64,
     /// Nanoseconds spent generating CVP traces.
     pub generate_ns: u64,
@@ -99,55 +122,91 @@ fn hit_rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
-/// An artifact the cache holds, with its resident size.
-trait Artifact: Clone {
-    /// Approximate payload size, charged to the resident total.
-    fn mem_bytes(&self) -> u64;
+/// What an artifact is computed from: a trace spec at its length, and
+/// for a conversion the improvement set.
+type Key = (TraceSpec, Option<ImprovementSet>);
+
+/// An artifact the cache holds.
+#[derive(Clone)]
+enum Artifact {
+    Trace(Arc<[CvpInstruction]>),
+    Converted(ConvertedTrace),
 }
 
-impl Artifact for Arc<[CvpInstruction]> {
-    fn mem_bytes(&self) -> u64 {
-        (self.len() * std::mem::size_of::<CvpInstruction>()) as u64
+impl Artifact {
+    /// The payload's resident bytes, and whether a clone outside the
+    /// cache still holds it.
+    fn footprint(&self) -> (u64, bool) {
+        let (len, size, holders) = match self {
+            Artifact::Trace(t) => (t.len(), size_of::<CvpInstruction>(), Arc::strong_count(t)),
+            Artifact::Converted(c) => {
+                (c.records.len(), RECORD_BYTES, Arc::strong_count(&c.records))
+            }
+        };
+        ((len * size) as u64, holders > 1)
     }
 }
 
-impl Artifact for ConvertedTrace {
-    fn mem_bytes(&self) -> u64 {
-        (self.records.len() * RECORD_BYTES) as u64
-    }
+/// An artifact's compute-once cell. The first fetcher fills it; later
+/// fetchers of *this* key wait for it, fetchers of other keys never do.
+type Cell = Arc<OnceLock<Artifact>>;
+
+/// The resident bytes of an idle artifact: computed, with no fetcher
+/// holding its cell and no caller holding its payload. `None` for one
+/// in use. Fetchers clone a cell only under the entries lock, so an
+/// artifact idle under that lock stays idle until it is released.
+fn idle_bytes(cell: &Cell) -> Option<u64> {
+    let (bytes, shared) = cell.get()?.footprint();
+    (!shared && Arc::strong_count(cell) == 1).then_some(bytes)
 }
 
-/// One cached artifact: the compute-once cell plus its remaining budget.
-struct Entry<T> {
-    /// Filled by the first fetcher. Later fetchers of *this* key wait
-    /// for it; fetchers of other keys never do.
-    cell: Arc<OnceLock<T>>,
-    /// Planned fetches left before the entry leaves the map.
-    remaining: u64,
-}
-
-type Map<K, T> = Mutex<HashMap<K, Entry<T>>>;
-
-/// Recovers a lock from a panicked holder: a map is valid at any
+/// Recovers a lock from a panicked holder: the entries are valid at any
 /// observable point.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The cached artifacts, found by key and ordered by recency.
+#[derive(Default)]
+struct Entries {
+    /// Each artifact's cell and recency stamp.
+    cells: HashMap<Key, (Cell, u64)>,
+    /// The same keys by stamp, least recently fetched first.
+    recency: BTreeMap<u64, Key>,
+    /// The last stamp issued.
+    clock: u64,
+}
+
+impl Entries {
+    /// Stamps `key`'s entry, created if absent, as the most recently
+    /// fetched, and returns its cell.
+    fn touch(&mut self, key: &Key) -> Cell {
+        self.clock += 1;
+        // A new entry's stamp is 0, which no entry holds in `recency`.
+        let (cell, stamp) = self.cells.entry(key.clone()).or_default();
+        self.recency.remove(stamp);
+        *stamp = self.clock;
+        self.recency.insert(self.clock, key.clone());
+        Arc::clone(cell)
+    }
 }
 
 /// The shared artifact cache. One instance per scheduled experiment or
 /// server; share it by reference across worker threads.
 #[derive(Default)]
 pub struct ArtifactCache {
-    traces: Map<TraceSpec, Arc<[CvpInstruction]>>,
-    conversions: Map<(TraceSpec, ImprovementSet), ConvertedTrace>,
-    /// Bytes of artifacts between computation and last planned fetch.
+    entries: Mutex<Entries>,
+    /// Bytes of artifacts computed and not yet evicted.
     resident: AtomicU64,
     /// High-water mark of `resident`.
     peak_bytes: AtomicU64,
+    /// Bytes of the largest artifact computed.
+    largest: AtomicU64,
     trace_hits: AtomicU64,
     trace_misses: AtomicU64,
     convert_hits: AtomicU64,
     convert_misses: AtomicU64,
+    evictions: AtomicU64,
     generate_ns: AtomicU64,
     convert_ns: AtomicU64,
     simulate_ns: AtomicU64,
@@ -159,45 +218,44 @@ impl ArtifactCache {
         ArtifactCache::default()
     }
 
-    /// Fetches (generating on first use) the CVP instruction stream for
-    /// `spec` truncated/extended to `length` instructions. `uses` is the
-    /// total number of fetches planned for this `(spec, length)` key
-    /// across the whole run; after the last one the buffer leaves the
-    /// cache (callers' `Arc` clones stay valid). `u64::MAX` keeps it for
-    /// the cache's lifetime.
-    pub fn trace(&self, spec: &TraceSpec, length: usize, uses: u64) -> Arc<[CvpInstruction]> {
-        let key = spec.clone().with_length(length);
-        self.fetch(&self.traces, &key, uses, (&self.trace_hits, &self.trace_misses), || {
+    /// Fetches (generating on a miss) the CVP instruction stream for
+    /// `spec` truncated/extended to `length` instructions.
+    pub fn trace(&self, spec: &TraceSpec, length: usize) -> Arc<[CvpInstruction]> {
+        let spec = spec.clone().with_length(length);
+        match self.fetch((spec.clone(), None), (&self.trace_hits, &self.trace_misses), || {
             let start = Instant::now();
-            let trace: Arc<[CvpInstruction]> = Arc::from(key.generate());
+            let trace = Arc::from(spec.generate());
             self.generate_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            trace
-        })
+            Artifact::Trace(trace)
+        }) {
+            Artifact::Trace(trace) => trace,
+            Artifact::Converted(_) => unreachable!("a trace key holds a trace"),
+        }
     }
 
-    /// Fetches (converting on first use) the ChampSim record buffer for
-    /// `spec` at `length` under `improvements`. The conversion and its
-    /// trace stay cached for every later fetch: a serving workload
-    /// cannot declare its fetch count up front, since jobs arrive over
-    /// the process lifetime.
+    /// Fetches (converting on a miss) the ChampSim record buffer for
+    /// `spec` at `length` under `improvements`, through the trace cache.
     pub fn converted_shared(
         &self,
         spec: &TraceSpec,
         length: usize,
         improvements: ImprovementSet,
     ) -> ConvertedTrace {
-        let key = (spec.clone().with_length(length), improvements);
-        let counters = (&self.convert_hits, &self.convert_misses);
-        self.fetch(&self.conversions, &key, u64::MAX, counters, || {
-            let cvp = self.trace(spec, length, u64::MAX);
+        let key = (spec.clone().with_length(length), Some(improvements));
+        match self.fetch(key, (&self.convert_hits, &self.convert_misses), || {
+            let cvp = self.trace(spec, length);
             // The trace fetch times itself into `generate_ns`; only the
             // converter run below counts as conversion time.
             let start = Instant::now();
             let mut converter = Converter::new(improvements);
             let records = converter.convert_all(cvp.iter());
             self.convert_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            ConvertedTrace { records: Arc::from(records), stats: *converter.stats() }
-        })
+            let converted = ConvertedTrace { records: records.into(), stats: *converter.stats() };
+            Artifact::Converted(converted)
+        }) {
+            Artifact::Converted(converted) => converted,
+            Artifact::Trace(_) => unreachable!("a conversion key holds a conversion"),
+        }
     }
 
     /// Counts one conversion run outside the cache (an experiment
@@ -212,14 +270,15 @@ impl ArtifactCache {
         self.simulate_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Snapshot of the hit/miss, residency, and per-phase timing
-    /// counters.
+    /// Snapshot of the hit/miss, eviction, residency, and per-phase
+    /// timing counters.
     pub fn counters(&self) -> CacheCounters {
         CacheCounters {
             trace_hits: self.trace_hits.load(Ordering::Relaxed),
             trace_misses: self.trace_misses.load(Ordering::Relaxed),
             convert_hits: self.convert_hits.load(Ordering::Relaxed),
             convert_misses: self.convert_misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
             peak_resident_bytes: self.peak_bytes.load(Ordering::Relaxed),
             generate_ns: self.generate_ns.load(Ordering::Relaxed),
             convert_ns: self.convert_ns.load(Ordering::Relaxed),
@@ -227,79 +286,77 @@ impl ArtifactCache {
         }
     }
 
-    /// Number of trace buffers currently held (0 once every budget is
-    /// spent — the memory-bound guarantee).
-    pub fn live_traces(&self) -> usize {
-        lock(&self.traces).len()
-    }
-
-    /// Number of shared conversion buffers currently held.
-    pub fn live_conversions(&self) -> usize {
-        lock(&self.conversions).len()
-    }
-
-    /// Resident artifact bytes: artifacts between their computation and
-    /// their last planned fetch.
+    /// Resident artifact bytes: artifacts computed and not yet evicted.
     pub fn resident_bytes(&self) -> u64 {
         self.resident.load(Ordering::Relaxed)
     }
 
-    /// Compute-once fetch with budgeted eviction.
+    /// The resident bytes above which idle artifacts are evicted:
+    /// [`BUDGET_BYTES`], or [`BUDGET_ARTIFACTS`] times the largest
+    /// artifact computed if that is more.
+    pub fn budget_bytes(&self) -> u64 {
+        BUDGET_BYTES.max(BUDGET_ARTIFACTS * self.largest.load(Ordering::Relaxed))
+    }
+
+    /// Compute-once fetch, then eviction down to the budget.
     ///
-    /// Under the map lock the entry is found or created and its budget
-    /// decremented, removing it at zero; the value is then computed or
-    /// read through the entry's own cell, so distinct keys never
-    /// serialize each other and concurrent fetchers of one key compute
-    /// it exactly once. The fetch that computes counts the miss.
-    ///
-    /// An artifact counts as resident from its computation until its
-    /// last planned fetch; when one fetch is both, it never does.
-    fn fetch<K, T>(
+    /// Under the entries lock the entry is found or created; the value
+    /// is then computed or read through the entry's own cell, so
+    /// distinct keys never serialize each other and concurrent fetchers
+    /// of one key compute it exactly once. The fetch that computes
+    /// counts the miss and charges the artifact as resident.
+    fn fetch(
         &self,
-        map: &Map<K, T>,
-        key: &K,
-        uses: u64,
+        key: Key,
         (hits, misses): (&AtomicU64, &AtomicU64),
-        compute: impl FnOnce() -> T,
-    ) -> T
-    where
-        K: Eq + Hash + Clone,
-        T: Artifact,
-    {
-        let (cell, last) = {
-            let mut map = lock(map);
-            let entry = map
-                .entry(key.clone())
-                .or_insert_with(|| Entry { cell: Arc::default(), remaining: uses.max(1) });
-            entry.remaining -= 1;
-            let cell = Arc::clone(&entry.cell);
-            let last = entry.remaining == 0;
-            if last {
-                map.remove(key);
-            }
-            (cell, last)
-        };
+        compute: impl FnOnce() -> Artifact,
+    ) -> Artifact {
+        let cell = lock(&self.entries).touch(&key);
         let mut computed = false;
         let value = cell
             .get_or_init(|| {
                 computed = true;
                 misses.fetch_add(1, Ordering::Relaxed);
                 let value = compute();
-                if !last {
-                    let bytes = value.mem_bytes();
-                    let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
-                    self.peak_bytes.fetch_max(now, Ordering::Relaxed);
-                }
+                let bytes = value.footprint().0;
+                self.largest.fetch_max(bytes, Ordering::Relaxed);
+                let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
+                self.peak_bytes.fetch_max(now, Ordering::Relaxed);
                 value
             })
             .clone();
         if !computed {
             hits.fetch_add(1, Ordering::Relaxed);
-            if last {
-                self.resident.fetch_sub(value.mem_bytes(), Ordering::Relaxed);
+        }
+        self.settle(&key);
+        value
+    }
+
+    /// Stamps `key`'s ready entry as the most recently fetched, then
+    /// evicts idle entries, least recently fetched first, while the
+    /// resident bytes exceed the budget. The total is read under the
+    /// entries lock, so concurrent evictions each see the others'.
+    fn settle(&self, key: &Key) {
+        let mut entries = lock(&self.entries);
+        entries.touch(key);
+        let budget = self.budget_bytes();
+        let mut resident = self.resident.load(Ordering::Relaxed);
+        let mut evicted = Vec::new();
+        for (&stamp, key) in &entries.recency {
+            if resident <= budget {
+                break;
+            }
+            if let Some(bytes) = idle_bytes(&entries.cells[key].0) {
+                resident -= bytes;
+                self.resident.fetch_sub(bytes, Ordering::Relaxed);
+                evicted.push(stamp);
             }
         }
-        value
+        self.evictions.fetch_add(evicted.len() as u64, Ordering::Relaxed);
+        for stamp in evicted {
+            let key = entries.recency.remove(&stamp).expect("a stamp just seen");
+            entries.cells.remove(&key);
+        }
     }
 }
 
@@ -314,28 +371,55 @@ mod tests {
         TraceSpec::new(format!("cache_t{seed}"), WorkloadKind::Crypto, seed)
     }
 
+    impl ArtifactCache {
+        /// Held entries of one kind: conversions, or else traces.
+        fn live(&self, conversions: bool) -> usize {
+            let entries = lock(&self.entries);
+            entries.cells.keys().filter(|(_, imps)| imps.is_some() == conversions).count()
+        }
+
+        fn live_traces(&self) -> usize {
+            self.live(false)
+        }
+
+        fn live_conversions(&self) -> usize {
+            self.live(true)
+        }
+
+        /// Bytes of every computed artifact the cache still holds.
+        fn held_bytes(&self) -> u64 {
+            let entries = lock(&self.entries);
+            entries.cells.values().filter_map(|(cell, _)| cell.get()).map(|a| a.footprint().0).sum()
+        }
+    }
+
+    /// Resident bytes of a `length`-instruction trace.
+    fn trace_bytes(length: usize) -> u64 {
+        (length * size_of::<CvpInstruction>()) as u64
+    }
+
     #[test]
     fn trace_generates_exactly_once_under_concurrency() {
         let cache = ArtifactCache::new();
         let s = spec(1);
-        let uses = 16u64;
-        let traces = parallel_cells(uses as usize, |_| cache.trace(&s, 2_000, uses));
+        let fetches = 16;
+        let traces = parallel_cells(fetches, |_| cache.trace(&s, 2_000));
         let c = cache.counters();
         assert_eq!(c.trace_misses, 1);
-        assert_eq!(c.trace_hits, uses - 1);
+        assert_eq!(c.trace_hits, fetches as u64 - 1);
         for t in &traces {
             assert!(Arc::ptr_eq(t, &traces[0]), "all fetches share one buffer");
         }
-        assert_eq!(cache.live_traces(), 0, "budget spent, buffer evicted");
-        assert_eq!(cache.resident_bytes(), 0, "nothing left charged");
+        assert_eq!(cache.live_traces(), 1, "within budget, the buffer stays");
+        assert_eq!(cache.resident_bytes(), trace_bytes(2_000));
     }
 
     #[test]
     fn distinct_lengths_are_distinct_keys() {
         let cache = ArtifactCache::new();
         let s = spec(2);
-        let a = cache.trace(&s, 1_000, 1);
-        let b = cache.trace(&s, 2_000, 1);
+        let a = cache.trace(&s, 1_000);
+        let b = cache.trace(&s, 2_000);
         assert_eq!(a.len(), 1_000);
         assert_eq!(b.len(), 2_000);
         assert_eq!(cache.counters().trace_misses, 2);
@@ -348,8 +432,8 @@ mod tests {
         let scale = ExperimentScale { trace_length: 2_000, warmup: 0 };
         let runner = SharedRunner { cache: &cache, core: &core, scale };
         let s = spec(3);
-        let a = runner.simulate(&s, ImprovementSet::none(), 0, &[None], 2).remove(0);
-        let b = runner.simulate(&s, ImprovementSet::all(), 0, &[None], 2).remove(0);
+        let a = runner.simulate(&s, ImprovementSet::none(), 0, &[None]).remove(0);
+        let b = runner.simulate(&s, ImprovementSet::all(), 0, &[None]).remove(0);
         let c = cache.counters();
         assert_eq!(c.trace_misses, 1, "one generation feeds both conversions");
         assert_eq!(c.trace_hits, 1);
@@ -357,9 +441,9 @@ mod tests {
         assert_eq!(c.convert_hits, 0);
         assert_eq!(a.conversion.input_instructions, 2_000);
         assert_eq!(b.conversion.input_instructions, 2_000);
-        assert_eq!(cache.live_traces(), 0);
+        assert_eq!(cache.live_traces(), 1);
         assert_eq!(cache.live_conversions(), 0, "streamed conversions are never cached");
-        assert_eq!(cache.resident_bytes(), 0);
+        assert_eq!(cache.resident_bytes(), trace_bytes(2_000));
     }
 
     #[test]
@@ -379,27 +463,102 @@ mod tests {
         assert_eq!(cache.live_conversions(), 1);
     }
 
-    #[test]
-    fn fetch_beyond_budget_recomputes() {
-        let cache = ArtifactCache::new();
-        let s = spec(5);
-        let a = cache.trace(&s, 1_000, 1);
-        let b = cache.trace(&s, 1_000, 1);
-        assert_eq!(cache.counters().trace_misses, 2, "budget of 1 spent twice");
-        assert_eq!(a, b, "recomputation is deterministic");
+    /// Sources for the budget tests: 40k instructions each, about
+    /// 4.5 MB of trace plus 2.6 MB of records, so eight overrun the
+    /// budget.
+    const BIG: usize = 40_000;
+    const SOURCES: u64 = 8;
+
+    fn big(cache: &ArtifactCache, seed: u64) -> ConvertedTrace {
+        cache.converted_shared(&spec(100 + seed), BIG, ImprovementSet::all())
     }
 
     #[test]
-    fn resident_bytes_span_computation_to_last_planned_fetch() {
+    fn resident_bytes_stay_within_budget_plus_one_entry() {
         let cache = ArtifactCache::new();
-        let bytes = (2_000 * std::mem::size_of::<CvpInstruction>()) as u64;
-        cache.trace(&spec(6), 2_000, 1);
-        assert_eq!(cache.counters().peak_resident_bytes, 0, "a single-use trace is never held");
-        cache.trace(&spec(7), 2_000, 2);
-        assert_eq!(cache.resident_bytes(), bytes, "held until its second fetch");
-        cache.trace(&spec(7), 2_000, 2);
-        assert_eq!(cache.resident_bytes(), 0, "released by the last planned fetch");
-        assert_eq!(cache.counters().peak_resident_bytes, bytes);
+        let trace_bytes = trace_bytes(BIG);
+        assert!(SOURCES * trace_bytes > BUDGET_BYTES, "the sources overrun");
+        let budget = BUDGET_BYTES.max(BUDGET_ARTIFACTS * trace_bytes);
+        let mut largest_records = 0;
+        for seed in 0..SOURCES {
+            let records = big(&cache, seed).records.len() * RECORD_BYTES;
+            largest_records = largest_records.max(records as u64);
+            let resident = cache.resident_bytes();
+            assert_eq!(cache.budget_bytes(), budget);
+            assert!(resident <= budget + trace_bytes.max(largest_records), "{resident}");
+            // Every computed artifact is either still held or evicted,
+            // and the resident total is exactly what is held.
+            let live = cache.live_traces() + cache.live_conversions();
+            assert_eq!(live as u64 + cache.counters().evictions, 2 * (seed + 1));
+            assert_eq!(resident, cache.held_bytes());
+        }
+        let c = cache.counters();
+        assert!(c.evictions > 0, "the sources overran the budget");
+        assert!(c.peak_resident_bytes <= budget + trace_bytes + largest_records);
+    }
+
+    /// A single-worker server alternating between two sources, as the
+    /// sharding phase of server_bench does: once both are converted
+    /// every fetch hits, although their conversions and one trace
+    /// outgrow [`BUDGET_BYTES`].
+    #[test]
+    fn alternating_large_sources_stay_converted() {
+        const LENGTH: usize = 150_000;
+        let cache = ArtifactCache::new();
+        let fetch =
+            |seed: u64| cache.converted_shared(&spec(200 + seed), LENGTH, ImprovementSet::all());
+        // One at a time, as one worker runs them: no caller holds the first.
+        let first = fetch(0).records.len();
+        let records = first + fetch(1).records.len();
+        let working_set = (records * RECORD_BYTES) as u64 + trace_bytes(LENGTH);
+        assert!(working_set > BUDGET_BYTES, "{working_set} bytes fit the floor");
+        for _ in 0..3 {
+            fetch(0);
+            fetch(1);
+        }
+        let c = cache.counters();
+        assert_eq!((c.convert_misses, c.convert_hits), (2, 6), "no conversion left");
+        assert_eq!(c.trace_misses, 2);
+        assert_eq!(cache.live_conversions(), 2);
+        assert!(cache.resident_bytes() <= cache.budget_bytes());
+    }
+
+    #[test]
+    fn held_artifacts_are_never_evicted() {
+        let cache = ArtifactCache::new();
+        let first = big(&cache, 0);
+        let first_trace = cache.trace(&spec(100), BIG);
+        for seed in 1..SOURCES {
+            big(&cache, seed);
+        }
+        assert!(cache.counters().evictions > 0, "the sources overran the budget");
+        let again = big(&cache, 0);
+        assert!(Arc::ptr_eq(&first.records, &again.records), "the held conversion stayed");
+        assert!(Arc::ptr_eq(&first_trace, &cache.trace(&spec(100), BIG)));
+        let c = cache.counters();
+        assert_eq!(c.convert_misses, SOURCES, "the refetch hit");
+        assert_eq!(c.trace_misses, SOURCES);
+    }
+
+    #[test]
+    fn evicted_artifacts_recompute_to_equal_bytes() {
+        let cache = ArtifactCache::new();
+        let first = big(&cache, 0);
+        let records = first.records.to_vec();
+        let stats = first.stats;
+        drop(first);
+        for seed in 1..SOURCES {
+            big(&cache, seed);
+        }
+        let evicted = cache.counters().evictions;
+        assert!(evicted >= 2, "the least recently used source left first");
+        let again = big(&cache, 0);
+        assert_eq!(*again.records, records[..], "recomputed to the same bytes");
+        assert_eq!(again.stats, stats);
+        let c = cache.counters();
+        assert_eq!(c.convert_misses, SOURCES + 1, "the refetch counted a miss");
+        assert_eq!(c.trace_misses, SOURCES + 1, "and regenerated its trace");
+        assert_eq!(c.convert_hits + c.trace_hits, 0);
     }
 
     #[test]
@@ -429,15 +588,17 @@ mod tests {
     fn shared_fetches_stay_cached_across_requests() {
         let cache = ArtifactCache::new();
         let s = spec(30);
-        let first = cache.trace(&s, 2_000, u64::MAX);
+        let first = cache.trace(&s, 2_000);
         for _ in 0..5 {
-            let again = cache.trace(&s, 2_000, u64::MAX);
+            let again = cache.trace(&s, 2_000);
             assert!(Arc::ptr_eq(&first, &again), "every request shares one buffer");
         }
         let c = cache.counters();
         assert_eq!(c.trace_misses, 1, "generated once for the whole sequence");
         assert_eq!(c.trace_hits, 5);
-        assert_eq!(cache.live_traces(), 1, "open-ended budget keeps the entry live");
+        drop(first);
+        assert!(Arc::ptr_eq(&cache.trace(&s, 2_000), &cache.trace(&s, 2_000)));
+        assert_eq!(cache.live_traces(), 1, "an idle entry within budget stays");
     }
 
     #[test]

@@ -69,7 +69,8 @@ impl Grid {
     /// All `specs.len() × 10` (trace × config) cells go into one
     /// flattened work-stealing queue — no per-config barrier — ordered
     /// trace-major so each trace generates once, is shared by the 10
-    /// configs converting and simulating it, and is evicted right after.
+    /// configs converting and simulating it, and is evicted once later
+    /// traces fill the cache's budget.
     pub fn compute_on_specs(
         specs: &[TraceSpec],
         core: &CoreConfig,
@@ -81,14 +82,12 @@ impl Grid {
         let jobs = specs.len() * nconf;
         let cache = ArtifactCache::new();
         let runner = SharedRunner { cache: &cache, core, scale };
-        // Each trace feeds one streamed conversion per config.
-        let trace_uses = nconf as u64;
 
         let start = Instant::now();
         let outcomes = parallel_cells(jobs, |i| {
             let spec = &specs[i / nconf];
             let (_, imps) = &configs[i % nconf];
-            runner.simulate(spec, *imps, 0, &[None], trace_uses).remove(0)
+            runner.simulate(spec, *imps, 0, &[None]).remove(0)
         });
         let wall = start.elapsed();
 

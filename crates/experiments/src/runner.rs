@@ -239,9 +239,7 @@ pub struct SharedRunner<'a> {
 
 impl SharedRunner<'_> {
     /// Like [`simulate_with_options`], but fetching the trace through
-    /// the cache. `trace_uses` is the trace's eviction budget: the total
-    /// number of jobs that convert it (see [`ArtifactCache::trace`]).
-    /// The conversion streams in chunks into one pass
+    /// the cache. The conversion streams in chunks into one pass
     /// ([`Simulator::run_fused`]) that drives a lane per prefetcher,
     /// returning one outcome per lane in input order. A lane's report
     /// does not depend on the other lanes; pass `&[None]` for a single
@@ -252,9 +250,8 @@ impl SharedRunner<'_> {
         improvements: ImprovementSet,
         warmup: u64,
         prefetchers: &[Option<&str>],
-        trace_uses: u64,
     ) -> Vec<TraceOutcome> {
-        let cvp = self.cache.trace(spec, self.scale.trace_length, trace_uses);
+        let cvp = self.cache.trace(spec, self.scale.trace_length);
         let mut records = ChunkedConversion::new(&cvp, improvements);
         let start = Instant::now();
         let lanes =
@@ -348,7 +345,7 @@ impl SchedulerReport {
              \x20 generate: {gen:.3} s CPU, {tm} misses / {th} hits ({tr:.1}% hit rate)\n\
              \x20 convert:  {conv:.3} s CPU, {cm} misses / {ch} hits ({cr:.1}% hit rate)\n\
              \x20 simulate: {sim:.3} s CPU\n\
-             \x20 cache:    {peak:.1} MB peak resident\n",
+             \x20 cache:    {peak:.1} MB peak resident, {ev} evictions\n",
             label = self.label,
             jobs = self.jobs,
             threads = self.threads,
@@ -363,6 +360,7 @@ impl SchedulerReport {
             cr = 100.0 * c.convert_hit_rate(),
             sim = c.simulate_ns as f64 / 1e9,
             peak = c.peak_resident_bytes as f64 / 1e6,
+            ev = c.evictions,
         )
     }
 
@@ -382,6 +380,7 @@ impl SchedulerReport {
             .u64("convert_hits", c.convert_hits)
             .u64("convert_misses", c.convert_misses)
             .f64("convert_hit_rate", c.convert_hit_rate())
+            .u64("evictions", c.evictions)
             .u64("peak_resident_bytes", c.peak_resident_bytes);
     }
 }
@@ -513,7 +512,7 @@ mod tests {
         let serial = simulate_conversion(&spec, ImprovementSet::all(), &core, scale);
         let cache = ArtifactCache::new();
         let runner = SharedRunner { cache: &cache, core: &core, scale };
-        let shared = runner.simulate(&spec, ImprovementSet::all(), 0, &[None], 1).remove(0);
+        let shared = runner.simulate(&spec, ImprovementSet::all(), 0, &[None]).remove(0);
         assert_eq!(shared.report.ipc().to_bits(), serial.report.ipc().to_bits());
         assert_eq!(shared.conversion, serial.conversion);
     }
@@ -534,13 +533,11 @@ mod tests {
             let cache = ArtifactCache::new();
             let runner = SharedRunner { cache: &cache, core: &core, scale };
             let lanes = [None, Some("next-line")];
-            let trace_uses = 1;
-            let fused = runner.simulate(&spec, ImprovementSet::all(), 500, &lanes, trace_uses);
+            let fused = runner.simulate(&spec, ImprovementSet::all(), 500, &lanes);
             assert_eq!(fused.len(), lanes.len());
             for (outcome, prefetcher) in fused.iter().zip(lanes) {
-                let solo = runner
-                    .simulate(&spec, ImprovementSet::all(), 500, &[prefetcher], trace_uses)
-                    .remove(0);
+                let solo =
+                    runner.simulate(&spec, ImprovementSet::all(), 500, &[prefetcher]).remove(0);
                 assert_eq!(
                     outcome.report.ipc().to_bits(),
                     solo.report.ipc().to_bits(),
@@ -564,6 +561,7 @@ mod tests {
                 trace_misses: 4,
                 convert_hits: 0,
                 convert_misses: 40,
+                evictions: 3,
                 peak_resident_bytes: 12_500_000,
                 generate_ns: 2_000_000_000,
                 convert_ns: 1_000_000_000,
@@ -580,7 +578,8 @@ mod tests {
         assert!(json.contains("\"wall_seconds\":1.500000"), "{json}");
         assert!(json.contains("\"trace_hit_rate\":0.900000"), "{json}");
         assert!(json.contains("\"peak_resident_bytes\":12500000"), "{json}");
-        assert!(text.contains("cache:    12.5 MB peak resident"), "{text}");
+        assert!(text.contains("cache:    12.5 MB peak resident, 3 evictions"), "{text}");
+        assert!(json.contains("\"evictions\":3,"), "{json}");
         assert!(json.trim_end().ends_with("]}"), "{json}");
     }
 }

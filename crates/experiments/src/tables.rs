@@ -257,7 +257,7 @@ pub fn table3_with_report(scale: ExperimentScale, core: &CoreConfig) -> (Table3,
         let spec = &specs[i / groups.len()];
         let (imps, lanes) = groups[i % groups.len()];
         runner
-            .simulate(spec, imps, scale.warmup, lanes, groups.len() as u64)
+            .simulate(spec, imps, scale.warmup, lanes)
             .into_iter()
             .map(|outcome| outcome.report.ipc())
             .collect()

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use experiments::ArtifactCache;
 use telemetry::{catalog, Log2Histogram, Registry};
 
 /// Aggregated lifetime metrics for one server instance.
@@ -98,9 +99,10 @@ impl ServerMetrics {
         lock(&self.total_ms).record((queued + ran).as_millis() as u64);
     }
 
-    /// Snapshots everything into a registry; `queue_depth` is sampled
-    /// by the caller (the queue lives next to, not inside, the metrics).
-    pub fn export(&self, queue_depth: usize) -> Registry {
+    /// Snapshots everything into a registry; `queue_depth` and the
+    /// artifact figures are sampled by the caller (the queue and the
+    /// artifact cache live next to, not inside, the metrics).
+    pub fn export(&self, queue_depth: usize, artifacts: &ArtifactCache) -> Registry {
         let mut registry = Registry::new();
         registry.label("tool", "sim-server");
         registry.counter(&catalog::SERVER_JOBS_ACCEPTED, self.accepted.load(Ordering::Relaxed));
@@ -124,6 +126,9 @@ impl ServerMetrics {
             &catalog::SERVER_RESULT_CACHE_EVICTIONS,
             self.cache_evictions.load(Ordering::Relaxed),
         );
+        registry
+            .gauge(&catalog::SERVER_ARTIFACTS_RESIDENT_BYTES, artifacts.resident_bytes() as f64);
+        registry.counter(&catalog::SERVER_ARTIFACTS_EVICTIONS, artifacts.counters().evictions);
         registry.gauge(&catalog::SERVER_QUEUE_DEPTH, queue_depth as f64);
         registry.histogram(&catalog::SERVER_LATENCY_QUEUE, lock(&self.queue_ms).clone());
         registry.histogram(&catalog::SERVER_LATENCY_RUN, lock(&self.run_ms).clone());
@@ -160,7 +165,7 @@ mod tests {
             m.note_cache_miss();
         }
         m.note_evicted(2);
-        let registry = m.export(3);
+        let registry = m.export(3, &ArtifactCache::new());
         assert_eq!(registry.counter_value("server.jobs.accepted"), 2);
         assert_eq!(registry.counter_value("server.jobs.rejected"), 1);
         assert_eq!(registry.counter_value("server.jobs.completed"), 1);
@@ -176,5 +181,7 @@ mod tests {
         assert!(doc.contains("server.queue.depth"));
         assert!(doc.contains("server.latency.total_ms"));
         assert!(doc.contains("server.batch.size"));
+        assert!(doc.contains("server.artifacts.resident_bytes"));
+        assert!(doc.contains("server.artifacts.evictions"));
     }
 }

@@ -445,7 +445,7 @@ impl Service for Shared {
     }
 
     fn metrics_json(&self) -> String {
-        self.metrics.export(self.queue.len()).to_json()
+        self.metrics.export(self.queue.len(), &self.cache).to_json()
     }
 }
 
@@ -673,7 +673,7 @@ mod tests {
     }
 
     fn counter(shared: &Shared, name: &str) -> u64 {
-        shared.metrics.export(shared.queue.len()).counter_value(name)
+        shared.metrics.export(shared.queue.len(), &shared.cache).counter_value(name)
     }
 
     fn document(shared: &Shared, id: u64) -> Option<String> {
@@ -752,6 +752,32 @@ mod tests {
         assert_eq!(submit_seed(&shared, 2, 1), JobStatus::Queued, "runs again");
         assert_eq!(counter(&shared, "server.result_cache.hits"), 0);
         assert_eq!(counter(&shared, "server.result_cache.misses"), 2);
+    }
+
+    #[test]
+    fn artifacts_stay_within_budget_across_distinct_sources() {
+        const LENGTH: u64 = 40_000;
+        // The largest single artifact: one source's generated trace.
+        let entry = LENGTH * std::mem::size_of::<cvp_trace::CvpInstruction>() as u64;
+        let shared = shared(0);
+        let serve = |id: u64, seed: u64| {
+            let body = format!(
+                r#"{{"workload": {{"kind": "crypto", "seed": {seed}, "length": {LENGTH}}}}}"#
+            );
+            shared.admit(id, JobSpec::parse(&body).unwrap()).expect("the queue has room");
+            run_batch(vec![shared.queue.pop().expect("a queued execution")], &shared);
+            document(&shared, id).expect("the job finished")
+        };
+        let first = serve(1, 0);
+        for seed in 1..8 {
+            serve(seed + 1, seed);
+            let resident = shared.cache.resident_bytes();
+            let budget = shared.cache.budget_bytes();
+            assert!(resident <= budget + entry, "{resident} bytes resident over {budget}");
+        }
+        assert!(counter(&shared, "server.artifacts.evictions") > 0, "the sources overran");
+        assert_eq!(serve(9, 0), first, "re-served byte for byte after its eviction");
+        assert_eq!(shared.cache.counters().trace_misses, 9, "the first source regenerated");
     }
 
     #[test]

@@ -137,14 +137,16 @@ impl CvpTraceWriter {
     ///
     /// I/O errors creating the file or writing the store header.
     /// `.etrace` output needs a program image that flat CVP records do
-    /// not carry, so it is rejected here; use `etrace::EtraceWriter`
-    /// with a generated program instead.
+    /// not carry, so it is rejected here with
+    /// [`TraceError::Container`]; use `etrace::EtraceWriter` with a
+    /// generated program instead.
     pub fn create(path: &Path) -> Result<CvpTraceWriter, TraceError> {
         if Encoding::of(path) == Some(Encoding::Etrace) {
-            return Err(TraceError::Io(std::io::Error::other(
+            return Err(TraceError::Container(
                 "cannot write .etrace from flat cvp records (no program image); \
-                 use the etrace writer",
-            )));
+                 use the etrace writer"
+                    .into(),
+            ));
         }
         let file = File::create(path)?;
         if Encoding::is_store(path) {
