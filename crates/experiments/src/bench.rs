@@ -4,8 +4,8 @@
 //! The workspace builds offline, so Criterion is not available; this
 //! std-only harness keeps the bench targets runnable under
 //! `cargo bench`. Each measurement warms up once, then repeats the
-//! closure until a time budget is spent and reports the mean wall-clock
-//! per iteration.
+//! closure until a time budget is spent, keeping every iteration's
+//! wall-clock time; it reports their median, min and max.
 //!
 //! The bench binaries (`sim_bench`, `convert_bench`, `server_bench`)
 //! keep only their own measurements; everything around them lives here:
@@ -64,7 +64,7 @@ impl BenchGroup {
         BenchGroup { group: group.to_string(), filter }
     }
 
-    /// Times `f`, printing `group/name: <mean per iteration>`.
+    /// Times `f`, printing `group/name: <median per iteration>`.
     pub fn bench_function<T>(&mut self, name: impl AsRef<str>, f: impl FnMut() -> T) {
         let id = format!("{}/{}", self.group, name.as_ref());
         if let Some(filter) = &self.filter {
@@ -72,26 +72,68 @@ impl BenchGroup {
                 return;
             }
         }
-        let (mean, iters) = measure(f);
-        println!("{id}: {} ({iters} iterations)", format_secs(mean));
+        let samples = measure(f);
+        println!("{id}: {} ({} iterations)", format_secs(samples.median), samples.iterations);
     }
 
     pub fn finish(self) {}
 }
 
-/// Warms `f` up once, then repeats it until the time budget is spent,
-/// returning the mean wall-clock seconds per iteration and the number of
-/// timed iterations. The measurement primitive behind both the bench
-/// targets and the `sim_bench` throughput suite.
-pub fn measure<T>(mut f: impl FnMut() -> T) -> (f64, u32) {
-    std::hint::black_box(f()); // warmup
-    let start = Instant::now();
-    let mut iters = 0u32;
-    while iters < MIN_ITERS || start.elapsed() < BUDGET {
-        std::hint::black_box(f());
-        iters += 1;
+/// The wall-clock seconds of one measurement's timed iterations.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Samples {
+    /// Median seconds per iteration (the upper middle one of an even
+    /// count): one slow spell of the host moves it far less than the
+    /// mean.
+    pub median: f64,
+    /// The fastest iteration: the one the host slowed least.
+    pub min: f64,
+    pub max: f64,
+    /// Summed seconds of every timed iteration.
+    pub total: f64,
+    pub iterations: u32,
+}
+
+impl Samples {
+    fn of(mut seconds: Vec<f64>) -> Samples {
+        seconds.sort_by(f64::total_cmp);
+        Samples {
+            median: seconds[seconds.len() / 2],
+            min: seconds[0],
+            max: seconds[seconds.len() - 1],
+            total: seconds.iter().sum(),
+            iterations: seconds.len() as u32,
+        }
     }
-    (start.elapsed().as_secs_f64() / f64::from(iters), iters)
+}
+
+/// Warms `f` up once, then repeats it until the time budget is spent,
+/// timing each iteration. The measurement primitive behind the bench
+/// targets and `convert_bench`.
+pub fn measure<T>(mut f: impl FnMut() -> T) -> Samples {
+    measure_interleaved(1, |_| f()).pop().expect("one subject, one measurement")
+}
+
+/// [`measure`] for `subjects` workloads at once, `f(i)` running
+/// workload `i`, in rounds: each round times one iteration of every
+/// workload in turn, so a slow spell of the host slows them all alike.
+/// Rounds repeat until every workload has had the time budget.
+/// `sim_bench` measures its families this way.
+pub fn measure_interleaved<T>(subjects: usize, mut f: impl FnMut(usize) -> T) -> Vec<Samples> {
+    for i in 0..subjects {
+        std::hint::black_box(f(i)); // warmup
+    }
+    let budget = BUDGET * subjects as u32;
+    let mut seconds = vec![Vec::new(); subjects];
+    let start = Instant::now();
+    while seconds[0].len() < MIN_ITERS as usize || start.elapsed() < budget {
+        for (i, seconds) in seconds.iter_mut().enumerate() {
+            let iteration = Instant::now();
+            std::hint::black_box(f(i));
+            seconds.push(iteration.elapsed().as_secs_f64());
+        }
+    }
+    seconds.into_iter().map(Samples::of).collect()
 }
 
 /// Gates a bench run against its baseline: `current` is the document
@@ -443,6 +485,24 @@ mod tests {
         group.bench_function("count", || calls += 1);
         // One warmup plus at least MIN_ITERS timed iterations.
         assert!(calls > MIN_ITERS, "{calls}");
+    }
+
+    #[test]
+    fn samples_report_median_min_max() {
+        let samples = Samples::of(vec![3.0, 1.0, 10.0, 2.0]);
+        assert_eq!(
+            (samples.median, samples.min, samples.max, samples.total, samples.iterations),
+            (3.0, 1.0, 10.0, 16.0, 4)
+        );
+    }
+
+    #[test]
+    fn interleaved_rounds_time_every_subject_alike() {
+        let mut calls = [0u32; 3];
+        let samples = measure_interleaved(3, |i| calls[i] += 1);
+        let rounds = samples[0].iterations;
+        assert!(rounds >= MIN_ITERS && samples.iter().all(|s| s.iterations == rounds));
+        assert_eq!(calls, [rounds + 1; 3], "one warm-up each, then one call per round");
     }
 
     #[test]

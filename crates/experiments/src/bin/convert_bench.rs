@@ -107,7 +107,7 @@ fn bench_cvpz(cvp: &[CvpInstruction], totals: &mut StoreStats) -> StreamResult {
         }
         w.finish().expect("vec write")
     };
-    let (encode_seconds, _) = measure(&encode);
+    let encode_seconds = measure(&encode).median;
     let (encoded, stats) = encode();
     totals.blocks_written += stats.blocks_written;
     totals.bytes_raw += stats.bytes_raw;
@@ -121,7 +121,7 @@ fn bench_cvpz(cvp: &[CvpInstruction], totals: &mut StoreStats) -> StreamResult {
         }
         n
     };
-    let (decode_seconds, _) = measure(decode);
+    let decode_seconds = measure(decode).median;
     StreamResult {
         raw_bytes: stats.bytes_raw,
         encode_mbps: mbps(stats.bytes_raw, encode_seconds),
@@ -139,7 +139,7 @@ fn bench_champsimz(records: &[ChampsimRecord], totals: &mut StoreStats) -> Strea
         }
         w.finish().expect("vec write")
     };
-    let (encode_seconds, _) = measure(&encode);
+    let encode_seconds = measure(&encode).median;
     let (encoded, stats) = encode();
     totals.blocks_written += stats.blocks_written;
     totals.bytes_raw += stats.bytes_raw;
@@ -154,7 +154,7 @@ fn bench_champsimz(records: &[ChampsimRecord], totals: &mut StoreStats) -> Strea
         }
         n
     };
-    let (decode_seconds, _) = measure(decode);
+    let decode_seconds = measure(decode).median;
     StreamResult {
         raw_bytes,
         encode_mbps: mbps(raw_bytes, encode_seconds),
@@ -174,7 +174,7 @@ fn bench_etrace(program: &Program, items: &[TraceItem]) -> StreamResult {
         }
         w.finish().expect("vec write")
     };
-    let (encode_seconds, _) = measure(&encode);
+    let encode_seconds = measure(&encode).median;
     let (encoded, stats) = encode();
 
     let decode = || {
@@ -185,7 +185,7 @@ fn bench_etrace(program: &Program, items: &[TraceItem]) -> StreamResult {
         }
         n
     };
-    let (decode_seconds, _) = measure(decode);
+    let decode_seconds = measure(decode).median;
     StreamResult {
         raw_bytes: stats.flat_bytes,
         encode_mbps: mbps(stats.flat_bytes, encode_seconds),

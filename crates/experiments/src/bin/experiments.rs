@@ -125,7 +125,11 @@ fn main() {
         None
     } else {
         eprintln!("[experiments] computing the improvement grid (135 traces x 10 configs)...");
-        let (grid, report) = Grid::compute_with_report(scale, &sim::CoreConfig::iiswc_main());
+        let (grid, report) = Grid::compute_on_specs(
+            &workloads::cvp1_public_suite(),
+            &sim::CoreConfig::iiswc_main(),
+            scale,
+        );
         reports.push(report);
         experiments::metrics::export_grid(&grid, &mut metrics);
         attribution_rows = Some(experiments::metrics::attribution(&grid));

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use converter::{Improvement, ImprovementSet};
 use sim::CoreConfig;
-use workloads::{cvp1_public_suite, TraceSpec};
+use workloads::TraceSpec;
 
 use crate::cache::ArtifactCache;
 use crate::runner::{
@@ -44,26 +44,6 @@ pub struct Grid {
 }
 
 impl Grid {
-    /// Runs the whole study at `scale` on the paper's main core.
-    pub fn compute(scale: ExperimentScale) -> Grid {
-        Grid::compute_on(scale, &CoreConfig::iiswc_main())
-    }
-
-    /// Runs the whole study on an explicit core configuration (used by
-    /// the ablation benches).
-    pub fn compute_on(scale: ExperimentScale, core: &CoreConfig) -> Grid {
-        Grid::compute_with_report(scale, core).0
-    }
-
-    /// Runs the whole study, also returning the scheduler's timing and
-    /// cache report (`experiments --stats` / `BENCH_experiments.json`).
-    pub fn compute_with_report(
-        scale: ExperimentScale,
-        core: &CoreConfig,
-    ) -> (Grid, SchedulerReport) {
-        Grid::compute_on_specs(&cvp1_public_suite(), core, scale)
-    }
-
     /// The scheduled grid over an explicit trace list.
     ///
     /// All `specs.len() × 10` (trace × config) cells go into one

@@ -14,9 +14,10 @@
 //!
 //! The [`runner`] module holds the shared conversion+simulation
 //! plumbing (parallelized across traces with scoped threads); the
-//! figure/table modules each expose a `compute` function returning
-//! plain-data rows plus a `render` helper producing the textual output
-//! the artifact scripts would print.
+//! figure/table modules expose functions returning plain-data rows (the
+//! figures read one [`figures::Grid`], built by
+//! [`figures::Grid::compute_on_specs`]) plus `render` helpers producing
+//! the textual output the artifact scripts would print.
 //!
 //! # Data flow
 //!

@@ -7,7 +7,7 @@
 //!   every call — the reference semantics, kept for spot checks, the
 //!   determinism tests and the benchmark's grid probe;
 //! * the **scheduled path** ([`SharedRunner::simulate`], used by
-//!   [`Grid::compute_with_report`](crate::figures::Grid::compute_with_report)
+//!   [`Grid::compute_on_specs`](crate::figures::Grid::compute_on_specs)
 //!   and [`table3_with_report`](crate::tables::table3_with_report))
 //!   fetches traces from an [`ArtifactCache`] and flattens all
 //!   (trace × config) cells into one work-stealing job queue, so trace

@@ -8,10 +8,11 @@
 //!
 //! Phase 1 (throughput): starts an in-process server, then a closed
 //! loop of client connections each submitting, polling, and fetching
-//! workload jobs over a per-client spec (the artifact cache makes this
-//! a pure simulate-throughput measurement after the warm-up; the
-//! result cache is disabled so every job actually simulates). Reports
-//! jobs/s and p50/p99 end-to-end latency.
+//! workload jobs over a per-client source (the artifact cache makes
+//! this a pure simulate-throughput measurement after the warm-up; job
+//! `n` of a client warms up `n` records, so every job is a distinct
+//! spec and actually simulates). Reports jobs/s and p50/p99 end-to-end
+//! latency.
 //!
 //! Phase 2 (overload): a depth-1, single-worker server is flooded with
 //! distinct submissions; the measured `429` rejection rate demonstrates
@@ -30,7 +31,7 @@
 //! both verified through `/metrics` counters and document equality.
 //!
 //! Phase 5 (sharding, `--shards N`, default 2): one fixed burst of
-//! distinct jobs per record stream, N streams each homed (by
+//! distinct jobs per record stream (distinct in every trial), N streams each homed (by
 //! consistent-hash ring prediction) on a distinct shard, runs through a
 //! `sim_router` in front of one single-worker `sim_server` and in front
 //! of N. Reports each fleet's jobs/s over the bursts' makespan, and
@@ -48,8 +49,9 @@
 //! Latency tails are reported but not gated; they are too
 //! host-sensitive for CI. Every hard check above (no 429s, fan-out
 //! under 2x, nothing coalesced or cached, shard parallelism under
-//! 1.7x, documents that differ) also exits 1; usage errors and a server
-//! that cannot be started or reached exit 2.
+//! 1.7x, documents that differ, a result-cache hit in a phase that
+//! times simulation) also exits 1; usage errors and a server that
+//! cannot be started or reached exit 2.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -208,24 +210,19 @@ fn main() {
 /// A `crypto` workload job body: `length` instructions from `seed`,
 /// converted with `improvements`.
 fn workload_body(seed: usize, length: u64, improvements: &str) -> String {
-    json::object(|o| {
-        o.object("workload", |w| {
-            w.str("kind", "crypto").u64("seed", seed as u64).u64("length", length);
-        })
-        .str("improvements", improvements);
-    })
+    warmed_body(seed, length, improvements, 0)
 }
 
-/// Job `n` of the sharding phase's stream `seed`: an `All_imps` crypto
-/// workload of `length` instructions that warms `n` records up, so a
-/// stream's jobs are distinct specs over one source.
-fn burst_body(seed: usize, length: u64, n: usize) -> String {
+/// [`workload_body`] warming `warmup` records up: the jobs of one
+/// source that warm up differently are distinct specs over one record
+/// stream, so each simulates.
+fn warmed_body(seed: usize, length: u64, improvements: &str, warmup: usize) -> String {
     json::object(|o| {
         o.object("workload", |w| {
             w.str("kind", "crypto").u64("seed", seed as u64).u64("length", length);
         })
-        .str("improvements", "All_imps")
-        .u64("warmup", n as u64);
+        .str("improvements", improvements)
+        .u64("warmup", warmup as u64);
     })
 }
 
@@ -241,20 +238,30 @@ fn fanout_body(trace: &str, prefetcher: Option<&str>) -> String {
 }
 
 /// Starts an in-process server on an ephemeral port and returns it with
-/// its address. `max_batch: None` keeps the service's batching and
-/// result-cache defaults; `Some(n)` fuses at most `n` jobs per pass and
-/// turns the result cache off, so every job actually simulates.
+/// its address. `max_batch: None` keeps the service's batching default;
+/// `Some(n)` fuses at most `n` jobs per pass.
 fn start_server(queue_depth: usize, workers: usize, max_batch: Option<usize>) -> (Server, String) {
     let mut config =
         ServerConfig { queue_depth, workers, job_timeout: JOB_TIMEOUT, ..ServerConfig::default() };
     if let Some(max_batch) = max_batch {
         config.max_batch = max_batch;
-        config.result_cache_entries = 0;
     }
     let server = Server::start(config)
         .unwrap_or_else(|e| CLI.fail(Exit::Io, &format!("cannot start server: {e}")));
     let addr = server.local_addr().to_string();
     (server, addr)
+}
+
+/// Stops `server` after checking that no job of `phase` was answered
+/// from the result cache: that phase times simulation, so every job
+/// must be a distinct spec.
+fn join_uncached(server: Server, phase: &str) {
+    let hits = metric_count(&server.metrics_json(), "server.result_cache.hits");
+    server.join();
+    if hits > 0 {
+        let message = format!("{phase}: {hits} jobs were result-cache hits, not simulations");
+        CLI.fail(Exit::Check, &message);
+    }
 }
 
 fn connect(addr: &str) -> Connection {
@@ -289,28 +296,30 @@ fn throughput_phase(scale: &Scale) -> (usize, f64, f64, f64) {
     // measure the caches, not the service.
     let (server, addr) = start_server(scale.clients * 2, scale.workers, Some(1));
     // Distinct seeds keep the closed loops from coalescing onto each
-    // other's executions.
-    let bodies: Vec<String> = (0..scale.clients)
-        .map(|client| workload_body(100 + client, scale.length, "All_imps"))
-        .collect();
-    // Warm-up: one run of each body, so the measurement is job-service
+    // other's executions, and distinct warm-ups (job `n` warms `n`
+    // records up; the warm-up job none) keep a client's jobs from
+    // hitting the result cache.
+    let seeds: Vec<usize> = (0..scale.clients).map(|client| 100 + client).collect();
+    let body = |seed, n| warmed_body(seed, scale.length, "All_imps", n);
+    let addr = &addr;
+    // Warm-up: one run per source, so the measurement is job-service
     // overhead plus simulation rather than one-time generation and
-    // conversion. Then one client per body runs its jobs back to back
+    // conversion. Then one client per source runs its jobs back to back
     // on one connection.
-    for body in &bodies {
-        run(&mut connect(&addr), body, "warm-up job");
+    for &seed in &seeds {
+        run(&mut connect(addr), &body(seed, 0), "warm-up job");
     }
     let wall = Instant::now();
     let mut latencies_ms: Vec<f64> = std::thread::scope(|scope| {
-        let clients: Vec<_> = bodies
+        let clients: Vec<_> = seeds
             .iter()
-            .map(|body| {
-                scope.spawn(|| {
-                    let mut conn = connect(&addr);
-                    (0..scale.jobs_per_client)
-                        .map(|_| {
+            .map(|&seed| {
+                scope.spawn(move || {
+                    let mut conn = connect(addr);
+                    (1..=scale.jobs_per_client)
+                        .map(|n| {
                             let start = Instant::now();
-                            run(&mut conn, body, "job");
+                            run(&mut conn, &body(seed, n), "job");
                             start.elapsed().as_secs_f64() * 1e3
                         })
                         .collect::<Vec<f64>>()
@@ -323,7 +332,7 @@ fn throughput_phase(scale: &Scale) -> (usize, f64, f64, f64) {
             .collect()
     });
     let elapsed = wall.elapsed().as_secs_f64();
-    server.join();
+    join_uncached(server, "throughput");
 
     let total_jobs = latencies_ms.len();
     let jobs_per_sec = total_jobs as f64 / elapsed;
@@ -399,7 +408,7 @@ fn fanout_phase(scale: &Scale) -> (f64, f64, u64) {
     let sequential_docs: Vec<String> =
         bodies.iter().map(|body| run(&mut conn, body, "sequential fan-out job")).collect();
     let sequential_elapsed = wall.elapsed().as_secs_f64();
-    server.join();
+    join_uncached(server, "sequential fan-out");
 
     // Batched: a decoy job occupies the single worker while every
     // config queues up, so the planner claims them in one fused pass.
@@ -412,7 +421,7 @@ fn fanout_phase(scale: &Scale) -> (f64, f64, u64) {
         ids.iter().map(|id| wait_and_fetch(&mut conn, id, "fan-out")).collect();
     let batched_elapsed = wall.elapsed().as_secs_f64();
     let metrics = metrics_text(&mut conn);
-    server.join();
+    join_uncached(server, "batched fan-out");
     let _ = std::fs::remove_dir_all(&dir);
 
     for (i, (sequential, batched)) in sequential_docs.iter().zip(&batched_docs).enumerate() {
@@ -489,8 +498,8 @@ fn duplicate_phase(scale: &Scale) -> (f64, u64, u64) {
 // front of `shards`: one record stream per shard, each homed by the
 // ring on a distinct shard, and each submitting a burst of distinct
 // jobs at once. Every shard has one worker, and every job simulates
-// (no batching, no result cache) a source its shard generated and
-// converted during warm-up.
+// (no batching; a distinct warm-up per trial and job, so no result-cache
+// hit) a source its shard generated and converted during warm-up.
 //
 // The check is on shard parallelism: the mean number of jobs running at
 // once, from the first submission until the first stream's last job
@@ -512,7 +521,7 @@ fn router_phase(scale: &Scale, shards: usize) -> (f64, f64, f64) {
     }
     for fleet in &fleets {
         for &seed in &streams {
-            let body = burst_body(seed, scale.router_length, 0);
+            let body = warmed_body(seed, scale.router_length, "All_imps", 0);
             run(&mut connect(&fleet.addr), &body, "warm-up job");
         }
     }
@@ -520,9 +529,9 @@ fn router_phase(scale: &Scale, shards: usize) -> (f64, f64, f64) {
     // slows both; each fleet keeps its shortest makespan and its highest
     // parallelism.
     let mut best = vec![(f64::INFINITY, 0.0f64); fleets.len()];
-    for _ in 0..ROUTER_TRIALS {
+    for trial in 0..ROUTER_TRIALS {
         for (fleet, best) in fleets.iter().zip(&mut best) {
-            let (makespan, parallelism) = fleet.burst(scale, &streams);
+            let (makespan, parallelism) = fleet.burst(scale, &streams, trial);
             *best = (best.0.min(makespan), best.1.max(parallelism));
         }
     }
@@ -574,11 +583,12 @@ impl Fleet {
         Fleet { router, backends, addrs, addr }
     }
 
-    /// Submits one burst per stream at once, one client per stream.
+    /// Submits one burst per stream at once, one client per stream; job
+    /// `n` of `trial` warms up `trial * router_burst + n` records.
     /// Returns the seconds until the last document is fetched, and the
     /// mean jobs running at once until the first stream's last job
     /// ended.
-    fn burst(&self, scale: &Scale, streams: &[usize]) -> (f64, f64) {
+    fn burst(&self, scale: &Scale, streams: &[usize], trial: usize) -> (f64, f64) {
         let start = Instant::now();
         // Each stream's jobs as (start, end) seconds since `start`.
         let runs: Vec<Vec<(f64, f64)>> = std::thread::scope(|scope| {
@@ -589,7 +599,8 @@ impl Fleet {
                         let mut conn = connect(&self.addr);
                         let jobs: Vec<(f64, String)> = (1..=scale.router_burst)
                             .map(|n| {
-                                let body = burst_body(seed, scale.router_length, n);
+                                let n = trial * scale.router_burst + n;
+                                let body = warmed_body(seed, scale.router_length, "All_imps", n);
                                 (start.elapsed().as_secs_f64(), submit(&mut conn, &body, "burst"))
                             })
                             .collect();
@@ -619,7 +630,7 @@ impl Fleet {
         self.router.join();
         for backend in self.backends {
             backend.begin_shutdown(false);
-            backend.join();
+            join_uncached(backend, "sharding");
         }
     }
 }
@@ -645,7 +656,7 @@ fn home_streams(addrs: &[String], scale: &Scale) -> Vec<usize> {
     let ring = HashRing::new(addrs, DEFAULT_VNODES);
     let mut seeds: Vec<Option<usize>> = vec![None; addrs.len()];
     for seed in 3000.. {
-        let spec = JobSpec::parse(&burst_body(seed, scale.router_length, 0))
+        let spec = JobSpec::parse(&warmed_body(seed, scale.router_length, "All_imps", 0))
             .expect("bench bodies are valid job specs");
         let home = ring.route(&spec.source_key()).expect("a ring with backends routes every key");
         seeds[home].get_or_insert(seed);

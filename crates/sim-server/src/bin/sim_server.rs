@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! sim_server [--addr HOST:PORT] [--queue-depth N] [--workers N]
-//!            [--job-timeout SECONDS] [--max-batch N] [--result-cache N]
-//!            [--addr-file <path>] [--metrics <path>]
+//!            [--job-timeout SECONDS] [--max-batch N] [--addr-file <path>]
+//!            [--metrics <path>]
 //! ```
 //!
 //! Binds the address (`127.0.0.1:0` picks an ephemeral port; the bound
@@ -56,17 +56,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                     return Err("--max-batch must be positive (1 disables batching)".into());
                 }
             }
-            "--result-cache" => {
-                config.result_cache_entries =
-                    cli::flag_value("--result-cache", "an entry count (0 disables)", args.next())?;
-            }
             "--addr-file" => addr_file = Some(args.next().ok_or("--addr-file needs a path")?),
             "--metrics" => metrics_path = Some(args.next().ok_or("--metrics needs a path")?),
             "-h" | "--help" => {
                 eprintln!(
                     "usage: sim_server [--addr HOST:PORT] [--queue-depth N] [--workers N] \
-                     [--job-timeout SECONDS] [--max-batch N] [--result-cache N] \
-                     [--addr-file <path>] [--metrics <path>]"
+                     [--job-timeout SECONDS] [--max-batch N] [--addr-file <path>] \
+                     [--metrics <path>]"
                 );
                 return Ok(());
             }
@@ -78,12 +74,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         Server::start(config.clone()).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
     let addr = server.local_addr();
     println!(
-        "sim_server: listening on {addr} (queue depth {}, {} workers, max batch {}, \
-         result cache {})",
+        "sim_server: listening on {addr} (queue depth {}, {} workers, max batch {})",
         config.queue_depth,
         config.workers.max(1),
-        config.max_batch,
-        config.result_cache_entries
+        config.max_batch
     );
     Ok(run_until_shutdown(
         "sim_server",

@@ -56,7 +56,8 @@ impl ServerMetrics {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `count` memoized documents were dropped to stay within capacity.
+    /// `count` done executions left the job table with their last kept
+    /// job.
     pub fn note_evicted(&self, count: u64) {
         self.cache_evictions.fetch_add(count, Ordering::Relaxed);
     }

@@ -1,12 +1,12 @@
-//! The job service itself: routing, worker pool, execution table, and
+//! The job service itself: routing, worker pool, job table, and
 //! shutdown choreography. Accepting, connection handling, endpoint
 //! parsing and the drain wait are the front door in [`crate::http`],
 //! shared with the router.
 //!
 //! ```text
 //!                  Service::route
-//!   front door ──▶ POST /jobs ──▶ execution table (canonical key)
-//!   (http.rs,         │            ├─ done: job born done (LRU hit)
+//!   front door ──▶ POST /jobs ──▶ job table: executions (canonical key)
+//!   (http.rs,         │            ├─ done: job born done (cache hit)
 //!    shared)          │            ├─ queued/running: attach, extend deadline
 //!                     │            └─ none: new execution ──▶ BoundedQueue
 //!                     │                  full: 429 + Retry-After   (depth N)
@@ -20,14 +20,14 @@
 //!                     │                                  one token per execution)
 //!                     │                                               │
 //!                     └──▶ job table: id → execution ◀──── settle: store the outcome
-//!                          + own submission, deadline      once, decide each job,
-//!                                                          keep done ones (LRU)
+//!                          + own submission, deadline;     once, decide each job,
+//!                          newest RETAINED_JOBS settled    queue its id as settled
 //! ```
 //!
-//! The table holds one execution per
-//! [`canonical job-spec key`](JobSpec::canonical_key): queued and
-//! running ones, plus up to `result_cache_entries` done ones kept under
-//! a least-recently-used rule. A submission whose key finds a done
+//! One table, under one lock, holds the jobs, the ids of settled jobs in
+//! the order their outcomes were decided, and one execution per
+//! [`canonical job-spec key`](JobSpec::canonical_key) with a count of
+//! the kept jobs that hold it. A submission whose key finds a done
 //! execution is born `done` (a result-cache hit); one that finds a
 //! queued or running execution attaches to it (coalesced); otherwise a
 //! new execution goes onto the queue. Job ids map to an execution plus
@@ -41,6 +41,12 @@
 //! source key (up to `max_batch`) and drives them through one fused
 //! streaming pass over the shared decoded record stream.
 //!
+//! Retention is one rule: the table keeps the newest [`RETAINED_JOBS`]
+//! settled jobs, by settle order, and forgets older ones (their ids
+//! answer `404`). Queued and running jobs are always kept. A done
+//! execution stays, and answers its spec, while a kept job holds it;
+//! when its last job is forgotten it leaves (a result-cache eviction).
+//!
 //! Shutdown has two grades. *Graceful* (`begin_shutdown(false)`): new
 //! submissions get `503`, the queue closes, workers finish the backlog,
 //! polls and result fetches keep working throughout the drain. *Abort*
@@ -51,7 +57,7 @@
 //! request being routed has had its response written, and the accept
 //! loop has stopped.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,8 +88,6 @@ pub struct ServerConfig {
     /// Most jobs one worker fuses into a single streaming pass
     /// (`1` disables batching).
     pub max_batch: usize,
-    /// Result-cache capacity in documents (`0` disables memoization).
-    pub result_cache_entries: usize,
 }
 
 impl Default for ServerConfig {
@@ -94,7 +98,6 @@ impl Default for ServerConfig {
             workers: 2,
             job_timeout: Duration::from_secs(300),
             max_batch: 8,
-            result_cache_entries: 256,
         }
     }
 }
@@ -129,8 +132,9 @@ impl JobStatus {
 /// One run of a canonical spec, shared by every job that asked for it.
 struct Execution {
     spec: JobSpec,
-    /// Table key; see [`JobSpec::canonical_key`].
-    canonical_key: String,
+    /// Table key, shared with the table's map; see
+    /// [`JobSpec::canonical_key`].
+    canonical_key: Arc<str>,
     /// Stream-grouping key; see [`JobSpec::source_key`].
     source_key: String,
     /// Trips at the latest deadline among the attached jobs.
@@ -143,12 +147,13 @@ struct ExecutionState {
     finished: Option<Instant>,
     /// `None` while queued or running; the document is stored here once.
     outcome: Option<Result<String, JobError>>,
-    /// Jobs waiting for the outcome; settling decides and clears them.
-    attached: Vec<JobClock>,
+    /// Jobs waiting for the outcome, by id; settling decides and clears
+    /// them.
+    attached: Vec<(u64, JobClock)>,
 }
 
 impl Execution {
-    fn new(spec: JobSpec, canonical_key: String, clock: JobClock) -> Execution {
+    fn new(spec: JobSpec, canonical_key: Arc<str>, id: u64, clock: JobClock) -> Execution {
         Execution {
             source_key: spec.source_key(),
             spec,
@@ -158,7 +163,7 @@ impl Execution {
                 started: None,
                 finished: None,
                 outcome: None,
-                attached: vec![clock],
+                attached: vec![(id, clock)],
             }),
         }
     }
@@ -170,10 +175,10 @@ impl Execution {
     /// Attaches a job to this queued or running execution, moving the
     /// execution's deadline out to the job's. `false` once the token
     /// has tripped: the job needs a fresh execution.
-    fn attach(&self, clock: JobClock) -> bool {
+    fn attach(&self, id: u64, clock: JobClock) -> bool {
         let live = self.token.extend_deadline(clock.deadline);
         if live {
-            self.lock().attached.push(clock);
+            self.lock().attached.push((id, clock));
         }
         live
     }
@@ -239,81 +244,55 @@ struct Job {
     clock: JobClock,
 }
 
-struct Slot {
-    execution: Arc<Execution>,
-    /// Recency stamp once done; `None` while queued or running.
-    used: Option<u64>,
+/// Settled jobs kept, newest by settle order; see the module docs. A
+/// kept job's status and result stay readable, and a done execution
+/// answers its spec while a kept job holds it. Sized so a 20 s
+/// `perfbench serve` phase (~12k jobs) can read back every job's status.
+pub const RETAINED_JOBS: usize = 16384;
+
+/// Every job and execution the server remembers; see the module docs.
+#[derive(Default)]
+struct Table {
+    jobs: HashMap<u64, Job>,
+    /// Ids of settled jobs, oldest decided first.
+    settled: VecDeque<u64>,
+    /// Canonical key → the queued, running or done execution of that
+    /// spec, and how many kept jobs hold it.
+    executions: HashMap<Arc<str>, (Arc<Execution>, usize)>,
 }
 
-/// Canonical key → the one execution of that spec; see the module docs.
-struct ExecutionTable {
-    /// Most done executions kept (`0` disables memoization).
-    capacity: usize,
-    slots: HashMap<String, Slot>,
-    /// Done slots, at most `capacity`.
-    memoized: usize,
-    /// Monotonic use counter backing the recency stamps.
-    clock: u64,
-}
-
-impl ExecutionTable {
-    fn new(capacity: usize) -> ExecutionTable {
-        ExecutionTable { capacity, slots: HashMap::new(), memoized: 0, clock: 0 }
-    }
-
-    /// The execution filed under `key` and whether it is done; a done
-    /// one counts as used.
-    fn lookup(&mut self, key: &str) -> Option<(Arc<Execution>, bool)> {
-        let slot = self.slots.get_mut(key)?;
-        if slot.used.is_some() {
-            self.clock += 1;
-            slot.used = Some(self.clock);
-        }
-        Some((Arc::clone(&slot.execution), slot.used.is_some()))
-    }
-
-    /// Files a settled execution: a done one stays as a memoized result,
-    /// evicting the least recently used done one beyond `capacity`;
-    /// anything else leaves. An execution no longer in its slot (a fresh
-    /// one replaced it) changes nothing. Returns the evictions.
-    fn settle(&mut self, execution: &Arc<Execution>, done: bool) -> u64 {
-        let key = &execution.canonical_key;
-        let Some(slot) =
-            self.slots.get_mut(key).filter(|slot| Arc::ptr_eq(&slot.execution, execution))
-        else {
-            return 0;
-        };
-        if !done || self.capacity == 0 {
-            self.slots.remove(key);
-            return 0;
-        }
-        self.clock += 1;
-        slot.used = Some(self.clock);
-        self.memoized += 1;
+impl Table {
+    /// Forgets the oldest settled jobs beyond [`RETAINED_JOBS`]; a done
+    /// execution whose last holder goes leaves the table. Returns those
+    /// evictions.
+    fn retain(&mut self) -> u64 {
         let mut evicted = 0;
-        while self.memoized > self.capacity {
-            let Some(oldest) = self
-                .slots
-                .iter()
-                .filter_map(|(key, slot)| Some((slot.used?, key)))
-                .min()
-                .map(|(_, key)| key.clone())
-            else {
-                break;
-            };
-            self.slots.remove(&oldest);
-            self.memoized -= 1;
-            evicted += 1;
+        while self.settled.len() > RETAINED_JOBS {
+            let id = self.settled.pop_front().expect("more than RETAINED_JOBS ids");
+            let job = self.jobs.remove(&id).expect("settled ids are kept jobs");
+            let Some((_, holders)) = self.held(&job.execution) else { continue };
+            *holders -= 1;
+            if *holders == 0 {
+                self.executions.remove(&job.execution.canonical_key);
+                evicted += 1;
+            }
         }
         evicted
+    }
+
+    /// `execution`'s holder count, if it is still the one filed under its
+    /// key (a fresh execution may have replaced it).
+    fn held(&mut self, execution: &Arc<Execution>) -> Option<&mut (Arc<Execution>, usize)> {
+        self.executions
+            .get_mut(&execution.canonical_key)
+            .filter(|(filed, _)| Arc::ptr_eq(filed, execution))
     }
 }
 
 struct Shared {
     config: ServerConfig,
     queue: BoundedQueue<Arc<Execution>>,
-    jobs: Mutex<HashMap<u64, Job>>,
-    table: Mutex<ExecutionTable>,
+    table: Mutex<Table>,
     next_id: AtomicU64,
     metrics: ServerMetrics,
     cache: ArtifactCache,
@@ -324,9 +303,8 @@ impl Shared {
     fn new(config: ServerConfig) -> Shared {
         Shared {
             queue: BoundedQueue::new(config.queue_depth),
-            table: Mutex::new(ExecutionTable::new(config.result_cache_entries)),
+            table: Mutex::default(),
             config,
-            jobs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             metrics: ServerMetrics::default(),
             cache: ArtifactCache::new(),
@@ -335,14 +313,10 @@ impl Shared {
     }
 
     fn job(&self, id: u64) -> Option<Job> {
-        self.jobs_lock().get(&id).cloned()
+        self.table().jobs.get(&id).cloned()
     }
 
-    fn jobs_lock(&self) -> MutexGuard<'_, HashMap<u64, Job>> {
-        self.jobs.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn table(&self) -> MutexGuard<'_, ExecutionTable> {
+    fn table(&self) -> MutexGuard<'_, Table> {
         self.table.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
@@ -351,40 +325,50 @@ impl Shared {
     /// one pushed while the table lock is held, so nothing can attach
     /// to an execution the queue refused. `None` when it refused.
     fn admit(&self, id: u64, spec: JobSpec) -> Option<JobStatus> {
-        let key = spec.canonical_key();
+        let key: Arc<str> = spec.canonical_key().into();
         let mut table = self.table();
         let submitted = Instant::now();
         let clock = JobClock { submitted, deadline: submitted + self.config.job_timeout };
-        let (execution, status) = match table.lookup(&key) {
-            Some((execution, true)) => {
+        let filed = table.executions.get_mut(&key);
+        let done =
+            filed.as_ref().is_some_and(|(filed, _)| filed.lock().status() == JobStatus::Done);
+        let (execution, status) = match filed {
+            Some((execution, holders)) if done => {
+                *holders += 1;
                 self.metrics.note_cache_hit();
                 self.metrics.note_completed(Duration::ZERO, Duration::ZERO);
+                let execution = Arc::clone(execution);
+                table.settled.push_back(id);
                 (execution, JobStatus::Done)
             }
-            Some((execution, false)) if execution.attach(clock) => {
+            Some((execution, holders)) if execution.attach(id, clock) => {
+                *holders += 1;
                 self.metrics.note_cache_miss();
                 self.metrics.note_coalesced();
-                (execution, JobStatus::Queued)
+                (Arc::clone(execution), JobStatus::Queued)
             }
             _ => {
                 self.metrics.note_cache_miss();
-                let execution = Arc::new(Execution::new(spec, key.clone(), clock));
+                let execution = Arc::new(Execution::new(spec, Arc::clone(&key), id, clock));
                 if self.queue.try_push(Arc::clone(&execution)).is_err() {
                     self.metrics.note_rejected();
                     return None;
                 }
-                table.slots.insert(key, Slot { execution: Arc::clone(&execution), used: None });
+                table.executions.insert(key, (Arc::clone(&execution), 1));
                 (execution, JobStatus::Queued)
             }
         };
+        table.jobs.insert(id, Job { execution, clock });
+        let evicted = table.retain();
         drop(table);
+        self.metrics.note_evicted(evicted);
         self.metrics.note_accepted();
-        self.jobs_lock().insert(id, Job { execution, clock });
         Some(status)
     }
 
     /// Stores `outcome` on `execution`, decides every attached job by
-    /// the settle rule, and files the execution in the table.
+    /// the settle rule and queues its id as settled. A failed or
+    /// cancelled execution leaves the table.
     fn settle(
         &self,
         execution: &Arc<Execution>,
@@ -397,7 +381,7 @@ impl Shared {
             let mut state = execution.lock();
             state.finished = Some(finished);
             state.outcome = Some(outcome);
-            for clock in std::mem::take(&mut state.attached) {
+            for (id, clock) in std::mem::take(&mut state.attached) {
                 match (clock.status(&state), clock.timings(&state)) {
                     (JobStatus::Done, Some((queued, Some(ran)))) => {
                         self.metrics.note_completed(queued, ran)
@@ -407,9 +391,14 @@ impl Shared {
                     }
                     _ => self.metrics.note_cancelled(),
                 }
+                table.settled.push_back(id);
             }
         }
-        let evicted = table.settle(execution, done);
+        if !done && table.held(execution).is_some() {
+            table.executions.remove(&execution.canonical_key);
+        }
+        let evicted = table.retain();
+        drop(table);
         self.metrics.note_evicted(evicted);
     }
 }
@@ -436,8 +425,10 @@ impl Service for Shared {
             for execution in self.queue.close_and_drain() {
                 self.settle(&execution, Err(JobError::Cancelled), now);
             }
-            for slot in self.table().slots.values().filter(|slot| slot.used.is_none()) {
-                slot.execution.token.cancel();
+            for (execution, _) in self.table().executions.values() {
+                if execution.lock().outcome.is_none() {
+                    execution.token.cancel();
+                }
             }
         } else {
             self.queue.close();
@@ -652,8 +643,8 @@ fn run_batch(executions: Vec<Arc<Execution>>, shared: &Shared) {
 mod tests {
     use super::*;
 
-    fn shared(result_cache_entries: usize) -> Shared {
-        Shared::new(ServerConfig { result_cache_entries, ..ServerConfig::default() })
+    fn shared() -> Shared {
+        Shared::new(ServerConfig::default())
     }
 
     fn spec(seed: u64) -> JobSpec {
@@ -670,6 +661,14 @@ mod tests {
         let execution = shared.queue.pop().expect("a queued execution");
         execution.lock().started = Some(Instant::now());
         shared.settle(&execution, Ok(document.to_owned()), Instant::now());
+    }
+
+    /// Submits and finishes one job of a distinct spec under each id.
+    fn settle_each(shared: &Shared, ids: std::ops::RangeInclusive<u64>) {
+        for id in ids {
+            submit_seed(shared, id, 1_000_000 + id);
+            finish_next(shared, "filler");
+        }
     }
 
     fn counter(shared: &Shared, name: &str) -> u64 {
@@ -697,14 +696,14 @@ mod tests {
 
     #[test]
     fn settle_decides_each_attached_job_by_its_own_deadline() {
-        let shared = shared(4);
-        let execution = Arc::new(Execution::new(spec(1), spec(1).canonical_key(), {
+        let shared = shared();
+        let execution = Arc::new(Execution::new(spec(1), spec(1).canonical_key().into(), 1, {
             let submitted = Instant::now() - Duration::from_secs(2);
             JobClock { submitted, deadline: submitted + Duration::from_secs(1) }
         }));
         let submitted = Instant::now();
         let late = JobClock { submitted, deadline: submitted + Duration::from_secs(60) };
-        assert!(execution.attach(late));
+        assert!(execution.attach(2, late));
         execution.lock().started = Some(submitted);
         shared.settle(&execution, Ok("doc".to_owned()), Instant::now());
         let state = execution.lock();
@@ -715,7 +714,7 @@ mod tests {
 
     #[test]
     fn hit_returns_the_stored_document() {
-        let shared = shared(4);
+        let shared = shared();
         assert_eq!(submit_seed(&shared, 1, 1), JobStatus::Queued);
         finish_next(&shared, "doc-a");
         assert_eq!(submit_seed(&shared, 2, 1), JobStatus::Done, "born done");
@@ -727,31 +726,66 @@ mod tests {
     }
 
     #[test]
-    fn eviction_drops_the_least_recently_used() {
-        let shared = shared(2);
+    fn holders_count_the_kept_jobs_of_an_execution() {
+        let shared = shared();
+        let holders = || shared.table().executions[spec(1).canonical_key().as_str()].1;
         submit_seed(&shared, 1, 1);
-        finish_next(&shared, "1");
-        submit_seed(&shared, 2, 2);
-        finish_next(&shared, "2");
-        assert_eq!(submit_seed(&shared, 3, 1), JobStatus::Done, "refresh 1 so 2 is the LRU");
-        submit_seed(&shared, 4, 3);
-        finish_next(&shared, "3");
-        assert_eq!(counter(&shared, "server.result_cache.evictions"), 1);
-        assert_eq!(submit_seed(&shared, 5, 2), JobStatus::Queued, "2 was evicted");
-        assert_eq!(submit_seed(&shared, 6, 1), JobStatus::Done);
-        assert_eq!(submit_seed(&shared, 7, 3), JobStatus::Done);
-        assert_eq!(shared.table().memoized, 2);
+        assert_eq!(submit_seed(&shared, 2, 1), JobStatus::Queued, "attached");
+        assert_eq!(holders(), 2);
+        finish_next(&shared, "doc");
+        let _outside_the_lock = shared.job(1);
+        assert_eq!(submit_seed(&shared, 3, 1), JobStatus::Done);
+        assert_eq!(holders(), 3, "a clone held outside the table holds nothing");
+        assert_eq!(shared.table().settled, [1, 2, 3]);
     }
 
     #[test]
-    fn zero_capacity_disables_the_cache() {
-        let shared = shared(0);
-        submit_seed(&shared, 1, 1);
+    fn keeps_the_newest_settled_jobs() {
+        let shared = shared();
+        let total = RETAINED_JOBS as u64 + 100;
+        settle_each(&shared, 1..=total);
+        let table = shared.table();
+        assert_eq!(table.settled.len(), RETAINED_JOBS);
+        assert_eq!(table.jobs.len(), RETAINED_JOBS);
+        assert!((1..=100).all(|id| !table.jobs.contains_key(&id)), "the oldest are forgotten");
+        assert!((101..=total).all(|id| table.jobs.contains_key(&id)));
+        assert!(table.executions.len() <= RETAINED_JOBS);
+        drop(table);
+        assert_eq!(job_endpoint("1", false, &shared).status, 404, "forgotten reads as unknown");
+        assert_eq!(job_endpoint("101", false, &shared).status, 200);
+        assert_eq!(counter(&shared, "server.result_cache.evictions"), 100);
+    }
+
+    #[test]
+    fn a_job_that_settles_late_outlives_newer_ids() {
+        let shared = shared();
+        submit_seed(&shared, 1, 0);
+        let long = shared.queue.pop().expect("a queued execution");
+        long.lock().started = Some(Instant::now());
+        settle_each(&shared, 2..=RETAINED_JOBS as u64 + 1);
+        shared.settle(&long, Ok("long".to_owned()), Instant::now());
+        assert!(shared.job(2).is_none(), "the oldest settled job is forgotten");
+        assert_eq!(document(&shared, 1).as_deref(), Some("long"), "settle order, not id order");
+        assert_eq!(job_endpoint("1", false, &shared).status, 200);
+    }
+
+    #[test]
+    fn a_spec_hits_until_its_last_job_is_forgotten() {
+        let shared = shared();
+        let cached = || shared.table().executions.contains_key(spec(0).canonical_key().as_str());
+        submit_seed(&shared, 1, 0);
         finish_next(&shared, "doc");
-        assert!(shared.table().slots.is_empty());
-        assert_eq!(submit_seed(&shared, 2, 1), JobStatus::Queued, "runs again");
-        assert_eq!(counter(&shared, "server.result_cache.hits"), 0);
-        assert_eq!(counter(&shared, "server.result_cache.misses"), 2);
+        assert_eq!(submit_seed(&shared, 2, 0), JobStatus::Done, "a kept job holds it");
+        let last = RETAINED_JOBS as u64 + 2;
+        settle_each(&shared, 3..=last - 1);
+        assert!(shared.job(1).is_none());
+        assert!(cached(), "job 2 still holds it");
+        settle_each(&shared, last..=last);
+        assert!(shared.job(2).is_none());
+        assert!(!cached(), "its last job is forgotten");
+        assert_eq!(counter(&shared, "server.result_cache.evictions"), 1);
+        assert_eq!(submit_seed(&shared, last + 1, 0), JobStatus::Queued, "runs again");
+        assert_eq!(counter(&shared, "server.result_cache.hits"), 1);
     }
 
     #[test]
@@ -759,30 +793,37 @@ mod tests {
         const LENGTH: u64 = 40_000;
         // The largest single artifact: one source's generated trace.
         let entry = LENGTH * std::mem::size_of::<cvp_trace::CvpInstruction>() as u64;
-        let shared = shared(0);
-        let serve = |id: u64, seed: u64| {
-            let body = format!(
-                r#"{{"workload": {{"kind": "crypto", "seed": {seed}, "length": {LENGTH}}}}}"#
-            );
-            shared.admit(id, JobSpec::parse(&body).unwrap()).expect("the queue has room");
+        let shared = shared();
+        let job = |seed: u64, warmup: u64| {
+            JobSpec::parse(&format!(
+                r#"{{"workload": {{"kind": "crypto", "seed": {seed}, "length": {LENGTH}}},
+                    "warmup": {warmup}}}"#
+            ))
+            .unwrap()
+        };
+        let serve = |id: u64, spec: JobSpec| {
+            shared.admit(id, spec).expect("the queue has room");
             run_batch(vec![shared.queue.pop().expect("a queued execution")], &shared);
             document(&shared, id).expect("the job finished")
         };
-        let first = serve(1, 0);
+        serve(1, job(0, 0));
         for seed in 1..8 {
-            serve(seed + 1, seed);
+            serve(seed + 1, job(seed, 0));
             let resident = shared.cache.resident_bytes();
             let budget = shared.cache.budget_bytes();
             assert!(resident <= budget + entry, "{resident} bytes resident over {budget}");
         }
         assert!(counter(&shared, "server.artifacts.evictions") > 0, "the sources overran");
-        assert_eq!(serve(9, 0), first, "re-served byte for byte after its eviction");
+        // A new warm-up misses the result cache, so the evicted source
+        // is generated again.
+        let local = job(0, 1).execute(&ArtifactCache::new(), &CancelToken::new());
+        assert_eq!(Ok(serve(9, job(0, 1))), local, "re-served byte for byte after its eviction");
         assert_eq!(shared.cache.counters().trace_misses, 9, "the first source regenerated");
     }
 
     #[test]
     fn duplicates_attach_until_the_token_trips() {
-        let shared = shared(4);
+        let shared = shared();
         submit_seed(&shared, 1, 1);
         assert_eq!(submit_seed(&shared, 2, 1), JobStatus::Queued);
         assert_eq!(counter(&shared, "server.jobs.coalesced"), 1);

@@ -8,531 +8,429 @@
 
 use crate::metric::{Desc, Kind, Unit};
 
-macro_rules! desc {
-    ($vis:vis $ident:ident, $name:literal, $kind:ident, $unit:ident, $doc:literal) => {
-        #[doc = $doc]
-        $vis static $ident: Desc = Desc {
-            name: $name,
-            kind: Kind::$kind,
-            unit: Unit::$unit,
-            description: $doc,
-        };
+/// Declares one group of descriptors: each a `pub static`, documented
+/// by its description, and `$group`, the group's descriptors in
+/// declaration order, which [`all`] concatenates.
+macro_rules! group {
+    ($group:ident: $($ident:ident, $name:literal, $kind:ident, $unit:ident, $doc:literal;)*) => {
+        $(
+            #[doc = $doc]
+            pub static $ident: Desc = Desc {
+                name: $name,
+                kind: Kind::$kind,
+                unit: Unit::$unit,
+                description: $doc,
+            };
+        )*
+        static $group: &[&Desc] = &[$(&$ident),*];
     };
 }
 
 // ------------------------------------------------------------------ sim
-desc!(pub SIM_INSTRUCTIONS, "sim.instructions", Counter, Instructions,
-    "Retired trace records in the measured (post-warm-up) window");
-desc!(pub SIM_CYCLES, "sim.cycles", Counter, Cycles,
-    "Elapsed core cycles in the measured window");
-desc!(pub SIM_IPC, "sim.ipc", Gauge, Ratio,
-    "Instructions per cycle over the measured window");
-desc!(pub SIM_BRANCH_EXECUTED, "sim.branch.executed", Counter, Count,
-    "Branches executed (all types)");
-desc!(pub SIM_BRANCH_MISPREDICTED, "sim.branch.mispredicted", Counter, Count,
-    "Branches mispredicted in direction or target");
-desc!(pub SIM_BRANCH_DIRECTION_MISPREDICTS, "sim.branch.direction_mispredicts", Counter, Count,
-    "Conditional branches whose predicted direction was wrong");
-desc!(pub SIM_BRANCH_TARGET_MISPREDICTS, "sim.branch.target_mispredicts", Counter, Count,
-    "Taken branches whose predicted target was wrong (BTB/RAS/ITTAGE misses)");
-desc!(pub SIM_BRANCH_MISPREDICT_RESOLVE_CYCLES, "sim.branch.mispredict_resolve_cycles",
-    Counter, Cycles,
-    "Dispatch-to-resolve cycles summed over mispredicted branches — the exposed \
-     misprediction penalty that flag-reg and branch-regs inflate (Figure 1)");
-desc!(pub SIM_BRANCH_MPKI, "sim.branch.mpki", Gauge, PerKiloInstructions,
-    "Overall branch mispredictions per kilo-instruction");
-desc!(pub SIM_BRANCH_DIRECTION_MPKI, "sim.branch.direction_mpki", Gauge, PerKiloInstructions,
-    "Direction-only branch MPKI");
-desc!(pub SIM_BRANCH_TARGET_MPKI, "sim.branch.target_mpki", Gauge, PerKiloInstructions,
-    "Target-only branch MPKI");
-desc!(pub SIM_BRANCH_RETURN_MPKI, "sim.branch.return_mpki", Gauge, PerKiloInstructions,
-    "Return (RAS) misprediction MPKI — the paper's Figure 5 metric");
-desc!(pub SIM_BRANCH_TYPE_EXECUTED, "sim.branch.type.{type}.executed", Counter, Count,
-    "Executed branches of one type; {type} is one of direct-jump, indirect-jump, \
-     conditional, direct-call, indirect-call, return");
-desc!(pub SIM_BRANCH_TYPE_MISPREDICTED, "sim.branch.type.{type}.mispredicted", Counter, Count,
-    "Mispredicted branches of one type; {type} as in sim.branch.type.{type}.executed");
-desc!(pub SIM_FETCH_STARVE_CYCLES, "sim.frontend.fetch_starve_cycles", Counter, Cycles,
-    "Cycles the fetch stage stalled waiting for instruction supply \
-     (uncovered L1I miss latency and late instruction prefetches)");
-desc!(pub SIM_ROB_STALLS, "sim.rob.stalls", Counter, Count,
-    "Dispatches delayed because the reorder buffer was full");
-desc!(pub SIM_ROB_STALL_CYCLES, "sim.rob.stall_cycles", Counter, Cycles,
-    "Total cycles dispatch waited on the ROB head to retire");
-desc!(pub SIM_ROB_OCCUPANCY, "sim.rob.occupancy", Histogram, Count,
-    "Log2 histogram of ROB occupancy sampled at every dispatch");
-desc!(pub SIM_LSQ_STALLS, "sim.lsq.stalls", Counter, Count,
-    "Loads delayed because the load queue was full");
-desc!(pub SIM_MSHR_STALLS, "sim.mshr.stalls", Counter, Count,
-    "L1D misses delayed because every MSHR was occupied");
-desc!(pub SIM_IPREFETCH_ISSUED, "sim.iprefetch.issued", Counter, Count,
-    "Prefetch requests issued by the configured instruction prefetcher");
-desc!(pub SIM_CACHE_MPKI, "sim.cache.{level}.mpki", Gauge, PerKiloInstructions,
-    "Demand misses per kilo-instruction at one cache level; {level} is one of \
-     l1i, l1d, l2, llc");
-desc!(pub SIM_THROUGHPUT_MIPS, "sim.throughput.mips", Gauge, Mips,
-    "Millions of trace records retired per wall-clock second of host time, \
-     aggregated over the benchmark suite — simulator speed, not a \
-     microarchitectural result; emitted by `sim_bench`");
-desc!(pub SIM_THROUGHPUT_FAMILY_MIPS, "sim.throughput.{family}.mips", Gauge, Mips,
-    "Host simulation throughput on one synthetic workload family; {family} is \
-     one of pointer-chase, streaming, crypto, branchy-int, server, fp-kernel. \
-     Emitted by `sim_bench`");
+group!(SIM:
+    SIM_INSTRUCTIONS, "sim.instructions", Counter, Instructions,
+        "Retired trace records in the measured (post-warm-up) window";
+    SIM_CYCLES, "sim.cycles", Counter, Cycles,
+        "Elapsed core cycles in the measured window";
+    SIM_IPC, "sim.ipc", Gauge, Ratio,
+        "Instructions per cycle over the measured window";
+    SIM_BRANCH_EXECUTED, "sim.branch.executed", Counter, Count,
+        "Branches executed (all types)";
+    SIM_BRANCH_MISPREDICTED, "sim.branch.mispredicted", Counter, Count,
+        "Branches mispredicted in direction or target";
+    SIM_BRANCH_DIRECTION_MISPREDICTS, "sim.branch.direction_mispredicts", Counter, Count,
+        "Conditional branches whose predicted direction was wrong";
+    SIM_BRANCH_TARGET_MISPREDICTS, "sim.branch.target_mispredicts", Counter, Count,
+        "Taken branches whose predicted target was wrong (BTB/RAS/ITTAGE misses)";
+    SIM_BRANCH_MISPREDICT_RESOLVE_CYCLES, "sim.branch.mispredict_resolve_cycles",
+        Counter, Cycles,
+        "Dispatch-to-resolve cycles summed over mispredicted branches — the exposed \
+         misprediction penalty that flag-reg and branch-regs inflate (Figure 1)";
+    SIM_BRANCH_MPKI, "sim.branch.mpki", Gauge, PerKiloInstructions,
+        "Overall branch mispredictions per kilo-instruction";
+    SIM_BRANCH_DIRECTION_MPKI, "sim.branch.direction_mpki", Gauge, PerKiloInstructions,
+        "Direction-only branch MPKI";
+    SIM_BRANCH_TARGET_MPKI, "sim.branch.target_mpki", Gauge, PerKiloInstructions,
+        "Target-only branch MPKI";
+    SIM_BRANCH_RETURN_MPKI, "sim.branch.return_mpki", Gauge, PerKiloInstructions,
+        "Return (RAS) misprediction MPKI — the paper's Figure 5 metric";
+    SIM_BRANCH_TYPE_EXECUTED, "sim.branch.type.{type}.executed", Counter, Count,
+        "Executed branches of one type; {type} is one of direct-jump, indirect-jump, \
+         conditional, direct-call, indirect-call, return";
+    SIM_BRANCH_TYPE_MISPREDICTED, "sim.branch.type.{type}.mispredicted", Counter, Count,
+        "Mispredicted branches of one type; {type} as in sim.branch.type.{type}.executed";
+    SIM_FETCH_STARVE_CYCLES, "sim.frontend.fetch_starve_cycles", Counter, Cycles,
+        "Cycles the fetch stage stalled waiting for instruction supply \
+         (uncovered L1I miss latency and late instruction prefetches)";
+    SIM_ROB_STALLS, "sim.rob.stalls", Counter, Count,
+        "Dispatches delayed because the reorder buffer was full";
+    SIM_ROB_STALL_CYCLES, "sim.rob.stall_cycles", Counter, Cycles,
+        "Total cycles dispatch waited on the ROB head to retire";
+    SIM_ROB_OCCUPANCY, "sim.rob.occupancy", Histogram, Count,
+        "Log2 histogram of ROB occupancy sampled at every dispatch";
+    SIM_LSQ_STALLS, "sim.lsq.stalls", Counter, Count,
+        "Loads delayed because the load queue was full";
+    SIM_MSHR_STALLS, "sim.mshr.stalls", Counter, Count,
+        "L1D misses delayed because every MSHR was occupied";
+    SIM_IPREFETCH_ISSUED, "sim.iprefetch.issued", Counter, Count,
+        "Prefetch requests issued by the configured instruction prefetcher";
+    SIM_CACHE_MPKI, "sim.cache.{level}.mpki", Gauge, PerKiloInstructions,
+        "Demand misses per kilo-instruction at one cache level; {level} is one of \
+         l1i, l1d, l2, llc";
+    SIM_THROUGHPUT_MIPS, "sim.throughput.mips", Gauge, Mips,
+        "Millions of trace records retired per wall-clock second of host time, \
+         aggregated over the benchmark suite — simulator speed, not a \
+         microarchitectural result; emitted by `sim_bench`";
+    SIM_THROUGHPUT_FAMILY_MIPS, "sim.throughput.{family}.mips", Gauge, Mips,
+        "Host simulation throughput on one synthetic workload family; {family} is \
+         one of pointer-chase, streaming, crypto, branchy-int, server, fp-kernel. \
+         Emitted by `sim_bench`";
+);
 
 // --------------------------------------------------------------- memsys
-desc!(pub MEMSYS_DEMAND_ACCESSES, "memsys.{level}.demand_accesses", Counter, Count,
-    "Demand (non-prefetch) accesses at one cache level; {level} is one of \
-     l1i, l1d, l2, llc");
-desc!(pub MEMSYS_DEMAND_MISSES, "memsys.{level}.demand_misses", Counter, Count,
-    "Demand misses at one cache level; {level} as in memsys.{level}.demand_accesses");
-desc!(pub MEMSYS_MISS_RATIO, "memsys.{level}.miss_ratio", Gauge, Percent,
-    "Demand miss ratio at one cache level, percent");
-desc!(pub MEMSYS_PREFETCH_FILLS, "memsys.{level}.prefetch_fills", Counter, Count,
-    "Lines filled by prefetch at one cache level");
-desc!(pub MEMSYS_USEFUL_PREFETCHES, "memsys.{level}.useful_prefetches", Counter, Count,
-    "Demand hits on prefetched lines (first touch) at one cache level");
-desc!(pub MEMSYS_PREFETCH_ACCURACY, "memsys.{level}.prefetch_accuracy", Gauge, Percent,
-    "Useful prefetches as a percentage of prefetch fills at one cache level");
+group!(MEMSYS:
+    MEMSYS_DEMAND_ACCESSES, "memsys.{level}.demand_accesses", Counter, Count,
+        "Demand (non-prefetch) accesses at one cache level; {level} is one of \
+         l1i, l1d, l2, llc";
+    MEMSYS_DEMAND_MISSES, "memsys.{level}.demand_misses", Counter, Count,
+        "Demand misses at one cache level; {level} as in memsys.{level}.demand_accesses";
+    MEMSYS_MISS_RATIO, "memsys.{level}.miss_ratio", Gauge, Percent,
+        "Demand miss ratio at one cache level, percent";
+    MEMSYS_PREFETCH_FILLS, "memsys.{level}.prefetch_fills", Counter, Count,
+        "Lines filled by prefetch at one cache level";
+    MEMSYS_USEFUL_PREFETCHES, "memsys.{level}.useful_prefetches", Counter, Count,
+        "Demand hits on prefetched lines (first touch) at one cache level";
+    MEMSYS_PREFETCH_ACCURACY, "memsys.{level}.prefetch_accuracy", Gauge, Percent,
+        "Useful prefetches as a percentage of prefetch fills at one cache level";
+);
 
 // ---------------------------------------------------------------- bpred
-desc!(pub BPRED_DIRECTION_PREDICTIONS, "bpred.direction.predictions", Counter, Count,
-    "Conditional-direction predictions made by the direction predictor");
-desc!(pub BPRED_DIRECTION_UPDATES, "bpred.direction.updates", Counter, Count,
-    "Training updates applied to the direction predictor");
-desc!(pub BPRED_INDIRECT_PREDICTIONS, "bpred.indirect.predictions", Counter, Count,
-    "Indirect-target predictions attempted by the indirect predictor");
-desc!(pub BPRED_INDIRECT_NO_PREDICTION, "bpred.indirect.no_prediction", Counter, Count,
-    "Indirect lookups where the indirect predictor had no prediction");
-desc!(pub BPRED_BTB_LOOKUPS, "bpred.btb.lookups", Counter, Count,
-    "Branch target buffer lookups");
-desc!(pub BPRED_BTB_MISSES, "bpred.btb.misses", Counter, Count,
-    "Branch target buffer lookups that found no entry");
-desc!(pub BPRED_BTB_HIT_RATIO, "bpred.btb.hit_ratio", Gauge, Percent,
-    "BTB hit ratio, percent");
-desc!(pub BPRED_RAS_PUSHES, "bpred.ras.pushes", Counter, Count,
-    "Return addresses pushed on the return address stack (calls)");
-desc!(pub BPRED_RAS_POPS, "bpred.ras.pops", Counter, Count,
-    "Return addresses popped from the return address stack (returns)");
-desc!(pub BPRED_RAS_UNDERFLOWS, "bpred.ras.underflows", Counter, Count,
-    "Return-address pops that found the stack empty (the desync signature \
-     of the paper's call-stack bug)");
+group!(BPRED:
+    BPRED_DIRECTION_PREDICTIONS, "bpred.direction.predictions", Counter, Count,
+        "Conditional-direction predictions made by the direction predictor";
+    BPRED_DIRECTION_UPDATES, "bpred.direction.updates", Counter, Count,
+        "Training updates applied to the direction predictor";
+    BPRED_INDIRECT_PREDICTIONS, "bpred.indirect.predictions", Counter, Count,
+        "Indirect-target predictions attempted by the indirect predictor";
+    BPRED_INDIRECT_NO_PREDICTION, "bpred.indirect.no_prediction", Counter, Count,
+        "Indirect lookups where the indirect predictor had no prediction";
+    BPRED_BTB_LOOKUPS, "bpred.btb.lookups", Counter, Count,
+        "Branch target buffer lookups";
+    BPRED_BTB_MISSES, "bpred.btb.misses", Counter, Count,
+        "Branch target buffer lookups that found no entry";
+    BPRED_BTB_HIT_RATIO, "bpred.btb.hit_ratio", Gauge, Percent,
+        "BTB hit ratio, percent";
+    BPRED_RAS_PUSHES, "bpred.ras.pushes", Counter, Count,
+        "Return addresses pushed on the return address stack (calls)";
+    BPRED_RAS_POPS, "bpred.ras.pops", Counter, Count,
+        "Return addresses popped from the return address stack (returns)";
+    BPRED_RAS_UNDERFLOWS, "bpred.ras.underflows", Counter, Count,
+        "Return-address pops that found the stack empty (the desync signature \
+         of the paper's call-stack bug)";
+);
 
 // ------------------------------------------------------------ iprefetch
-desc!(pub IPREFETCH_FETCHES_SEEN, "iprefetch.fetches_seen", Counter, Count,
-    "Fetch events observed by the instrumented instruction prefetcher");
-desc!(pub IPREFETCH_MISSES_SEEN, "iprefetch.misses_seen", Counter, Count,
-    "Fetch events that missed in the L1I, as observed by the prefetcher");
-desc!(pub IPREFETCH_ISSUED, "iprefetch.issued", Counter, Count,
-    "Prefetch block requests the prefetcher proposed");
-desc!(pub IPREFETCH_BRANCHES_SEEN, "iprefetch.branches_seen", Counter, Count,
-    "Retired branches reported to the prefetcher");
+group!(IPREFETCH:
+    IPREFETCH_FETCHES_SEEN, "iprefetch.fetches_seen", Counter, Count,
+        "Fetch events observed by the instrumented instruction prefetcher";
+    IPREFETCH_MISSES_SEEN, "iprefetch.misses_seen", Counter, Count,
+        "Fetch events that missed in the L1I, as observed by the prefetcher";
+    IPREFETCH_ISSUED, "iprefetch.issued", Counter, Count,
+        "Prefetch block requests the prefetcher proposed";
+    IPREFETCH_BRANCHES_SEEN, "iprefetch.branches_seen", Counter, Count,
+        "Retired branches reported to the prefetcher";
+);
 
 // ------------------------------------------------------------ converter
-desc!(pub CONVERTER_INPUT_INSTRUCTIONS, "converter.input_instructions", Counter, Instructions,
-    "CVP-1 instructions consumed by the converter");
-desc!(pub CONVERTER_OUTPUT_RECORDS, "converter.output_records", Counter, Count,
-    "ChampSim records emitted (exceeds the input when base-update splits)");
-desc!(pub CONVERTER_EXPANSION_RATIO, "converter.expansion_ratio", Gauge, Ratio,
-    "Output records per input instruction");
-desc!(pub CONVERTER_MEMORY_NO_DESTINATION, "converter.memory_no_destination", Counter, Count,
-    "Memory instructions with no CVP-1 destination register (paper: 9.4%)");
-desc!(pub CONVERTER_LOADS_MULTI_DEST, "converter.loads_multiple_destinations", Counter, Count,
-    "Loads with more than one CVP-1 destination register (paper: 5.2%)");
-desc!(pub CONVERTER_BASE_UPDATE_LOADS, "converter.base_update_loads", Counter, Count,
-    "Loads inferred to perform a base-register update");
-desc!(pub CONVERTER_BASE_UPDATE_STORES, "converter.base_update_stores", Counter, Count,
-    "Stores inferred to perform a base-register update");
-desc!(pub CONVERTER_PRE_INDEX, "converter.pre_index", Counter, Count,
-    "Base updates classified as pre-indexing");
-desc!(pub CONVERTER_POST_INDEX, "converter.post_index", Counter, Count,
-    "Base updates classified as post-indexing");
-desc!(pub CONVERTER_TWO_CACHELINE, "converter.two_cacheline_accesses", Counter, Count,
-    "Memory accesses whose footprint spans two cachelines (paper: 0.3%)");
-desc!(pub CONVERTER_DC_ZVA_STORES, "converter.dc_zva_stores", Counter, Count,
-    "64-byte stores treated as DC ZVA cacheline zeroing");
-desc!(pub CONVERTER_X30_READ_WRITE, "converter.x30_read_write_branches", Counter, Count,
-    "Unconditional branches reading and writing X30 (calls the original \
-     converter misclassified as returns)");
-desc!(pub CONVERTER_RETURNS_EMITTED, "converter.returns_emitted", Counter, Count,
-    "Branches emitted as returns");
-desc!(pub CONVERTER_CALLS_EMITTED, "converter.calls_emitted", Counter, Count,
-    "Branches emitted as calls (direct or indirect)");
-desc!(pub CONVERTER_COND_WITH_SOURCES, "converter.conditional_with_sources", Counter, Count,
-    "Conditional branches carrying a real source register (branch-regs targets)");
-desc!(pub CONVERTER_FLAG_DESTS_ADDED, "converter.flag_destinations_added", Counter, Count,
-    "ALU/FP instructions given the flags register as destination (flag-reg)");
-desc!(pub CONVERTER_X30_DESTS_DROPPED, "converter.x30_destinations_dropped", Counter, Count,
-    "Calls whose X30 destination could not be conveyed (ChampSim's \
-     two-destination limit, paper §3.2.2)");
-desc!(pub CONVERTER_SRC_REGS_DROPPED, "converter.source_registers_dropped", Counter, Count,
-    "Source registers dropped because a record ran out of slots");
-desc!(pub CONVERTER_IMPROVEMENT_REWRITES, "converter.improvement.{name}.rewrites", Counter, Count,
-    "Input instructions one improvement rewrites; {name} is one of mem-regs, \
-     base-update, mem-footprint, call-stack, branch-regs, flag-reg");
+group!(CONVERTER:
+    CONVERTER_INPUT_INSTRUCTIONS, "converter.input_instructions", Counter, Instructions,
+        "CVP-1 instructions consumed by the converter";
+    CONVERTER_OUTPUT_RECORDS, "converter.output_records", Counter, Count,
+        "ChampSim records emitted (exceeds the input when base-update splits)";
+    CONVERTER_EXPANSION_RATIO, "converter.expansion_ratio", Gauge, Ratio,
+        "Output records per input instruction";
+    CONVERTER_MEMORY_NO_DESTINATION, "converter.memory_no_destination", Counter, Count,
+        "Memory instructions with no CVP-1 destination register (paper: 9.4%)";
+    CONVERTER_LOADS_MULTI_DEST, "converter.loads_multiple_destinations", Counter, Count,
+        "Loads with more than one CVP-1 destination register (paper: 5.2%)";
+    CONVERTER_BASE_UPDATE_LOADS, "converter.base_update_loads", Counter, Count,
+        "Loads inferred to perform a base-register update";
+    CONVERTER_BASE_UPDATE_STORES, "converter.base_update_stores", Counter, Count,
+        "Stores inferred to perform a base-register update";
+    CONVERTER_PRE_INDEX, "converter.pre_index", Counter, Count,
+        "Base updates classified as pre-indexing";
+    CONVERTER_POST_INDEX, "converter.post_index", Counter, Count,
+        "Base updates classified as post-indexing";
+    CONVERTER_TWO_CACHELINE, "converter.two_cacheline_accesses", Counter, Count,
+        "Memory accesses whose footprint spans two cachelines (paper: 0.3%)";
+    CONVERTER_DC_ZVA_STORES, "converter.dc_zva_stores", Counter, Count,
+        "64-byte stores treated as DC ZVA cacheline zeroing";
+    CONVERTER_X30_READ_WRITE, "converter.x30_read_write_branches", Counter, Count,
+        "Unconditional branches reading and writing X30 (calls the original \
+         converter misclassified as returns)";
+    CONVERTER_RETURNS_EMITTED, "converter.returns_emitted", Counter, Count,
+        "Branches emitted as returns";
+    CONVERTER_CALLS_EMITTED, "converter.calls_emitted", Counter, Count,
+        "Branches emitted as calls (direct or indirect)";
+    CONVERTER_COND_WITH_SOURCES, "converter.conditional_with_sources", Counter, Count,
+        "Conditional branches carrying a real source register (branch-regs targets)";
+    CONVERTER_FLAG_DESTS_ADDED, "converter.flag_destinations_added", Counter, Count,
+        "ALU/FP instructions given the flags register as destination (flag-reg)";
+    CONVERTER_X30_DESTS_DROPPED, "converter.x30_destinations_dropped", Counter, Count,
+        "Calls whose X30 destination could not be conveyed (ChampSim's \
+         two-destination limit, paper §3.2.2)";
+    CONVERTER_SRC_REGS_DROPPED, "converter.source_registers_dropped", Counter, Count,
+        "Source registers dropped because a record ran out of slots";
+    CONVERTER_IMPROVEMENT_REWRITES, "converter.improvement.{name}.rewrites", Counter, Count,
+        "Input instructions one improvement rewrites; {name} is one of mem-regs, \
+         base-update, mem-footprint, call-stack, branch-regs, flag-reg";
+);
 
 // ------------------------------------------------------------ cvp-trace
-desc!(pub CVP_INSTRUCTIONS, "cvp.instructions", Counter, Instructions,
-    "CVP-1 instructions characterized");
-desc!(pub CVP_TAKEN_BRANCHES, "cvp.taken_branches", Counter, Count,
-    "Taken branches (unconditional branches are always taken)");
-desc!(pub CVP_BRANCHES, "cvp.branches", Counter, Count,
-    "All branch-class instructions");
-desc!(pub CVP_MEMORY_NO_DEST, "cvp.memory_no_dest", Counter, Count,
-    "Loads/stores with no destination register (prefetch loads, plain stores)");
-desc!(pub CVP_LOADS_MULTI_DEST, "cvp.loads_multi_dest", Counter, Count,
-    "Loads with more than one destination register");
-desc!(pub CVP_ALU_FP_NO_DEST, "cvp.alu_fp_no_dest", Counter, Count,
-    "ALU/FP instructions with no destination (implicit flag setters)");
-desc!(pub CVP_MEAN_SOURCES, "cvp.mean_sources", Gauge, Ratio,
-    "Mean source registers per instruction");
-desc!(pub CVP_MEAN_DESTINATIONS, "cvp.mean_destinations", Gauge, Ratio,
-    "Mean destination registers per instruction");
-desc!(pub CVP_CLASS_COUNT, "cvp.class.{class}.count", Counter, Count,
-    "Instructions of one CVP-1 class; {class} is one of alu, load, store, \
-     cond-branch, uncond-direct-branch, uncond-indirect-branch, fp, slow-alu, \
-     undef");
+group!(CVP_TRACE:
+    CVP_INSTRUCTIONS, "cvp.instructions", Counter, Instructions,
+        "CVP-1 instructions characterized";
+    CVP_TAKEN_BRANCHES, "cvp.taken_branches", Counter, Count,
+        "Taken branches (unconditional branches are always taken)";
+    CVP_BRANCHES, "cvp.branches", Counter, Count,
+        "All branch-class instructions";
+    CVP_MEMORY_NO_DEST, "cvp.memory_no_dest", Counter, Count,
+        "Loads/stores with no destination register (prefetch loads, plain stores)";
+    CVP_LOADS_MULTI_DEST, "cvp.loads_multi_dest", Counter, Count,
+        "Loads with more than one destination register";
+    CVP_ALU_FP_NO_DEST, "cvp.alu_fp_no_dest", Counter, Count,
+        "ALU/FP instructions with no destination (implicit flag setters)";
+    CVP_MEAN_SOURCES, "cvp.mean_sources", Gauge, Ratio,
+        "Mean source registers per instruction";
+    CVP_MEAN_DESTINATIONS, "cvp.mean_destinations", Gauge, Ratio,
+        "Mean destination registers per instruction";
+    CVP_CLASS_COUNT, "cvp.class.{class}.count", Counter, Count,
+        "Instructions of one CVP-1 class; {class} is one of alu, load, store, \
+         cond-branch, uncond-direct-branch, uncond-indirect-branch, fp, slow-alu, \
+         undef";
+);
 
 // ---------------------------------------------------------- experiments
-desc!(pub EXP_GRID_TRACES, "experiments.grid.traces", Counter, Count,
-    "Traces in the improvement grid (the CVP-1 public suite)");
-desc!(pub EXP_GRID_CONFIGS, "experiments.grid.configs", Counter, Count,
-    "Improvement configurations in the grid, including the No_imp baseline");
-desc!(pub EXP_GRID_GEOMEAN_IPC, "experiments.grid.{config}.geomean_ipc", Gauge, Ratio,
-    "Geometric-mean IPC across the suite under one improvement configuration; \
-     {config} is No_imp, an improvement name, Memory_imps, Branch_imps or All_imps");
-desc!(pub EXP_GRID_IPC_DELTA, "experiments.grid.{config}.ipc_delta_pct", Gauge, Percent,
-    "Geomean-IPC variation of one configuration versus No_imp, percent \
-     (the paper's Figure 1 bars)");
-desc!(pub EXP_GRID_INSTRUCTIONS, "experiments.grid.{config}.instructions", Counter, Instructions,
-    "Retired records summed across the suite under one configuration");
-desc!(pub EXP_GRID_CYCLES, "experiments.grid.{config}.cycles", Counter, Cycles,
-    "Core cycles summed across the suite under one configuration");
-desc!(pub EXP_GRID_BRANCH_MISPREDICTS, "experiments.grid.{config}.branch_mispredicts",
-    Counter, Count,
-    "Branch mispredictions (direction or target) summed across the suite");
-desc!(pub EXP_GRID_DIRECTION_MISPREDICTS, "experiments.grid.{config}.direction_mispredicts",
-    Counter, Count,
-    "Direction-only mispredictions summed across the suite");
-desc!(pub EXP_GRID_TARGET_MISPREDICTS, "experiments.grid.{config}.target_mispredicts",
-    Counter, Count,
-    "Target-only mispredictions summed across the suite");
-desc!(pub EXP_GRID_L1I_MISSES, "experiments.grid.{config}.l1i_misses", Counter, Count,
-    "L1I demand misses summed across the suite under one configuration");
-desc!(pub EXP_GRID_L1D_MISSES, "experiments.grid.{config}.l1d_misses", Counter, Count,
-    "L1D demand misses summed across the suite under one configuration");
-desc!(pub EXP_GRID_L2_MISSES, "experiments.grid.{config}.l2_misses", Counter, Count,
-    "L2 demand misses summed across the suite under one configuration");
-desc!(pub EXP_GRID_LLC_MISSES, "experiments.grid.{config}.llc_misses", Counter, Count,
-    "LLC demand misses summed across the suite under one configuration");
-desc!(pub EXP_GRID_SPLIT_RECORDS, "experiments.grid.{config}.split_records", Counter, Count,
-    "Extra records emitted by base-update splitting, summed across the suite");
-desc!(pub EXP_GRID_MISPREDICT_RESOLVE_CYCLES,
-    "experiments.grid.{config}.mispredict_resolve_cycles", Counter, Cycles,
-    "Dispatch-to-resolve cycles of mispredicted branches summed across the suite \
-     (the attribution table's branch-penalty column)");
-desc!(pub EXP_TABLE3_SPEEDUP_COMPETITION,
-    "experiments.table3.{prefetcher}.speedup_competition", Gauge, Ratio,
-    "Geomean speedup of one IPC-1 prefetcher on competition-style traces; \
-     {prefetcher} is one of djolt, jip, mana, fnl+mma, pips, epi, barca, tap");
-desc!(pub EXP_TABLE3_SPEEDUP_FIXED,
-    "experiments.table3.{prefetcher}.speedup_fixed", Gauge, Ratio,
-    "Geomean speedup of one IPC-1 prefetcher on fixed traces (all \
-     improvements except mem-footprint)");
-desc!(pub EXP_TABLE4_SPEEDUP_COMPETITION,
-    "experiments.table4.{prefetcher}.speedup_competition", Gauge, Ratio,
-    "Table 4 (decoupled front-end) speedup on competition-style traces");
-desc!(pub EXP_TABLE4_SPEEDUP_FIXED,
-    "experiments.table4.{prefetcher}.speedup_fixed", Gauge, Ratio,
-    "Table 4 (decoupled front-end) speedup on fixed traces");
-desc!(pub EXP_PHASE_SECONDS, "experiments.phase_seconds.{phase}", Gauge, Seconds,
-    "CPU seconds one pipeline phase consumed, summed across worker threads; \
-     {phase} is one of generate, convert, simulate. Host timing — emitted by \
-     `sim_bench`, never by the deterministic `--metrics` documents");
+group!(EXPERIMENTS:
+    EXP_GRID_TRACES, "experiments.grid.traces", Counter, Count,
+        "Traces in the improvement grid (the CVP-1 public suite)";
+    EXP_GRID_CONFIGS, "experiments.grid.configs", Counter, Count,
+        "Improvement configurations in the grid, including the No_imp baseline";
+    EXP_GRID_GEOMEAN_IPC, "experiments.grid.{config}.geomean_ipc", Gauge, Ratio,
+        "Geometric-mean IPC across the suite under one improvement configuration; \
+         {config} is No_imp, an improvement name, Memory_imps, Branch_imps or All_imps";
+    EXP_GRID_IPC_DELTA, "experiments.grid.{config}.ipc_delta_pct", Gauge, Percent,
+        "Geomean-IPC variation of one configuration versus No_imp, percent \
+         (the paper's Figure 1 bars)";
+    EXP_GRID_INSTRUCTIONS, "experiments.grid.{config}.instructions", Counter, Instructions,
+        "Retired records summed across the suite under one configuration";
+    EXP_GRID_CYCLES, "experiments.grid.{config}.cycles", Counter, Cycles,
+        "Core cycles summed across the suite under one configuration";
+    EXP_GRID_BRANCH_MISPREDICTS, "experiments.grid.{config}.branch_mispredicts",
+        Counter, Count,
+        "Branch mispredictions (direction or target) summed across the suite";
+    EXP_GRID_DIRECTION_MISPREDICTS, "experiments.grid.{config}.direction_mispredicts",
+        Counter, Count,
+        "Direction-only mispredictions summed across the suite";
+    EXP_GRID_TARGET_MISPREDICTS, "experiments.grid.{config}.target_mispredicts",
+        Counter, Count,
+        "Target-only mispredictions summed across the suite";
+    EXP_GRID_L1I_MISSES, "experiments.grid.{config}.l1i_misses", Counter, Count,
+        "L1I demand misses summed across the suite under one configuration";
+    EXP_GRID_L1D_MISSES, "experiments.grid.{config}.l1d_misses", Counter, Count,
+        "L1D demand misses summed across the suite under one configuration";
+    EXP_GRID_L2_MISSES, "experiments.grid.{config}.l2_misses", Counter, Count,
+        "L2 demand misses summed across the suite under one configuration";
+    EXP_GRID_LLC_MISSES, "experiments.grid.{config}.llc_misses", Counter, Count,
+        "LLC demand misses summed across the suite under one configuration";
+    EXP_GRID_SPLIT_RECORDS, "experiments.grid.{config}.split_records", Counter, Count,
+        "Extra records emitted by base-update splitting, summed across the suite";
+    EXP_GRID_MISPREDICT_RESOLVE_CYCLES,
+        "experiments.grid.{config}.mispredict_resolve_cycles", Counter, Cycles,
+        "Dispatch-to-resolve cycles of mispredicted branches summed across the suite \
+         (the attribution table's branch-penalty column)";
+    EXP_TABLE3_SPEEDUP_COMPETITION,
+        "experiments.table3.{prefetcher}.speedup_competition", Gauge, Ratio,
+        "Geomean speedup of one IPC-1 prefetcher on competition-style traces; \
+         {prefetcher} is one of djolt, jip, mana, fnl+mma, pips, epi, barca, tap";
+    EXP_TABLE3_SPEEDUP_FIXED, "experiments.table3.{prefetcher}.speedup_fixed", Gauge, Ratio,
+        "Geomean speedup of one IPC-1 prefetcher on fixed traces (all \
+         improvements except mem-footprint)";
+    EXP_TABLE4_SPEEDUP_COMPETITION,
+        "experiments.table4.{prefetcher}.speedup_competition", Gauge, Ratio,
+        "Table 4 (decoupled front-end) speedup on competition-style traces";
+    EXP_TABLE4_SPEEDUP_FIXED, "experiments.table4.{prefetcher}.speedup_fixed", Gauge, Ratio,
+        "Table 4 (decoupled front-end) speedup on fixed traces";
+    EXP_PHASE_SECONDS, "experiments.phase_seconds.{phase}", Gauge, Seconds,
+        "CPU seconds one pipeline phase consumed, summed across worker threads; \
+         {phase} is one of generate, convert, simulate. Host timing — emitted by \
+         `sim_bench`, never by the deterministic `--metrics` documents";
+);
 
 // ------------------------------------------------------------ workloads
-desc!(pub WORKLOADS_GENERATED_INSTRUCTIONS, "workloads.generated_instructions",
-    Counter, Instructions,
-    "Synthetic CVP-1 instructions generated by tracegen");
+group!(WORKLOADS:
+    WORKLOADS_GENERATED_INSTRUCTIONS, "workloads.generated_instructions",
+        Counter, Instructions,
+        "Synthetic CVP-1 instructions generated by tracegen";
+);
 
 // ---------------------------------------------------------- trace-store
-desc!(pub STORE_BLOCKS_WRITTEN, "store.blocks_written", Counter, Count,
-    "Compressed blocks written to a `.cvpz`/`.champsimz` store");
-desc!(pub STORE_BYTES_RAW, "store.bytes_raw", Counter, Bytes,
-    "Uncompressed record bytes fed into a store writer");
-desc!(pub STORE_BYTES_COMPRESSED, "store.bytes_compressed", Counter, Bytes,
-    "Block payload bytes after delta filtering and LZ compression \
-     (excludes the fixed header/index framing)");
-desc!(pub STORE_COMPRESSION_RATIO, "store.compression_ratio", Gauge, Ratio,
-    "Raw over compressed payload bytes for one written store");
+group!(TRACE_STORE:
+    STORE_BLOCKS_WRITTEN, "store.blocks_written", Counter, Count,
+        "Compressed blocks written to a `.cvpz`/`.champsimz` store";
+    STORE_BYTES_RAW, "store.bytes_raw", Counter, Bytes,
+        "Uncompressed record bytes fed into a store writer";
+    STORE_BYTES_COMPRESSED, "store.bytes_compressed", Counter, Bytes,
+        "Block payload bytes after delta filtering and LZ compression \
+         (excludes the fixed header/index framing)";
+    STORE_COMPRESSION_RATIO, "store.compression_ratio", Gauge, Ratio,
+        "Raw over compressed payload bytes for one written store";
+);
 
 // --------------------------------------------------------------- etrace
-desc!(pub ETRACE_INSTRUCTIONS, "etrace.instructions", Counter, Instructions,
-    "Instructions reconstructed from an E-Trace packet stream");
-desc!(pub ETRACE_PACKETS, "etrace.packets", Counter, Count,
-    "Control-stream packets decoded (SYNC + BRANCH-MAP + ADDR + CTX)");
-desc!(pub ETRACE_SYNC_RECOVERIES, "etrace.sync_recoveries", Counter, Count,
-    "SYNC packets whose pc disagreed with the decoder's program-image \
-     walker, forcing a rebase (always 0 for streams this tree encoded)");
-desc!(pub ETRACE_BYTES_PER_INSTRUCTION, "etrace.bytes_per_instruction", Gauge,
-    Bytes,
-    "Encoded `.etrace` file bytes per reconstructed instruction");
-desc!(pub ETRACE_COMPRESSION_RATIO, "etrace.compression_ratio", Gauge, Ratio,
-    "Flat per-instruction record bytes over encoded `.etrace` file \
-     bytes for the same execution");
+group!(ETRACE:
+    ETRACE_INSTRUCTIONS, "etrace.instructions", Counter, Instructions,
+        "Instructions reconstructed from an E-Trace packet stream";
+    ETRACE_PACKETS, "etrace.packets", Counter, Count,
+        "Control-stream packets decoded (SYNC + BRANCH-MAP + ADDR + CTX)";
+    ETRACE_SYNC_RECOVERIES, "etrace.sync_recoveries", Counter, Count,
+        "SYNC packets whose pc disagreed with the decoder's program-image \
+         walker, forcing a rebase (always 0 for streams this tree encoded)";
+    ETRACE_BYTES_PER_INSTRUCTION, "etrace.bytes_per_instruction", Gauge,
+        Bytes,
+        "Encoded `.etrace` file bytes per reconstructed instruction";
+    ETRACE_COMPRESSION_RATIO, "etrace.compression_ratio", Gauge, Ratio,
+        "Flat per-instruction record bytes over encoded `.etrace` file \
+         bytes for the same execution";
+);
 
 // ------------------------------------------------------------ sim-server
-desc!(pub SERVER_JOBS_ACCEPTED, "server.jobs.accepted", Counter, Count,
-    "Job submissions admitted to the queue since the server started");
-desc!(pub SERVER_JOBS_REJECTED, "server.jobs.rejected", Counter, Count,
-    "Job submissions rejected with `429` because the bounded queue was \
-     full (the backpressure signal)");
-desc!(pub SERVER_JOBS_COMPLETED, "server.jobs.completed", Counter, Count,
-    "Jobs that ran to completion and have a result document");
-desc!(pub SERVER_JOBS_FAILED, "server.jobs.failed", Counter, Count,
-    "Jobs that ended in an error (unreadable trace, bad spec)");
-desc!(pub SERVER_JOBS_CANCELLED, "server.jobs.cancelled", Counter, Count,
-    "Jobs cancelled before completion — deadline (`--job-timeout`) \
-     expiry or shutdown abort; partial statistics are discarded");
-desc!(pub SERVER_QUEUE_DEPTH, "server.queue.depth", Gauge, Count,
-    "Jobs waiting in the bounded queue at sampling time (bounded by \
-     `--queue-depth` by construction)");
-desc!(pub SERVER_LATENCY_QUEUE, "server.latency.queue_ms", Histogram, Milliseconds,
-    "Log2 histogram of milliseconds jobs spent queued before a worker \
-     picked them up");
-desc!(pub SERVER_LATENCY_RUN, "server.latency.run_ms", Histogram, Milliseconds,
-    "Log2 histogram of milliseconds workers spent executing jobs \
-     (generate/convert/simulate, including cache hits)");
-desc!(pub SERVER_LATENCY_TOTAL, "server.latency.total_ms", Histogram, Milliseconds,
-    "Log2 histogram of submission-to-completion milliseconds per job \
-     (queue wait plus execution)");
-desc!(pub SERVER_JOBS_COALESCED, "server.jobs.coalesced", Counter, Count,
-    "Accepted submissions that duplicated a job already in flight \
-     (same canonical spec key) and attached to its execution instead of \
-     queueing their own");
-desc!(pub SERVER_BATCH_PASSES, "server.batch.passes", Counter, Count,
-    "Fused streaming passes dispatched by workers; each pass decodes \
-     its source once and drives every job in the batch in lockstep");
-desc!(pub SERVER_BATCH_FUSED_JOBS, "server.batch.fused_jobs", Counter, Count,
-    "Jobs that shared their streaming pass with at least one co-queued \
-     job (batch size ≥ 2) — the decode-amortization win");
-desc!(pub SERVER_BATCH_SIZE, "server.batch.size", Histogram, Count,
-    "Log2 histogram of jobs per fused pass (1 = nothing co-queued \
-     shared the source; bounded by `--max-batch`)");
-desc!(pub SERVER_RESULT_CACHE_HITS, "server.result_cache.hits", Counter, Count,
-    "Submissions answered from the bounded LRU result cache — the \
-     completed document returned without simulating");
-desc!(pub SERVER_RESULT_CACHE_MISSES, "server.result_cache.misses", Counter, Count,
-    "Result-cache lookups that found no cached document for the \
-     canonical spec key");
-desc!(pub SERVER_RESULT_CACHE_EVICTIONS, "server.result_cache.evictions", Counter, Count,
-    "Cached result documents dropped to stay within \
-     `--result-cache` capacity (least recently used first)");
-desc!(pub SERVER_ARTIFACTS_RESIDENT_BYTES, "server.artifacts.resident_bytes", Gauge, Bytes,
-    "Bytes of generated traces and converted records the artifact \
-     cache holds at sampling time; idle ones are evicted above its \
-     budget (32 MiB, or three times the largest artifact computed if \
-     that is more)");
-desc!(pub SERVER_ARTIFACTS_EVICTIONS, "server.artifacts.evictions", Counter, Count,
-    "Idle traces and conversions the artifact cache dropped to get \
-     back within its budget (least recently used first); an evicted \
-     artifact is recomputed on its next use");
+group!(SIM_SERVER:
+    SERVER_JOBS_ACCEPTED, "server.jobs.accepted", Counter, Count,
+        "Job submissions admitted to the queue since the server started";
+    SERVER_JOBS_REJECTED, "server.jobs.rejected", Counter, Count,
+        "Job submissions rejected with `429` because the bounded queue was \
+         full (the backpressure signal)";
+    SERVER_JOBS_COMPLETED, "server.jobs.completed", Counter, Count,
+        "Jobs that ran to completion and have a result document";
+    SERVER_JOBS_FAILED, "server.jobs.failed", Counter, Count,
+        "Jobs that ended in an error (unreadable trace, bad spec)";
+    SERVER_JOBS_CANCELLED, "server.jobs.cancelled", Counter, Count,
+        "Jobs cancelled before completion — deadline (`--job-timeout`) \
+         expiry or shutdown abort; partial statistics are discarded";
+    SERVER_QUEUE_DEPTH, "server.queue.depth", Gauge, Count,
+        "Jobs waiting in the bounded queue at sampling time (bounded by \
+         `--queue-depth` by construction)";
+    SERVER_LATENCY_QUEUE, "server.latency.queue_ms", Histogram, Milliseconds,
+        "Log2 histogram of milliseconds jobs spent queued before a worker \
+         picked them up";
+    SERVER_LATENCY_RUN, "server.latency.run_ms", Histogram, Milliseconds,
+        "Log2 histogram of milliseconds workers spent executing jobs \
+         (generate/convert/simulate, including cache hits)";
+    SERVER_LATENCY_TOTAL, "server.latency.total_ms", Histogram, Milliseconds,
+        "Log2 histogram of submission-to-completion milliseconds per job \
+         (queue wait plus execution)";
+    SERVER_JOBS_COALESCED, "server.jobs.coalesced", Counter, Count,
+        "Accepted submissions that duplicated a job already in flight \
+         (same canonical spec key) and attached to its execution instead of \
+         queueing their own";
+    SERVER_BATCH_PASSES, "server.batch.passes", Counter, Count,
+        "Fused streaming passes dispatched by workers; each pass decodes \
+         its source once and drives every job in the batch in lockstep";
+    SERVER_BATCH_FUSED_JOBS, "server.batch.fused_jobs", Counter, Count,
+        "Jobs that shared their streaming pass with at least one co-queued \
+         job (batch size ≥ 2) — the decode-amortization win";
+    SERVER_BATCH_SIZE, "server.batch.size", Histogram, Count,
+        "Log2 histogram of jobs per fused pass (1 = nothing co-queued \
+         shared the source; bounded by `--max-batch`)";
+    SERVER_RESULT_CACHE_HITS, "server.result_cache.hits", Counter, Count,
+        "Submissions answered from the result cache (a done execution \
+         that a kept job holds) — the completed document returned without \
+         simulating";
+    SERVER_RESULT_CACHE_MISSES, "server.result_cache.misses", Counter, Count,
+        "Result-cache lookups that found no cached document for the \
+         canonical spec key";
+    SERVER_RESULT_CACHE_EVICTIONS, "server.result_cache.evictions", Counter, Count,
+        "Done executions dropped with their cached document when the \
+         last job holding them was forgotten (the server keeps the newest \
+         16384 settled jobs)";
+    SERVER_ARTIFACTS_RESIDENT_BYTES, "server.artifacts.resident_bytes", Gauge, Bytes,
+        "Bytes of generated traces and converted records the artifact \
+         cache holds at sampling time; idle ones are evicted above its \
+         budget (32 MiB, or three times the largest artifact computed if \
+         that is more)";
+    SERVER_ARTIFACTS_EVICTIONS, "server.artifacts.evictions", Counter, Count,
+        "Idle traces and conversions the artifact cache dropped to get \
+         back within its budget (least recently used first); an evicted \
+         artifact is recomputed on its next use";
+);
 
 // ------------------------------------------------------------ sim-router
-desc!(pub ROUTER_JOBS_ROUTED, "router.jobs.routed", Counter, Count,
-    "Submissions the router placed on a shard (the backend answered \
-     `202`), counted once per job regardless of failover attempts");
-desc!(pub ROUTER_JOBS_RETRIED, "router.jobs.retried", Counter, Count,
-    "Failover hops: times a submission moved past a shard that was \
-     busy (`429`/`503`) or unreachable to the next ring replica");
-desc!(pub ROUTER_JOBS_REJECTED, "router.jobs.rejected", Counter, Count,
-    "Submissions refused with `429` because every reachable shard \
-     answered busy — fleet-wide backpressure, propagated with the \
-     largest Retry-After hint any shard offered");
-desc!(pub ROUTER_JOBS_UNROUTABLE, "router.jobs.unroutable", Counter, Count,
-    "Submissions refused with `503` because no shard was reachable at \
-     all (distinct from `router.jobs.rejected`, where shards answered \
-     but were saturated)");
-desc!(pub ROUTER_BACKENDS_HEALTHY, "router.backends.healthy", Gauge, Count,
-    "Backends the health checker currently admits for new submissions \
-     (a draining backend reports `/healthz` status `draining` and \
-     counts as unhealthy here)");
-desc!(pub ROUTER_BACKENDS_EJECTED, "router.backends.ejected", Counter, Count,
-    "Healthy-to-unhealthy transitions observed by the health checker \
-     since the router started");
-desc!(pub ROUTER_BACKENDS_READMITTED, "router.backends.readmitted", Counter, Count,
-    "Unhealthy-to-healthy transitions — backends that recovered and \
-     rejoined the submission rotation");
-desc!(pub ROUTER_BACKEND_CONNECTS, "router.backend.connects", Counter, Count,
-    "Fresh backend connections the router opened to forward a request \
-     (health probes excluded): an empty keep-alive pool, or a retry \
-     after a pooled connection the backend had closed");
-desc!(pub ROUTER_BACKEND_REUSED, "router.backend.reused", Counter, Count,
-    "Forwards served on a pooled keep-alive backend connection, without \
-     a new TCP handshake");
-desc!(pub ROUTER_FLEET_JOBS_ACCEPTED, "router.fleet.jobs_accepted", Counter, Count,
-    "`server.jobs.accepted` summed across every shard reachable at \
-     scrape time (an unreachable shard contributes nothing)");
-desc!(pub ROUTER_FLEET_JOBS_COMPLETED, "router.fleet.jobs_completed", Counter, Count,
-    "`server.jobs.completed` summed across every reachable shard at \
-     scrape time");
-desc!(pub ROUTER_FLEET_JOBS_REJECTED, "router.fleet.jobs_rejected", Counter, Count,
-    "`server.jobs.rejected` summed across every reachable shard at \
-     scrape time — per-shard backpressure the router's failover may \
-     have absorbed before it reached a client");
-desc!(pub ROUTER_FLEET_QUEUE_DEPTH, "router.fleet.queue_depth", Gauge, Count,
-    "`server.queue.depth` summed across every reachable shard at \
-     scrape time — total jobs waiting fleet-wide");
+group!(SIM_ROUTER:
+    ROUTER_JOBS_ROUTED, "router.jobs.routed", Counter, Count,
+        "Submissions the router placed on a shard (the backend answered \
+         `202`), counted once per job regardless of failover attempts";
+    ROUTER_JOBS_RETRIED, "router.jobs.retried", Counter, Count,
+        "Failover hops: times a submission moved past a shard that was \
+         busy (`429`/`503`) or unreachable to the next ring replica";
+    ROUTER_JOBS_REJECTED, "router.jobs.rejected", Counter, Count,
+        "Submissions refused with `429` because every reachable shard \
+         answered busy — fleet-wide backpressure, propagated with the \
+         largest Retry-After hint any shard offered";
+    ROUTER_JOBS_UNROUTABLE, "router.jobs.unroutable", Counter, Count,
+        "Submissions refused with `503` because no shard was reachable at \
+         all (distinct from `router.jobs.rejected`, where shards answered \
+         but were saturated)";
+    ROUTER_BACKENDS_HEALTHY, "router.backends.healthy", Gauge, Count,
+        "Backends the health checker currently admits for new submissions \
+         (a draining backend reports `/healthz` status `draining` and \
+         counts as unhealthy here)";
+    ROUTER_BACKENDS_EJECTED, "router.backends.ejected", Counter, Count,
+        "Healthy-to-unhealthy transitions observed by the health checker \
+         since the router started";
+    ROUTER_BACKENDS_READMITTED, "router.backends.readmitted", Counter, Count,
+        "Unhealthy-to-healthy transitions — backends that recovered and \
+         rejoined the submission rotation";
+    ROUTER_BACKEND_CONNECTS, "router.backend.connects", Counter, Count,
+        "Fresh backend connections the router opened to forward a request \
+         (health probes excluded): an empty keep-alive pool, or a retry \
+         after a pooled connection the backend had closed";
+    ROUTER_BACKEND_REUSED, "router.backend.reused", Counter, Count,
+        "Forwards served on a pooled keep-alive backend connection, without \
+         a new TCP handshake";
+    ROUTER_FLEET_JOBS_ACCEPTED, "router.fleet.jobs_accepted", Counter, Count,
+        "`server.jobs.accepted` summed across every shard reachable at \
+         scrape time (an unreachable shard contributes nothing)";
+    ROUTER_FLEET_JOBS_COMPLETED, "router.fleet.jobs_completed", Counter, Count,
+        "`server.jobs.completed` summed across every reachable shard at \
+         scrape time";
+    ROUTER_FLEET_JOBS_REJECTED, "router.fleet.jobs_rejected", Counter, Count,
+        "`server.jobs.rejected` summed across every reachable shard at \
+         scrape time — per-shard backpressure the router's failover may \
+         have absorbed before it reached a client";
+    ROUTER_FLEET_QUEUE_DEPTH, "router.fleet.queue_depth", Gauge, Count,
+        "`server.queue.depth` summed across every reachable shard at \
+         scrape time — total jobs waiting fleet-wide";
+);
 
-/// Every descriptor in the catalog, in `METRICS.md` order (grouped by
-/// subsystem, name-sorted within each group by construction).
+/// Every descriptor in the catalog, in `METRICS.md` order: the groups
+/// as declared above, each group's descriptors in declaration order.
 pub fn all() -> Vec<&'static Desc> {
-    vec![
-        // sim
-        &SIM_INSTRUCTIONS,
-        &SIM_CYCLES,
-        &SIM_IPC,
-        &SIM_BRANCH_EXECUTED,
-        &SIM_BRANCH_MISPREDICTED,
-        &SIM_BRANCH_DIRECTION_MISPREDICTS,
-        &SIM_BRANCH_TARGET_MISPREDICTS,
-        &SIM_BRANCH_MISPREDICT_RESOLVE_CYCLES,
-        &SIM_BRANCH_MPKI,
-        &SIM_BRANCH_DIRECTION_MPKI,
-        &SIM_BRANCH_TARGET_MPKI,
-        &SIM_BRANCH_RETURN_MPKI,
-        &SIM_BRANCH_TYPE_EXECUTED,
-        &SIM_BRANCH_TYPE_MISPREDICTED,
-        &SIM_FETCH_STARVE_CYCLES,
-        &SIM_ROB_STALLS,
-        &SIM_ROB_STALL_CYCLES,
-        &SIM_ROB_OCCUPANCY,
-        &SIM_LSQ_STALLS,
-        &SIM_MSHR_STALLS,
-        &SIM_IPREFETCH_ISSUED,
-        &SIM_CACHE_MPKI,
-        &SIM_THROUGHPUT_MIPS,
-        &SIM_THROUGHPUT_FAMILY_MIPS,
-        // memsys
-        &MEMSYS_DEMAND_ACCESSES,
-        &MEMSYS_DEMAND_MISSES,
-        &MEMSYS_MISS_RATIO,
-        &MEMSYS_PREFETCH_FILLS,
-        &MEMSYS_USEFUL_PREFETCHES,
-        &MEMSYS_PREFETCH_ACCURACY,
-        // bpred
-        &BPRED_DIRECTION_PREDICTIONS,
-        &BPRED_DIRECTION_UPDATES,
-        &BPRED_INDIRECT_PREDICTIONS,
-        &BPRED_INDIRECT_NO_PREDICTION,
-        &BPRED_BTB_LOOKUPS,
-        &BPRED_BTB_MISSES,
-        &BPRED_BTB_HIT_RATIO,
-        &BPRED_RAS_PUSHES,
-        &BPRED_RAS_POPS,
-        &BPRED_RAS_UNDERFLOWS,
-        // iprefetch
-        &IPREFETCH_FETCHES_SEEN,
-        &IPREFETCH_MISSES_SEEN,
-        &IPREFETCH_ISSUED,
-        &IPREFETCH_BRANCHES_SEEN,
-        // converter
-        &CONVERTER_INPUT_INSTRUCTIONS,
-        &CONVERTER_OUTPUT_RECORDS,
-        &CONVERTER_EXPANSION_RATIO,
-        &CONVERTER_MEMORY_NO_DESTINATION,
-        &CONVERTER_LOADS_MULTI_DEST,
-        &CONVERTER_BASE_UPDATE_LOADS,
-        &CONVERTER_BASE_UPDATE_STORES,
-        &CONVERTER_PRE_INDEX,
-        &CONVERTER_POST_INDEX,
-        &CONVERTER_TWO_CACHELINE,
-        &CONVERTER_DC_ZVA_STORES,
-        &CONVERTER_X30_READ_WRITE,
-        &CONVERTER_RETURNS_EMITTED,
-        &CONVERTER_CALLS_EMITTED,
-        &CONVERTER_COND_WITH_SOURCES,
-        &CONVERTER_FLAG_DESTS_ADDED,
-        &CONVERTER_X30_DESTS_DROPPED,
-        &CONVERTER_SRC_REGS_DROPPED,
-        &CONVERTER_IMPROVEMENT_REWRITES,
-        // cvp-trace
-        &CVP_INSTRUCTIONS,
-        &CVP_TAKEN_BRANCHES,
-        &CVP_BRANCHES,
-        &CVP_MEMORY_NO_DEST,
-        &CVP_LOADS_MULTI_DEST,
-        &CVP_ALU_FP_NO_DEST,
-        &CVP_MEAN_SOURCES,
-        &CVP_MEAN_DESTINATIONS,
-        &CVP_CLASS_COUNT,
-        // experiments
-        &EXP_GRID_TRACES,
-        &EXP_GRID_CONFIGS,
-        &EXP_GRID_GEOMEAN_IPC,
-        &EXP_GRID_IPC_DELTA,
-        &EXP_GRID_INSTRUCTIONS,
-        &EXP_GRID_CYCLES,
-        &EXP_GRID_BRANCH_MISPREDICTS,
-        &EXP_GRID_DIRECTION_MISPREDICTS,
-        &EXP_GRID_TARGET_MISPREDICTS,
-        &EXP_GRID_L1I_MISSES,
-        &EXP_GRID_L1D_MISSES,
-        &EXP_GRID_L2_MISSES,
-        &EXP_GRID_LLC_MISSES,
-        &EXP_GRID_SPLIT_RECORDS,
-        &EXP_GRID_MISPREDICT_RESOLVE_CYCLES,
-        &EXP_TABLE3_SPEEDUP_COMPETITION,
-        &EXP_TABLE3_SPEEDUP_FIXED,
-        &EXP_TABLE4_SPEEDUP_COMPETITION,
-        &EXP_TABLE4_SPEEDUP_FIXED,
-        &EXP_PHASE_SECONDS,
-        // workloads
-        &WORKLOADS_GENERATED_INSTRUCTIONS,
-        // trace-store
-        &STORE_BLOCKS_WRITTEN,
-        &STORE_BYTES_RAW,
-        &STORE_BYTES_COMPRESSED,
-        &STORE_COMPRESSION_RATIO,
-        // etrace
-        &ETRACE_INSTRUCTIONS,
-        &ETRACE_PACKETS,
-        &ETRACE_SYNC_RECOVERIES,
-        &ETRACE_BYTES_PER_INSTRUCTION,
-        &ETRACE_COMPRESSION_RATIO,
-        // sim-server
-        &SERVER_JOBS_ACCEPTED,
-        &SERVER_JOBS_REJECTED,
-        &SERVER_JOBS_COMPLETED,
-        &SERVER_JOBS_FAILED,
-        &SERVER_JOBS_CANCELLED,
-        &SERVER_QUEUE_DEPTH,
-        &SERVER_LATENCY_QUEUE,
-        &SERVER_LATENCY_RUN,
-        &SERVER_LATENCY_TOTAL,
-        &SERVER_JOBS_COALESCED,
-        &SERVER_BATCH_PASSES,
-        &SERVER_BATCH_FUSED_JOBS,
-        &SERVER_BATCH_SIZE,
-        &SERVER_RESULT_CACHE_HITS,
-        &SERVER_RESULT_CACHE_MISSES,
-        &SERVER_RESULT_CACHE_EVICTIONS,
-        &SERVER_ARTIFACTS_RESIDENT_BYTES,
-        &SERVER_ARTIFACTS_EVICTIONS,
-        // sim-router
-        &ROUTER_JOBS_ROUTED,
-        &ROUTER_JOBS_RETRIED,
-        &ROUTER_JOBS_REJECTED,
-        &ROUTER_JOBS_UNROUTABLE,
-        &ROUTER_BACKENDS_HEALTHY,
-        &ROUTER_BACKENDS_EJECTED,
-        &ROUTER_BACKENDS_READMITTED,
-        &ROUTER_BACKEND_CONNECTS,
-        &ROUTER_BACKEND_REUSED,
-        &ROUTER_FLEET_JOBS_ACCEPTED,
-        &ROUTER_FLEET_JOBS_COMPLETED,
-        &ROUTER_FLEET_JOBS_REJECTED,
-        &ROUTER_FLEET_QUEUE_DEPTH,
+    [
+        SIM,
+        MEMSYS,
+        BPRED,
+        IPREFETCH,
+        CONVERTER,
+        CVP_TRACE,
+        EXPERIMENTS,
+        WORKLOADS,
+        TRACE_STORE,
+        ETRACE,
+        SIM_SERVER,
+        SIM_ROUTER,
     ]
+    .concat()
 }
 
 /// Renders the `METRICS.md` reference document (the `metrics_ref`
